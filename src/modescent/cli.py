@@ -1,8 +1,8 @@
 """Command-line front end: solve, front (multistart + filter), audit.
 
 Exit codes: 0 success (critical point reached / checks passed), 1 runtime
-error or failed audit, 2 iteration cap, 64 usage error.  The environment
-variable MODESCENT_SEED is reserved; the solver itself is deterministic.
+error, failed audit, or a front in which every start failed, 2 iteration
+cap, 64 usage error.
 """
 
 import json
@@ -209,7 +209,7 @@ def front(problem_name, problem_file, grid, x0, outdir, **config_kwargs):
     _write_manifest(outdir, "front", problem, config, outputs, summary, started)
     click.echo(f"{len(archive)} runs ({summary['converged']} converged, "
                f"{failures} failed); front size {len(front_archive)}")
-    return 0
+    return 1 if failures == len(archive) else 0
 
 
 def _audit_fd(problem, rng, report):

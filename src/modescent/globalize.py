@@ -39,15 +39,39 @@ def dominates(v, w) -> bool:
     return bool(np.all(v <= w) and np.any(v < w))
 
 
+# candidate dominators compared at once in dominance_flags; bounds its
+# working memory to a few (_BLOCK x N) boolean arrays
+_BLOCK = 128
+
+
 def dominance_flags(archive: ParetoArchive) -> list:
-    """Dominated flag per entry; None for entries without objective values."""
-    flags: list = []
-    valued = [e for e in archive.entries if e.F is not None]
-    for entry in archive.entries:
-        if entry.F is None:
-            flags.append(None)
-        else:
-            flags.append(any(dominates(o.F, entry.F) for o in valued if o is not entry))
+    """Dominated flag per entry; None for entries without objective values.
+
+    Exact and vectorised: v dominates w under the same elementwise
+    comparisons as ``dominates``, so equal F-vectors do not dominate each
+    other and a NaN component never takes part in a domination.  For N
+    valued entries with m objectives the pass makes O(N^2 m) comparisons in
+    numpy, _BLOCK candidate dominators at a time, and holds O(_BLOCK N)
+    extra memory.
+    """
+    flags: list = [None] * len(archive.entries)
+    valued = [i for i, e in enumerate(archive.entries) if e.F is not None]
+    if not valued:
+        return flags
+    F = np.array([archive.entries[i].F for i in valued], dtype=float).reshape(len(valued), -1)
+    dominated = np.zeros(len(valued), dtype=bool)
+    for lo in range(0, len(valued), _BLOCK):
+        block = F[lo:lo + _BLOCK]
+        # row r, column c: does block[r] dominate F[c]?
+        all_le = block[:, :1] <= F[:, 0]
+        any_lt = block[:, :1] < F[:, 0]
+        for j in range(1, F.shape[1]):
+            all_le &= block[:, j:j + 1] <= F[:, j]
+            any_lt |= block[:, j:j + 1] < F[:, j]
+        all_le &= any_lt
+        dominated |= all_le.any(axis=0)
+    for i, flag in zip(valued, dominated.tolist()):
+        flags[i] = flag
     return flags
 
 

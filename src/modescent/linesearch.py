@@ -58,11 +58,15 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
 
 
 def _feasible(problem, z):
+    """G(z) <= FEAS_TOL and |H(z)| <= FEAS_TOL, with every value finite: a
+    point where a constraint is undefined is not feasible."""
     if problem.m_G > 0:
-        if np.max(np.asarray(problem.G(z), dtype=float)) > FEAS_TOL:
+        g = np.asarray(problem.G(z), dtype=float)
+        if not (np.isfinite(g).all() and g.max() <= FEAS_TOL):
             return False
     if problem.m_H > 0:
-        if np.max(np.abs(np.asarray(problem.H(z), dtype=float))) > FEAS_TOL:
+        h = np.abs(np.asarray(problem.H(z), dtype=float))
+        if not (np.isfinite(h).all() and h.max() <= FEAS_TOL):
             return False
     return True
 

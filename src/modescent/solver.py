@@ -118,7 +118,8 @@ def solve_equality(problem: ProblemSpec, x_init, config: SolverConfig = SolverCo
     Projects the start onto the manifold, then repeats: tangent-space
     direction, Armijo step through the retraction, projection.  Stops when
     the subproblem value rises above -tol_alpha or at the iteration cap.
-    Returns ``(final_point, IterateTrace)``.
+    Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised
+    inside the loop carries the partial trace as ``err.trace``.
     """
     if problem.m_G != 0:
         raise ValueError("solve_equality requires a problem without inequality constraints")
@@ -130,31 +131,31 @@ def solve_equality(problem: ProblemSpec, x_init, config: SolverConfig = SolverCo
     trace = IterateTrace(problem_name=problem.name, config=config)
     x = project(chart, as_point(x_init, problem.n)) if problem.m_H > 0 \
         else as_point(x_init, problem.n)
-    for it in range(config.max_iters):
-        bundle = evaluate(problem, x)
-        d = solve_direction(bundle, kind, 0.0, config.gamma)
-        if d.alpha >= -config.tol_alpha:
-            trace.records.append(IterateRecord(
-                iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                alpha=d.alpha, active_set=()))
-            trace.termination = TERMINATED_CRITICAL
-            break
-        try:
+    try:
+        for it in range(config.max_iters):
+            bundle = evaluate(problem, x)
+            d = solve_direction(bundle, kind, 0.0, config.gamma)
+            if d.alpha >= -config.tol_alpha:
+                trace.records.append(IterateRecord(
+                    iteration=it, x=x.copy(), F=bundle.F_val.copy(),
+                    alpha=d.alpha, active_set=()))
+                trace.termination = TERMINATED_CRITICAL
+                break
             step = armijo_step(bundle, d.v, retract, config.beta0, config.beta,
                                config.sigma, config.k_max)
-        except ModescentError as err:
-            raise _attach_trace(err, trace, x)
-        trace.records.append(IterateRecord(
-            iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d.alpha,
-            active_set=(), branch=branch, t=step.t, k=step.k))
-        x = step.new_point
-    else:
-        bundle = evaluate(problem, x)
-        d = solve_direction(bundle, kind, 0.0, config.gamma)
-        trace.records.append(IterateRecord(
-            iteration=config.max_iters, x=x.copy(), F=bundle.F_val.copy(),
-            alpha=d.alpha, active_set=()))
-        trace.termination = ITER_CAP
+            trace.records.append(IterateRecord(
+                iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d.alpha,
+                active_set=(), branch=branch, t=step.t, k=step.k))
+            x = step.new_point
+        else:
+            bundle = evaluate(problem, x)
+            d = solve_direction(bundle, kind, 0.0, config.gamma)
+            trace.records.append(IterateRecord(
+                iteration=config.max_iters, x=x.copy(), F=bundle.F_val.copy(),
+                alpha=d.alpha, active_set=()))
+            trace.termination = ITER_CAP
+    except ModescentError as err:
+        raise _attach_trace(err, trace, x)
 
     trace.final_x = x.copy()
     trace.final_alpha = trace.records[-1].alpha
@@ -170,7 +171,9 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     value alpha2 <= -eta and a step is possible, otherwise fall back to the
     boundary-leaving subproblem (active inequalities as extra objectives)
     and stop once its value alpha1 >= -tol_alpha.  Returns
-    ``(final_point, IterateTrace)``.
+    ``(final_point, IterateTrace)``; a ``ModescentError`` raised by the
+    feasibility solve or inside the loop carries the partial trace as
+    ``err.trace``.
     """
     trace = IterateTrace(problem_name=problem.name, config=config)
     try:
@@ -178,66 +181,55 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     except ModescentError as err:
         raise _attach_trace(err, trace, as_point(x_init, problem.n))
 
-    for it in range(config.max_iters):
-        bundle = evaluate(problem, x)
-        d2 = None
-        if problem.m_G > 0 and math.isfinite(config.eta) \
-                and len(active_set(bundle, config.epsilon)) > 0:
-            try:
+    try:
+        for it in range(config.max_iters):
+            bundle = evaluate(problem, x)
+            d2 = None
+            if problem.m_G > 0 and math.isfinite(config.eta) \
+                    and len(active_set(bundle, config.epsilon)) > 0:
                 d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS,
                                      config.eps_act, config.gamma)
-            except ModescentError as err:
-                raise _attach_trace(err, trace, x)
-            # a numerically null boundary direction cannot drive a step, so
-            # it falls through to the boundary-leaving branch as well
-            if not (d2.alpha > -config.eta or d2.alpha >= -config.tol_alpha):
-                chart = ManifoldChart(problem, d2.active_set.indices)
-                try:
+                # a numerically null boundary direction cannot drive a step, so
+                # it falls through to the boundary-leaving branch as well
+                if not (d2.alpha > -config.eta or d2.alpha >= -config.tol_alpha):
+                    chart = ManifoldChart(problem, d2.active_set.indices)
                     step = boundary_step(bundle, d2.v, chart, config)
-                except ModescentError as err:
-                    raise _attach_trace(err, trace, x)
-                trace.records.append(IterateRecord(
-                    iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                    alpha=d2.alpha, active_set=d2.active_set.indices,
-                    branch="SP2-step", t=step.t, k=step.k, alpha2=d2.alpha))
-                x = step.new_point
-                continue
+                    trace.records.append(IterateRecord(
+                        iteration=it, x=x.copy(), F=bundle.F_val.copy(),
+                        alpha=d2.alpha, active_set=d2.active_set.indices,
+                        branch="SP2-step", t=step.t, k=step.k, alpha2=d2.alpha))
+                    x = step.new_point
+                    continue
 
-        try:
             d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS,
                                  config.epsilon, config.gamma)
-        except ModescentError as err:
-            raise _attach_trace(err, trace, x)
-        alpha2 = d2.alpha if d2 is not None else None
-        if d1.alpha >= -config.tol_alpha:
-            trace.records.append(IterateRecord(
-                iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                alpha=d1.alpha, active_set=d1.active_set.indices, alpha2=alpha2))
-            trace.termination = TERMINATED_CRITICAL
-            break
-        try:
+            alpha2 = d2.alpha if d2 is not None else None
+            if d1.alpha >= -config.tol_alpha:
+                trace.records.append(IterateRecord(
+                    iteration=it, x=x.copy(), F=bundle.F_val.copy(),
+                    alpha=d1.alpha, active_set=d1.active_set.indices, alpha2=alpha2))
+                trace.termination = TERMINATED_CRITICAL
+                break
             step = feasible_armijo_step(bundle, d1.v, config)
-        except ModescentError as err:
-            raise _attach_trace(err, trace, x)
-        trace.records.append(IterateRecord(
-            iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d1.alpha,
-            active_set=d1.active_set.indices, branch="SP1-step",
-            t=step.t, k=step.k, alpha2=alpha2))
-        x = step.new_point
-    else:
-        bundle = evaluate(problem, x)
-        d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS,
-                             config.epsilon, config.gamma)
-        trace.records.append(IterateRecord(
-            iteration=config.max_iters, x=x.copy(), F=bundle.F_val.copy(),
-            alpha=d1.alpha, active_set=d1.active_set.indices))
-        trace.termination = ITER_CAP
+            trace.records.append(IterateRecord(
+                iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d1.alpha,
+                active_set=d1.active_set.indices, branch="SP1-step",
+                t=step.t, k=step.k, alpha2=alpha2))
+            x = step.new_point
+        else:
+            bundle = evaluate(problem, x)
+            d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS,
+                                 config.epsilon, config.gamma)
+            trace.records.append(IterateRecord(
+                iteration=config.max_iters, x=x.copy(), F=bundle.F_val.copy(),
+                alpha=d1.alpha, active_set=d1.active_set.indices))
+            trace.termination = ITER_CAP
+    except ModescentError as err:
+        raise _attach_trace(err, trace, x)
 
     trace.final_x = x.copy()
-    # independent recomputation of the stopping value at the final point
-    final = solve_direction(evaluate(problem, x), SubproblemKind.OBJECTIVE_ICS,
-                            config.epsilon, config.gamma)
-    trace.final_alpha = final.alpha
+    # both exits record the stopping value alpha1 at the final point
+    trace.final_alpha = trace.records[-1].alpha
     return x, trace
 
 

@@ -97,6 +97,22 @@ def central_diff_jacobian(fun, x, rows, h=1e-6):
     return J
 
 
+def pairwise_dominance_flags(values):
+    """Dominated flag per F-vector (None stays None) by comparing every
+    ordered pair: v dominates w iff v <= w componentwise with some strict
+    component."""
+    valued = [(i, np.asarray(v, dtype=float)) for i, v in enumerate(values) if v is not None]
+    flags = []
+    for i, w in enumerate(values):
+        if w is None:
+            flags.append(None)
+            continue
+        w = np.asarray(w, dtype=float)
+        flags.append(any(bool(np.all(v <= w) and np.any(v < w))
+                         for j, v in valued if j != i))
+    return flags
+
+
 # ---------------------------------------------------------------------------
 # closed-form geometry of the circle test problem
 

@@ -101,6 +101,23 @@ def test_front_bad_grid_spec():
     assert main(["front", "--problem", "circle2d", "--grid", "ax b"]) == 64
 
 
+def test_front_every_start_failed_is_runtime_error(tmp_path):
+    # the inequality x1^2 + 1 <= 0 has no solutions; every start fails
+    doc = {
+        "n": 2, "m": 1,
+        "objectives": [[[1, [1, 0]]]],
+        "inequalities": [[[1, [2, 0]], [1, [0, 0]]]],
+    }
+    path = tmp_path / "infeasible.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "front"
+    rc = main(["front", "--problem-file", str(path), "--grid", "2x2", "--out", str(out)])
+    assert rc == 1
+    archive = json.loads((out / "archive.json").read_text())
+    assert len(archive["entries"]) == 4
+    assert all(entry["error"] for entry in archive["entries"])
+
+
 def test_audit_passes_on_analytic_problem():
     assert main(["audit", "--problem", "circle2d"]) == 0
 

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import modescent as md
+from modescent import globalize
 from modescent.globalize import ArchiveEntry, ParetoArchive, dominance_flags
 
 from conftest import CIRCLE_CONFIG, make_infeasible_problem
-from oracles import dist_to_arc, dist_to_critical_set, dist_to_segment
+from oracles import (dist_to_arc, dist_to_critical_set, dist_to_segment,
+                     pairwise_dominance_flags)
 
 
 def _archive_from_F(values):
@@ -54,6 +58,45 @@ def test_filter_skips_failed_entries():
     flags = dominance_flags(archive)
     assert flags == [False, None]
     assert len(md.nondominated_filter(archive)) == 1
+
+
+# few distinct values, so ties and exact duplicates are common
+_COMPONENTS = [0.0, 1.0, 2.0, 3.0] * 3 + [np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _f_values_with_failures(draw):
+    m = draw(st.integers(1, 3))
+    vector = st.lists(st.sampled_from(_COMPONENTS), min_size=m, max_size=m).map(np.array)
+    return draw(st.lists(st.one_of(vector, vector, st.none()), max_size=40))
+
+
+@pytest.mark.parametrize("block", [1, 3, globalize._BLOCK])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_f_values_with_failures())
+def test_dominance_flags_match_pairwise_oracle(monkeypatch, block, values):
+    monkeypatch.setattr(globalize, "_BLOCK", block)
+    entries = [
+        ArchiveEntry(start=np.zeros(2), x=None, F=v, alpha=None, converged=False,
+                     iterations=0)
+        for v in values
+    ]
+    assert dominance_flags(ParetoArchive(entries)) == pairwise_dominance_flags(values)
+
+
+def test_dominance_flags_memory_is_blocked():
+    rng = np.random.default_rng(5)
+    archive = _archive_from_F(rng.random((5000, 2)))
+    tracemalloc.start()
+    try:
+        flags = dominance_flags(archive)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(flags) == 5000 and 0 < flags.count(False) < 5000
+    # one unblocked 5000 x 5000 boolean array alone takes 25 MB
+    assert peak < 5e6
 
 
 f_vectors = st.lists(

@@ -137,6 +137,51 @@ def test_constrained_equality_only_problem_matches_equality_solver(sphere3d):
     assert tr_c.iterations == tr_e.iterations
 
 
+def _undefined_past_1_5(nan_in, with_inequality=True):
+    """F = (x - 3)^2 on the line, optionally with G = x - 10 <= 0; the map
+    named ``nan_in`` ("G" or "DF") is NaN for x > 1.5."""
+    def guard(name, fun):
+        if name != nan_in:
+            return fun
+        return lambda x: fun(x) * np.nan if x[0] > 1.5 else fun(x)
+
+    parts = dict(F=lambda x: np.array([(x[0] - 3.0) ** 2]),
+                 DF=guard("DF", lambda x: np.array([[2.0 * (x[0] - 3.0)]])))
+    if with_inequality:
+        parts.update(m_G=1, G=guard("G", lambda x: np.array([x[0] - 10.0])),
+                     DG=lambda x: np.array([[1.0]]))
+    return md.ProblemSpec(name=f"nan-{nan_in}", n=1, m=1, **parts)
+
+
+def test_constrained_never_steps_where_inequality_is_nan():
+    # the step t = 0.5 lands on x = 3, where G is NaN; it must be rejected
+    # and the run must stay where G is defined
+    problem = _undefined_past_1_5("G")
+    with pytest.raises(md.NoStep) as err:
+        md.solve_constrained(problem, (0.0,), md.SolverConfig(beta0=4.0))
+    trace = err.value.trace
+    assert len(trace.records) >= 1
+    for x in [rec.x for rec in trace.records] + [trace.final_x]:
+        assert x[0] <= 1.5
+        assert float(problem.G(x)[0]) <= 0.0
+
+
+@pytest.mark.parametrize("solve, with_inequality",
+                         [(md.solve_constrained, True), (md.solve_equality, False)])
+def test_evaluation_error_inside_the_loop_attaches_trace(solve, with_inequality):
+    # F and G stay finite, so the steps are accepted; DF fails at the
+    # first iterate past 1.5
+    problem = _undefined_past_1_5("DF", with_inequality)
+    with pytest.raises(md.EvaluationError) as err:
+        solve(problem, (0.0,), md.SolverConfig(beta0=0.1))
+    assert err.value.component == "DF"
+    trace = err.value.trace
+    assert trace.termination == "FAILED:EvaluationError"
+    assert trace.iterations >= 1
+    assert trace.final_x[0] > 1.5
+    assert all(rec.x[0] <= 1.5 for rec in trace.records)
+
+
 def test_constrained_infeasible_problem_attaches_trace():
     bad = make_infeasible_problem()
     with pytest.raises(md.NoConvergence) as err:
