@@ -19,6 +19,7 @@ from .errors import ModescentError, NoConvergence, UnknownProblemError
 from .geometry import ManifoldChart, chart_jacobian, chart_retraction, project
 from .globalize import (deduplicate, grid_points, multistart, nondominated_filter,
                         write_archive_csv, write_archive_json)
+from .output import config_to_dict, write_json
 from .problems import evaluate, fd_audit, load_problem, registry_get, registry_names
 from .solver import (SolverConfig, TERMINATED_CRITICAL, solve_constrained,
                      write_trace_csv, write_trace_json)
@@ -91,8 +92,6 @@ def _solver_options(fn):
                      help="active-set tolerance"),
         click.option("--eta", callback=_parse_eta, default="inf", show_default=True,
                      help="strategy switch threshold; 'inf' never follows the boundary"),
-        click.option("--gamma", type=float, default=1.0, show_default=True,
-                     help="subproblem tolerance contract in (0,1]"),
         click.option("--max-iters", type=int, default=10000, show_default=True),
         click.option("--retraction", type=click.Choice(["project", "psi"]),
                      default="project", show_default=True),
@@ -106,17 +105,14 @@ def _write_manifest(outdir: Path, command, problem, config, outputs, summary, st
     manifest = {
         "command": command,
         "problem": problem.name,
-        "config": {k: (str(v) if v == math.inf else v)
-                   for k, v in vars(config).items()},
+        "config": config_to_dict(config),
         "outputs": [str(p) for p in outputs],
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "summary": summary,
     }
     path = outdir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 

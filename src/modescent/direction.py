@@ -196,7 +196,7 @@ def min_norm_in_hull(generators, tol: float = KKT_TOL):
 
 
 def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
-                    epsilon: float = 0.0, gamma: float = 1.0) -> DirectionResult:
+                    epsilon: float = 0.0) -> DirectionResult:
     """Solve one of the four direction subproblems at the bundle's point.
 
     Construction: stack the equality rows of the variant (DH, plus the
@@ -204,13 +204,7 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     project the generator gradients (objectives, plus active DG rows for
     OBJECTIVE_ICS) into kernel coordinates, take the min-norm point of
     their hull, and map back: v = -(basis @ point).
-
-    ``gamma`` in (0, 1] is the approximate-solution tolerance contract;
-    the solver always returns the exact solution, which satisfies the
-    gamma inequality for every admissible gamma.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
     problem = bundle.problem
     n = problem.n
 

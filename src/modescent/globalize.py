@@ -1,12 +1,11 @@
 """Multistart driver over a sampling grid plus a nondominance filter."""
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ModescentError
+from .output import fmt, write_csv, write_json
 from .problems import ProblemSpec
 from .solver import SolverConfig, TERMINATED_CRITICAL, solve_constrained
 
@@ -140,25 +139,20 @@ def multistart(problem: ProblemSpec, starts, config: SolverConfig = SolverConfig
 # archive serialization
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def write_archive_csv(archive: ParetoArchive, path, n: int, m: int) -> None:
     """Columns: x..., F..., alpha, converged, dominated."""
     flags = dominance_flags(archive)
     header = ([f"x{i + 1}" for i in range(n)] + [f"F{i + 1}" for i in range(m)]
               + ["alpha", "converged", "dominated"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for entry, flag in zip(archive.entries, flags):
-            row = [_fmt(v) for v in entry.x] if entry.x is not None else [""] * n
-            row += [_fmt(v) for v in entry.F] if entry.F is not None else [""] * m
-            row.append(_fmt(entry.alpha) if entry.alpha is not None else "")
-            row.append("true" if entry.converged else "false")
-            row.append("" if flag is None else ("true" if flag else "false"))
-            writer.writerow(row)
+    rows = []
+    for entry, flag in zip(archive.entries, flags):
+        row = [fmt(v) for v in entry.x] if entry.x is not None else [""] * n
+        row += [fmt(v) for v in entry.F] if entry.F is not None else [""] * m
+        row.append(fmt(entry.alpha) if entry.alpha is not None else "")
+        row.append("true" if entry.converged else "false")
+        row.append("" if flag is None else ("true" if flag else "false"))
+        rows.append(row)
+    write_csv(path, header, rows)
 
 
 def archive_to_dict(archive: ParetoArchive) -> dict:
@@ -181,6 +175,4 @@ def archive_to_dict(archive: ParetoArchive) -> dict:
 
 
 def write_archive_json(archive: ParetoArchive, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(archive_to_dict(archive), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, archive_to_dict(archive))

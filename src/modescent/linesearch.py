@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import active_set
+from .direction import ActiveSet
 from .errors import NoConvergence, NoRoot, NoStep
 from .geometry import FEAS_TOL, ManifoldChart, chart_retraction, chart_value
 from .problems import EvalBundle
@@ -35,6 +35,32 @@ def _descent_slope(bundle, v):
     return slope
 
 
+def _trials(retract, x, v, beta0, beta, k_first, k_max):
+    """Yield ``(k, t, z)`` for t = beta0 * beta^k, k = k_first..k_max, where
+    z is the retracted point of the step t v, or None where the retraction
+    fails.
+
+    The retractions depend only on x and x + t v, so once x + t v rounds to
+    x every later trial repeats the last one: the generator stops after
+    such a trial if it failed or returned x itself.
+    """
+    for k in range(k_first, k_max + 1):
+        t = beta0 * beta ** k
+        w = t * v
+        z = _try_retract(retract, x, w)
+        yield k, t, z
+        if (z is None or (z == x).all()) and (x + w == x).all():
+            return
+
+
+def _armijo(bundle, slope, sigma, t, z):
+    """Both sides of F(z) < F(x) + sigma t DF(x) v and whether it holds
+    (strictly, in every component)."""
+    lhs = _eval_F(bundle.problem, z)
+    rhs = bundle.F_val + sigma * t * slope
+    return lhs, rhs, bool(np.all(lhs < rhs))
+
+
 def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
                 sigma: float, k_max: int = 60) -> StepResult:
     """Smallest k with F(retract(x, t v)) < F(x) + sigma t DF(x) v, t = beta0 beta^k.
@@ -42,16 +68,12 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
     The inequality is strict and componentwise.  Raises ``NoStep`` when no
     k <= k_max satisfies it (numerically degenerate tolerances).
     """
-    problem = bundle.problem
     slope = _descent_slope(bundle, v)
-    for k in range(k_max + 1):
-        t = beta0 * beta ** k
-        z = _try_retract(retract, bundle.x, t * v)
+    for k, t, z in _trials(retract, bundle.x, v, beta0, beta, 0, k_max):
         if z is None:
             continue
-        lhs = _eval_F(problem, z)
-        rhs = bundle.F_val + sigma * t * slope
-        if np.all(lhs < rhs):
+        lhs, rhs, ok = _armijo(bundle, slope, sigma, t, z)
+        if ok:
             return StepResult(t=t, k=k, armijo_lhs=lhs, armijo_rhs=rhs,
                               feasibility_repaired=False, new_point=z)
     raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
@@ -86,20 +108,20 @@ def _try_retract(retract, x, w):
         return None
 
 
-def feasible_armijo_step(bundle: EvalBundle, v, config) -> StepResult:
+def feasible_armijo_step(bundle: EvalBundle, v, active: ActiveSet, config) -> StepResult:
     """Armijo step through the equality-manifold retraction that also keeps
     all inequalities satisfied (strategy with active inequalities treated as
     extra objectives).
 
-    Requires DF(x) v < 0 and, for every inequality active at tolerance
-    ``config.epsilon``, the strict inflow condition grad(G_i) v < 0.  Takes
-    the smallest k whose point satisfies both Armijo and G <= 0; the repair
-    flag records whether feasibility forced k past the plain Armijo k.
+    Requires DF(x) v < 0 and, for every inequality in ``active`` (the active
+    set the direction was computed with), the strict inflow condition
+    grad(G_i) v < 0.  Takes the smallest k whose point satisfies both Armijo
+    and G <= 0; the repair flag records whether feasibility forced k past
+    the plain Armijo k.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
-    act = active_set(bundle, config.epsilon)
-    for i in act.indices:
+    for i in active.indices:
         if bundle.DG_val[i - 1] @ v >= 0.0:
             raise ValueError(
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
@@ -108,14 +130,11 @@ def feasible_armijo_step(bundle: EvalBundle, v, config) -> StepResult:
     chart = ManifoldChart(problem, ())
     retract = _pick_retraction(chart, config)
     k_armijo = None
-    for k in range(config.k_max + 1):
-        t = config.beta0 * config.beta ** k
-        z = _try_retract(retract, bundle.x, t * v)
+    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, config.k_max):
         if z is None:
             continue
-        lhs = _eval_F(problem, z)
-        rhs = bundle.F_val + config.sigma * t * slope
-        if not np.all(lhs < rhs):
+        lhs, rhs, ok = _armijo(bundle, slope, config.sigma, t, z)
+        if not ok:
             continue
         if k_armijo is None:
             k_armijo = k
@@ -149,22 +168,13 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         g = np.asarray(problem.G(z), dtype=float).reshape(problem.m_G)
         return float(np.max(g[[j - 1 for j in outside]]))
 
-    def armijo_at(t, z):
-        lhs = _eval_F(problem, z)
-        rhs = bundle.F_val + config.sigma * t * slope
-        return lhs, rhs, bool(np.all(lhs < rhs))
-
-    k_armijo = None
-    for k in range(config.k_max + 1):
-        t = config.beta0 * config.beta ** k
-        z = _try_retract(retract, bundle.x, t * v)
-        if z is None:
-            continue
-        lhs, rhs, ok = armijo_at(t, z)
-        if ok:
-            k_armijo = k
-            break
-    if k_armijo is None:
+    for k_armijo, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta,
+                                  0, config.k_max):
+        if z is not None:
+            lhs, rhs, ok = _armijo(bundle, slope, config.sigma, t, z)
+            if ok:
+                break
+    else:
         raise NoStep(f"boundary step: Armijo failed for all k <= {config.k_max}")
 
     if max_outside_g(z) <= FEAS_TOL:
@@ -173,12 +183,9 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
 
     # shrink by beta until the projected point is feasible again
     t_hi = t
-    k = k_armijo
     t_lo = None
-    while k < config.k_max:
-        k += 1
-        t_try = config.beta0 * config.beta ** k
-        z_try = _try_retract(retract, bundle.x, t_try * v)
+    for _, t_try, z_try in _trials(retract, bundle.x, v, config.beta0, config.beta,
+                                   k_armijo + 1, config.k_max):
         if z_try is not None and max_outside_g(z_try) <= FEAS_TOL:
             t_lo, z_lo = t_try, z_try
             break
@@ -201,7 +208,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     if max_outside_g(z_lo) < -config.eps_act:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 
-    lhs, rhs, ok = armijo_at(t_lo, z_lo)
+    lhs, rhs, ok = _armijo(bundle, slope, config.sigma, t_lo, z_lo)
     if not ok:
         raise NoStep("boundary step: Armijo fails at the boundary-activating step")
     return StepResult(t=t_lo, k=k_armijo, armijo_lhs=lhs, armijo_rhs=rhs,

@@ -1,18 +1,17 @@
-"""Descent iteration loops: the equality-constrained method and the merged
-active-set method with the eta switch between boundary-following and
-boundary-leaving steps."""
+"""The descent loop: the merged active-set method with the eta switch
+between boundary-following and boundary-leaving steps, and
+``solve_equality``, its entry point for problems without inequalities."""
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .direction import SubproblemKind, active_set, solve_direction
 from .errors import ModescentError
-from .geometry import ManifoldChart, feasible_start, project
-from .linesearch import armijo_step, boundary_step, feasible_armijo_step, _pick_retraction
+from .geometry import ManifoldChart, feasible_start
+from .linesearch import boundary_step, feasible_armijo_step
+from .output import config_to_dict, fmt, write_csv, write_json
 from .problems import ProblemSpec, as_point, evaluate
 
 TERMINATED_CRITICAL = "TERMINATED_CRITICAL"
@@ -35,7 +34,6 @@ class SolverConfig:
     sigma: float = 1e-4
     epsilon: float = 1e-4
     eta: float = math.inf
-    gamma: float = 1.0
     tol_alpha: float = 1e-8
     max_iters: int = 10000
     eps_act: float = 1e-9
@@ -53,8 +51,6 @@ class SolverConfig:
             raise ValueError("epsilon must be >= 0")
         if self.eta < 0:
             raise ValueError("eta must be >= 0 (inf selects the pure boundary-leaving strategy)")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
         if self.tol_alpha <= 0:
             raise ValueError("tol_alpha must be > 0")
         if self.max_iters < 1:
@@ -95,7 +91,9 @@ class IterateTrace:
 
     @property
     def iterations(self) -> int:
-        return max(0, len(self.records) - 1)
+        """Steps taken: records with a step length (a failed trace has no
+        terminal record)."""
+        return sum(1 for rec in self.records if rec.t is not None)
 
     def branch_counts(self) -> dict:
         counts: dict = {}
@@ -113,67 +111,30 @@ def _attach_trace(err, trace, x):
 
 
 def solve_equality(problem: ProblemSpec, x_init, config: SolverConfig = SolverConfig()):
-    """Descent loop for equality-constrained problems (no inequalities).
+    """Entry point for problems without inequalities (m_G = 0).
 
-    Projects the start onto the manifold, then repeats: tangent-space
-    direction, Armijo step through the retraction, projection.  Stops when
-    the subproblem value rises above -tol_alpha or at the iteration cap.
-    Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised
-    inside the loop carries the partial trace as ``err.trace``.
+    Runs the same loop as ``solve_constrained``: with no inequality the
+    boundary-leaving subproblem is the tangent-space (or unconstrained)
+    direction and the feasible step is plain Armijo through the manifold
+    retraction, so every step is recorded as an ``SP1-step``.
     """
     if problem.m_G != 0:
         raise ValueError("solve_equality requires a problem without inequality constraints")
-    chart = ManifoldChart(problem, ())
-    retract = _pick_retraction(chart, config)
-    kind = SubproblemKind.EQUALITY if problem.m_H > 0 else SubproblemKind.UNCONSTRAINED
-    branch = f"{kind.value}-step"
-
-    trace = IterateTrace(problem_name=problem.name, config=config)
-    x = project(chart, as_point(x_init, problem.n)) if problem.m_H > 0 \
-        else as_point(x_init, problem.n)
-    try:
-        for it in range(config.max_iters):
-            bundle = evaluate(problem, x)
-            d = solve_direction(bundle, kind, 0.0, config.gamma)
-            if d.alpha >= -config.tol_alpha:
-                trace.records.append(IterateRecord(
-                    iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                    alpha=d.alpha, active_set=()))
-                trace.termination = TERMINATED_CRITICAL
-                break
-            step = armijo_step(bundle, d.v, retract, config.beta0, config.beta,
-                               config.sigma, config.k_max)
-            trace.records.append(IterateRecord(
-                iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d.alpha,
-                active_set=(), branch=branch, t=step.t, k=step.k))
-            x = step.new_point
-        else:
-            bundle = evaluate(problem, x)
-            d = solve_direction(bundle, kind, 0.0, config.gamma)
-            trace.records.append(IterateRecord(
-                iteration=config.max_iters, x=x.copy(), F=bundle.F_val.copy(),
-                alpha=d.alpha, active_set=()))
-            trace.termination = ITER_CAP
-    except ModescentError as err:
-        raise _attach_trace(err, trace, x)
-
-    trace.final_x = x.copy()
-    trace.final_alpha = trace.records[-1].alpha
-    return x, trace
+    return solve_constrained(problem, x_init, config)
 
 
 def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = SolverConfig()):
-    """Merged active-set descent loop for problems with inequalities.
+    """Merged active-set descent loop.
 
     Per iteration: with any inequality active at tolerance ``epsilon`` and a
     finite eta, solve the boundary subproblem (active inequalities pinned as
     equalities at tolerance ``eps_act``); follow the boundary while its
     value alpha2 <= -eta and a step is possible, otherwise fall back to the
     boundary-leaving subproblem (active inequalities as extra objectives)
-    and stop once its value alpha1 >= -tol_alpha.  Returns
-    ``(final_point, IterateTrace)``; a ``ModescentError`` raised by the
-    feasibility solve or inside the loop carries the partial trace as
-    ``err.trace``.
+    and stop once its value alpha1 >= -tol_alpha, or after ``max_iters``
+    steps.  Returns ``(final_point, IterateTrace)``; a ``ModescentError``
+    raised by the feasibility solve or inside the loop carries the partial
+    trace as ``err.trace``.
     """
     trace = IterateTrace(problem_name=problem.name, config=config)
     try:
@@ -182,13 +143,14 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
         raise _attach_trace(err, trace, as_point(x_init, problem.n))
 
     try:
-        for it in range(config.max_iters):
+        for it in range(config.max_iters + 1):
+            # the pass after the last allowed step only records alpha1
+            at_cap = it == config.max_iters
             bundle = evaluate(problem, x)
             d2 = None
-            if problem.m_G > 0 and math.isfinite(config.eta) \
+            if not at_cap and problem.m_G > 0 and math.isfinite(config.eta) \
                     and len(active_set(bundle, config.epsilon)) > 0:
-                d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS,
-                                     config.eps_act, config.gamma)
+                d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, config.eps_act)
                 # a numerically null boundary direction cannot drive a step, so
                 # it falls through to the boundary-leaving branch as well
                 if not (d2.alpha > -config.eta or d2.alpha >= -config.tol_alpha):
@@ -201,34 +163,25 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                     x = step.new_point
                     continue
 
-            d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS,
-                                 config.epsilon, config.gamma)
+            d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, config.epsilon)
             alpha2 = d2.alpha if d2 is not None else None
-            if d1.alpha >= -config.tol_alpha:
+            if at_cap or d1.alpha >= -config.tol_alpha:
                 trace.records.append(IterateRecord(
                     iteration=it, x=x.copy(), F=bundle.F_val.copy(),
                     alpha=d1.alpha, active_set=d1.active_set.indices, alpha2=alpha2))
-                trace.termination = TERMINATED_CRITICAL
+                trace.termination = ITER_CAP if at_cap else TERMINATED_CRITICAL
                 break
-            step = feasible_armijo_step(bundle, d1.v, config)
+            step = feasible_armijo_step(bundle, d1.v, d1.active_set, config)
             trace.records.append(IterateRecord(
                 iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d1.alpha,
                 active_set=d1.active_set.indices, branch="SP1-step",
                 t=step.t, k=step.k, alpha2=alpha2))
             x = step.new_point
-        else:
-            bundle = evaluate(problem, x)
-            d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS,
-                                 config.epsilon, config.gamma)
-            trace.records.append(IterateRecord(
-                iteration=config.max_iters, x=x.copy(), F=bundle.F_val.copy(),
-                alpha=d1.alpha, active_set=d1.active_set.indices))
-            trace.termination = ITER_CAP
     except ModescentError as err:
         raise _attach_trace(err, trace, x)
 
     trace.final_x = x.copy()
-    # both exits record the stopping value alpha1 at the final point
+    # the terminal record holds the stopping value alpha1 at the final point
     trace.final_alpha = trace.records[-1].alpha
     return x, trace
 
@@ -237,36 +190,29 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
 # trace serialization
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def write_trace_csv(trace: IterateTrace, path) -> None:
     """Columns: iter, x..., F..., alpha, branch, t, active_set."""
     n = len(trace.records[0].x)
     m = len(trace.records[0].F)
     header = (["iter"] + [f"x{i + 1}" for i in range(n)] + [f"F{i + 1}" for i in range(m)]
               + ["alpha", "branch", "t", "active_set"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec in trace.records:
-            row = [str(rec.iteration)]
-            row += [_fmt(v) for v in rec.x]
-            row += [_fmt(v) for v in rec.F]
-            row.append(_fmt(rec.alpha))
-            row.append(rec.branch or "")
-            row.append(_fmt(rec.t) if rec.t is not None else "")
-            row.append(";".join(str(i) for i in rec.active_set))
-            writer.writerow(row)
+    rows = []
+    for rec in trace.records:
+        row = [str(rec.iteration)]
+        row += [fmt(v) for v in rec.x]
+        row += [fmt(v) for v in rec.F]
+        row.append(fmt(rec.alpha))
+        row.append(rec.branch or "")
+        row.append(fmt(rec.t) if rec.t is not None else "")
+        row.append(";".join(str(i) for i in rec.active_set))
+        rows.append(row)
+    write_csv(path, header, rows)
 
 
 def trace_to_dict(trace: IterateTrace) -> dict:
-    config = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-              for k, v in asdict(trace.config).items()}
     return {
         "problem": trace.problem_name,
-        "config": config,
+        "config": config_to_dict(trace.config),
         "termination": trace.termination,
         "final_x": [float(v) for v in trace.final_x],
         "final_alpha": trace.final_alpha,
@@ -289,6 +235,4 @@ def trace_to_dict(trace: IterateTrace) -> dict:
 
 
 def write_trace_json(trace: IterateTrace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(trace_to_dict(trace), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, trace_to_dict(trace))

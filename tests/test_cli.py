@@ -55,6 +55,17 @@ def test_solve_bad_flags(tmp_path):
                  "--eta", "huge", "--out", str(tmp_path)]) == 64
 
 
+def test_gamma_option_is_gone(tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "circle2d", "--x0", "2,0", "--gamma", "0.5",
+                 "--out", str(out)]) == 64
+    assert main(["solve", "--problem", "circle2d", "--x0", "2,0", "--out", str(out)]) == 0
+    for name in ("trace.json", "manifest.json"):
+        config = json.loads((out / name).read_text())["config"]
+        assert "gamma" not in config
+        assert config["eta"] == "inf"
+
+
 def test_solve_iteration_cap_exit_code(tmp_path):
     rc = main(["solve", "--problem", "circle2d", "--x0", "-2,0.5",
                *CIRCLE_ARGS, "--max-iters", "3", "--out", str(tmp_path / "run")])

@@ -62,11 +62,3 @@ def test_cli_outputs_match_golden(name, tmp_path):
             bad = [(g, w) for g, w in zip(grow, wrow) if not _cell_matches(g, w)]
             assert not bad, (fname, i, bad)
 
-
-def test_golden_boundary_following_branch_counts():
-    rows = _rows(GOLDEN / "circle2d_eta1" / "trace.csv")
-    branch = rows[0].index("branch")
-    labels = [row[branch] for row in rows[1:]]
-    assert labels.count("SP1-step") == 106
-    assert labels.count("SP2-step") == 24
-    assert labels[-1] == ""

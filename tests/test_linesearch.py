@@ -92,7 +92,7 @@ def test_feasible_armijo_hand_example():
     assert np.linalg.norm(-d.v - p_oracle) <= 1e-6
 
     cfg = md.SolverConfig(beta0=0.8, beta=0.5)
-    step = feasible_armijo_step(b, d.v, cfg)
+    step = feasible_armijo_step(b, d.v, d.active_set, cfg)
     assert step.t == pytest.approx(0.8)
     assert not step.feasibility_repaired
     assert float(p.G(step.new_point)[0]) <= 1e-9
@@ -103,7 +103,7 @@ def test_feasible_armijo_delegates_when_ics_inactive(circle2d):
     d = md.solve_direction(b, md.SubproblemKind.OBJECTIVE_ICS, 1e-4)
     cfg = md.SolverConfig(beta0=0.01, beta=0.5)
     plain = armijo_step(b, d.v, IDENTITY, cfg.beta0, cfg.beta, cfg.sigma, cfg.k_max)
-    feas = feasible_armijo_step(b, d.v, cfg)
+    feas = feasible_armijo_step(b, d.v, d.active_set, cfg)
     assert feas.t == pytest.approx(plain.t)
     assert feas.new_point == pytest.approx(plain.new_point, abs=1e-12)
     assert not feas.feasibility_repaired
@@ -114,7 +114,7 @@ def test_feasible_armijo_repairs_infeasible_step(circle2d):
     b = md.evaluate(circle2d, (-2.0, 0.5))
     d = md.solve_direction(b, md.SubproblemKind.OBJECTIVE_ICS, 1e-4)
     cfg = md.SolverConfig(beta0=0.2, beta=0.5)
-    step = feasible_armijo_step(b, d.v, cfg)
+    step = feasible_armijo_step(b, d.v, d.active_set, cfg)
     assert step.feasibility_repaired
     assert float(circle2d.G(step.new_point)[0]) <= 1e-9
     assert np.all(step.armijo_lhs < step.armijo_rhs)
@@ -124,7 +124,8 @@ def test_feasible_armijo_rejects_outflow_direction(circle2d):
     b = md.evaluate(circle2d, (1.0, 0.0))
     # (-1, 0) is descent for both objectives but increases G
     with pytest.raises(ValueError):
-        feasible_armijo_step(b, np.array([-1.0, 0.0]), md.SolverConfig())
+        feasible_armijo_step(b, np.array([-1.0, 0.0]), md.active_set(b, 1e-4),
+                             md.SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,6 @@ def test_step_results_stay_feasible(circle2d, rng):
         d = md.solve_direction(b, md.SubproblemKind.OBJECTIVE_ICS, cfg.epsilon)
         if d.alpha >= -1e-8:
             continue
-        step = feasible_armijo_step(b, d.v, cfg)
+        step = feasible_armijo_step(b, d.v, d.active_set, cfg)
         assert float(circle2d.G(step.new_point)[0]) <= 1e-9
         assert 0.0 < step.t <= cfg.beta0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -182,6 +183,44 @@ def test_evaluation_error_inside_the_loop_attaches_trace(solve, with_inequality)
     assert all(rec.x[0] <= 1.5 for rec in trace.records)
 
 
+@pytest.mark.parametrize("nan_in, error", [("DF", md.EvaluationError), ("G", md.NoStep)])
+def test_failed_trace_counts_the_steps_taken(nan_in, error):
+    # beta0 = 4 backtracks to one accepted step (x = 3 for "DF", x = 1.5
+    # for "G"); the next iteration fails, so the trace has no terminal record
+    problem = _undefined_past_1_5(nan_in)
+    config = md.SolverConfig(beta0=4.0)
+    with pytest.raises(error) as err:
+        md.solve_constrained(problem, (0.0,), config)
+    trace = err.value.trace
+    assert [rec.t is not None for rec in trace.records] == [True]
+    assert trace.iterations == 1
+    entry = md.multistart(problem, [np.array([0.0])], config).entries[0]
+    assert entry.error is not None
+    assert entry.iterations == 1
+
+
+def test_backtracking_stops_once_the_step_rounds_to_zero():
+    # at x = 1.5 every step that keeps G defined is below the resolution of
+    # x; once x + t v rounds to x, the failing step tries x itself at most
+    # once
+    problem = _undefined_past_1_5("G")
+    seen = []
+
+    def F(x):
+        seen.append(x.copy())
+        return problem.F(x)
+
+    counted = dataclasses.replace(problem, F=F)
+    with pytest.raises(md.NoStep) as err:
+        md.solve_constrained(counted, (0.0,), md.SolverConfig(beta0=4.0))
+    x_last = err.value.trace.final_x
+    assert x_last[0] == 1.5
+    # F(x_last) is also computed by the Armijo test that accepted x_last and
+    # by the evaluate call of the final iteration
+    trials_at_x = sum(1 for z in seen if np.array_equal(z, x_last)) - 2
+    assert trials_at_x <= 1
+
+
 def test_constrained_infeasible_problem_attaches_trace():
     bad = make_infeasible_problem()
     with pytest.raises(md.NoConvergence) as err:
@@ -252,8 +291,6 @@ def test_config_validation():
         md.SolverConfig(sigma=0.0)
     with pytest.raises(ValueError):
         md.SolverConfig(eta=-1.0)
-    with pytest.raises(ValueError):
-        md.SolverConfig(gamma=0.0)
     with pytest.raises(ValueError):
         md.SolverConfig(retraction="geodesic")
     assert md.SolverConfig(eta=np.inf).eta == np.inf
