@@ -4,7 +4,7 @@ optimization, with two active-set strategies and a multistart front driver."""
 from .direction import (ActiveSet, DirectionResult, SubproblemKind, active_set,
                         min_norm_in_hull, solve_direction, tangent_basis)
 from .errors import (EvaluationError, ModescentError, NoConvergence, NoRoot,
-                     NoStep, RankError, UnknownProblemError)
+                     NoStep, RankError, StepPreconditionError, UnknownProblemError)
 from .geometry import (ManifoldChart, chart_retraction, feasible_start, project,
                        retract_psi)
 from .globalize import (ArchiveEntry, ParetoArchive, deduplicate, dominates,
@@ -20,8 +20,9 @@ __all__ = [
     "ActiveSet", "ArchiveEntry", "DirectionResult", "EvalBundle",
     "EvaluationError", "ITER_CAP", "IterateRecord", "IterateTrace",
     "ManifoldChart", "ModescentError", "NoConvergence", "NoRoot", "NoStep",
-    "ParetoArchive", "ProblemSpec", "RankError", "SolverConfig", "StepResult",
-    "SubproblemKind", "TERMINATED_CRITICAL", "UnknownProblemError",
+    "ParetoArchive", "ProblemSpec", "RankError", "SolverConfig",
+    "StepPreconditionError", "StepResult", "SubproblemKind",
+    "TERMINATED_CRITICAL", "UnknownProblemError",
     "active_set", "armijo_step", "boundary_step", "chart_retraction",
     "deduplicate", "dominates", "evaluate", "fd_audit", "feasible_armijo_step",
     "feasible_start", "grid_points", "load_problem", "min_norm_in_hull",

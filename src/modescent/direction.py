@@ -61,8 +61,8 @@ def active_set(bundle: EvalBundle, epsilon: float) -> ActiveSet:
     """Indices i with G_i(x) >= -epsilon at the bundle's point."""
     if epsilon < 0:
         raise ValueError("active-set tolerance must be >= 0")
-    idx = tuple(int(i) + 1 for i in np.flatnonzero(bundle.G_val >= -epsilon))
-    return ActiveSet(indices=idx, epsilon=float(epsilon))
+    idx = (bundle.G_val >= -epsilon).nonzero()[0] + 1
+    return ActiveSet(indices=tuple(idx.tolist()), epsilon=float(epsilon))
 
 
 def tangent_basis(eq_rows) -> np.ndarray:
@@ -78,12 +78,12 @@ def tangent_basis(eq_rows) -> np.ndarray:
     k, n = A.shape
     if k == 0:
         return np.eye(n)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("eq_rows contains non-finite entries")
     if k > n:
         raise RankError(f"{k} constraint rows cannot be independent in dimension {n}")
     _, s, vt = np.linalg.svd(A)
-    if s[0] == 0.0 or np.any(s <= RANK_RTOL * s[0]):
+    if s[0] == 0.0 or (s <= RANK_RTOL * s[0]).any():
         raise RankError("equality constraint rows are numerically rank deficient")
     return vt[k:].T
 
@@ -136,7 +136,7 @@ def min_norm_in_hull(generators, tol: float = KKT_TOL):
     k, d = G.shape
     if k < 1:
         raise ValueError("need at least one generator")
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise ValueError("generators contain non-finite entries")
 
     if d == 0:
@@ -146,7 +146,7 @@ def min_norm_in_hull(generators, tol: float = KKT_TOL):
     if k == 2:
         diff = G[1] - G[0]
         den = diff @ diff
-        theta = 0.0 if den == 0.0 else float(np.clip(-(G[0] @ diff) / den, 0.0, 1.0))
+        theta = 0.0 if den == 0.0 else min(max(float(-(G[0] @ diff) / den), 0.0), 1.0)
         lam = np.array([1.0 - theta, theta])
         return lam, lam @ G
 
@@ -203,7 +203,8 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     active DG rows for EQUALITY_ICS), compute an orthonormal kernel basis,
     project the generator gradients (objectives, plus active DG rows for
     OBJECTIVE_ICS) into kernel coordinates, take the min-norm point of
-    their hull, and map back: v = -(basis @ point).
+    their hull, and map back: v = -(basis @ point).  Without equality rows
+    the kernel is the whole space and the generators are used as they are.
     """
     problem = bundle.problem
     n = problem.n
@@ -220,7 +221,6 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
         eq_rows = np.vstack([bundle.DH_val, bundle.DG_val[act_rows]])
     else:
         eq_rows = bundle.DH_val
-    basis = tangent_basis(eq_rows)
 
     gens = bundle.DF_val
     labels = [f"F{i + 1}" for i in range(problem.m)]
@@ -228,8 +228,13 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
         gens = np.vstack([gens, bundle.DG_val[act_rows]])
         labels += [f"G{i}" for i in act.indices]
 
-    lam, point = min_norm_in_hull(gens @ basis)
-    v = -(basis @ point)
+    if len(eq_rows):
+        basis = tangent_basis(eq_rows)
+        lam, point = min_norm_in_hull(gens @ basis)
+        v = -(basis @ point)
+    else:
+        lam, point = min_norm_in_hull(gens)
+        v = -point
     dots = gens @ v
     max_dot = float(dots.max())
     alpha = min(0.0, max_dot + 0.5 * float(v @ v))

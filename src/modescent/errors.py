@@ -29,6 +29,19 @@ class NoStep(ModescentError):
     """Backtracking exhausted the exponent budget without an acceptable step."""
 
 
+class StepPreconditionError(NoStep, ValueError):
+    """A line search was handed a direction or base point it cannot step
+    from: not a strict descent direction, not entering an active inequality,
+    or a base point off the active chart (checked by the step, or by the psi
+    retraction it steps through).
+
+    Inside the descent loop this is solver state gone wrong, so it is a
+    ``NoStep`` and a multistart records it as a failed run with its partial
+    trace; for a caller passing such arguments directly it is a
+    ``ValueError``.
+    """
+
+
 class NoRoot(ModescentError):
     """Scalar root bracketing hit its growth limit without a sign change."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NoRoot
+from .errors import NoConvergence, NoRoot, StepPreconditionError
 from .problems import ProblemSpec, as_point
 
 # points are accepted as feasible / on-manifold up to this absolute tolerance
@@ -161,7 +161,7 @@ def retract_psi(chart: ManifoldChart, x, w, *, growth_limit: int = 60) -> np.nda
     Returns x + w + s * grad(c)(x) where s is the smallest-magnitude root of
     s -> c(x + w + s * grad(c)(x)), found by bracketing outward from s = 0
     and bisecting.  Requires x on the chart (within 1e-10) and w tangent
-    (within 1e-8).
+    (within 1e-8); otherwise raises ``StepPreconditionError``.
     """
     p = chart.problem
     if chart.n_rows != 1:
@@ -170,11 +170,11 @@ def retract_psi(chart: ManifoldChart, x, w, *, growth_limit: int = 60) -> np.nda
     w = as_point(w, p.n)
     c0 = float(chart_value(chart, x)[0])
     if abs(c0) > 1e-10:
-        raise ValueError("retract_psi: base point is not on the chart manifold")
+        raise StepPreconditionError("retract_psi: base point is not on the chart manifold")
     g = chart_jacobian(chart, x)[0]
     gnorm = float(np.linalg.norm(g))
     if abs(g @ w) > 1e-8 * max(1.0, gnorm * float(np.linalg.norm(w))):
-        raise ValueError("retract_psi: step is not tangent to the chart")
+        raise StepPreconditionError("retract_psi: step is not tangent to the chart")
 
     base = x + w
 

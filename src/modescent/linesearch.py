@@ -1,11 +1,16 @@
-"""Armijo backtracking t = beta0 * beta^k and its feasibility-aware variants."""
+"""Armijo backtracking t = beta0 * beta^k and its feasibility-aware variants.
+
+A step routine handed a direction or base point that violates its
+preconditions raises ``StepPreconditionError``, which is both a ``NoStep``
+and a ``ValueError``.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .direction import ActiveSet
-from .errors import NoConvergence, NoRoot, NoStep
+from .errors import NoConvergence, NoRoot, NoStep, StepPreconditionError
 from .geometry import FEAS_TOL, ManifoldChart, chart_retraction, chart_value
 from .problems import EvalBundle
 
@@ -14,7 +19,12 @@ from .problems import EvalBundle
 class StepResult:
     """An accepted step: length t = beta0 * beta^k (possibly shrunk further
     by feasibility repair), the Armijo inequality sides at acceptance, and
-    the retracted new point."""
+    the retracted new point.
+
+    ``armijo_lhs`` is F(new_point); ``G_val`` is G(new_point) where the step
+    computed it for its feasibility test, else None.  The descent loop hands
+    both to the next ``evaluate`` instead of calling the maps again.
+    """
 
     t: float
     k: int
@@ -22,6 +32,7 @@ class StepResult:
     armijo_rhs: np.ndarray
     feasibility_repaired: bool
     new_point: np.ndarray
+    G_val: np.ndarray | None = None
 
 
 def _eval_F(problem, x):
@@ -30,8 +41,9 @@ def _eval_F(problem, x):
 
 def _descent_slope(bundle, v):
     slope = bundle.DF_val @ v
-    if not np.all(slope < 0.0):
-        raise ValueError("line search requires strict componentwise descent: DF(x) v < 0")
+    if not (slope < 0.0).all():
+        raise StepPreconditionError(
+            "line search requires strict componentwise descent: DF(x) v < 0")
     return slope
 
 
@@ -58,7 +70,7 @@ def _armijo(bundle, slope, sigma, t, z):
     (strictly, in every component)."""
     lhs = _eval_F(bundle.problem, z)
     rhs = bundle.F_val + sigma * t * slope
-    return lhs, rhs, bool(np.all(lhs < rhs))
+    return lhs, rhs, bool((lhs < rhs).all())
 
 
 def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
@@ -80,17 +92,19 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
 
 
 def _feasible(problem, z):
-    """G(z) <= FEAS_TOL and |H(z)| <= FEAS_TOL, with every value finite: a
-    point where a constraint is undefined is not feasible."""
+    """Whether G(z) <= FEAS_TOL and |H(z)| <= FEAS_TOL with every value
+    finite (a point where a constraint is undefined is not feasible), and
+    G(z) as computed on the way (None when there is no inequality)."""
+    g = None
     if problem.m_G > 0:
         g = np.asarray(problem.G(z), dtype=float)
         if not (np.isfinite(g).all() and g.max() <= FEAS_TOL):
-            return False
+            return False, g
     if problem.m_H > 0:
         h = np.abs(np.asarray(problem.H(z), dtype=float))
         if not (np.isfinite(h).all() and h.max() <= FEAS_TOL):
-            return False
-    return True
+            return False, g
+    return True, g
 
 
 def _pick_retraction(chart, config):
@@ -123,7 +137,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: ActiveSet, config) -> St
     slope = _descent_slope(bundle, v)
     for i in active.indices:
         if bundle.DG_val[i - 1] @ v >= 0.0:
-            raise ValueError(
+            raise StepPreconditionError(
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
@@ -138,9 +152,10 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: ActiveSet, config) -> St
             continue
         if k_armijo is None:
             k_armijo = k
-        if _feasible(problem, z):
+        feasible, g = _feasible(problem, z)
+        if feasible:
             return StepResult(t=t, k=k, armijo_lhs=lhs, armijo_rhs=rhs,
-                              feasibility_repaired=(k != k_armijo), new_point=z)
+                              feasibility_repaired=(k != k_armijo), new_point=z, G_val=g)
     raise NoStep(f"feasible Armijo: no acceptable step within k_max={config.k_max}")
 
 
@@ -156,17 +171,18 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
-    if active_chart.n_rows > 0 and np.max(np.abs(chart_value(active_chart, bundle.x))) > 1e-8:
-        raise ValueError("boundary step requires the base point on the active chart")
+    if active_chart.n_rows > 0 and np.abs(chart_value(active_chart, bundle.x)).max() > 1e-8:
+        raise StepPreconditionError("boundary step requires the base point on the active chart")
 
     retract = _pick_retraction(active_chart, config)
-    outside = [j for j in range(1, problem.m_G + 1) if j not in active_chart.ineq_indices]
+    outside_rows = [j - 1 for j in range(1, problem.m_G + 1)
+                    if j not in active_chart.ineq_indices]
 
     def max_outside_g(z):
-        if not outside:
+        if not outside_rows:
             return -np.inf
         g = np.asarray(problem.G(z), dtype=float).reshape(problem.m_G)
-        return float(np.max(g[[j - 1 for j in outside]]))
+        return float(g[outside_rows].max())
 
     for k_armijo, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta,
                                   0, config.k_max):
@@ -181,13 +197,16 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         return StepResult(t=t, k=k_armijo, armijo_lhs=lhs, armijo_rhs=rhs,
                           feasibility_repaired=False, new_point=z)
 
-    # shrink by beta until the projected point is feasible again
+    # shrink by beta until the projected point is feasible again; g_lo is
+    # max_outside_g(z_lo), kept so that no point's G is computed twice, and
+    # a failed retraction reads NaN, which is never feasible
     t_hi = t
     t_lo = None
     for _, t_try, z_try in _trials(retract, bundle.x, v, config.beta0, config.beta,
                                    k_armijo + 1, config.k_max):
-        if z_try is not None and max_outside_g(z_try) <= FEAS_TOL:
-            t_lo, z_lo = t_try, z_try
+        g_try = max_outside_g(z_try) if z_try is not None else np.nan
+        if g_try <= FEAS_TOL:
+            t_lo, z_lo, g_lo = t_try, z_try, g_try
             break
         t_hi = t_try
     if t_lo is None:
@@ -195,17 +214,18 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
 
     # bisect the bracket so a newly crossed inequality becomes active
     for _ in range(200):
-        if max_outside_g(z_lo) >= -config.eps_act:
+        if g_lo >= -config.eps_act:
             break
         if t_hi - t_lo <= 1e-15 * max(1.0, t_hi):
             break
         t_mid = 0.5 * (t_lo + t_hi)
         z_mid = _try_retract(retract, bundle.x, t_mid * v)
-        if z_mid is not None and max_outside_g(z_mid) <= FEAS_TOL:
-            t_lo, z_lo = t_mid, z_mid
+        g_mid = max_outside_g(z_mid) if z_mid is not None else np.nan
+        if g_mid <= FEAS_TOL:
+            t_lo, z_lo, g_lo = t_mid, z_mid, g_mid
         else:
             t_hi = t_mid
-    if max_outside_g(z_lo) < -config.eps_act:
+    if g_lo < -config.eps_act:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 
     lhs, rhs, ok = _armijo(bundle, slope, config.sigma, t_lo, z_lo)

@@ -93,29 +93,34 @@ class EvalBundle:
     DG_val: Array
 
 
-def _call(problem, component, fun, x, shape):
+def _call(problem, component, fun, x, shape, value=None):
+    """``fun(x)`` (or the given ``value`` of it) as a float array of
+    ``shape``, checked to be finite."""
     if fun is None:
         return np.zeros(shape)
-    out = np.asarray(fun(x), dtype=float).reshape(shape)
-    if not np.all(np.isfinite(out)):
+    out = np.asarray(fun(x) if value is None else value, dtype=float).reshape(shape)
+    if not np.isfinite(out).all():
         raise EvaluationError(component, x)
     return out
 
 
-def evaluate(problem: ProblemSpec, x) -> EvalBundle:
+def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
     """Evaluate all maps and Jacobians of ``problem`` at ``x`` in one bundle.
 
-    Raises ``EvaluationError`` naming the first component that produced a
-    non-finite value.
+    ``F_val`` and ``G_val``, when given, are taken as F(x) and G(x) in place
+    of calling the maps; the descent loop passes the values the line search
+    already computed at its accepted point.  Given values go through the
+    same reshape and finiteness check as computed ones.  Raises
+    ``EvaluationError`` naming the first component that is non-finite.
     """
     x = as_point(x, problem.n)
     n, m, mh, mg = problem.n, problem.m, problem.m_H, problem.m_G
     return EvalBundle(
         problem=problem,
         x=x,
-        F_val=_call(problem, "F", problem.F, x, (m,)),
+        F_val=_call(problem, "F", problem.F, x, (m,), F_val),
         H_val=_call(problem, "H", problem.H, x, (mh,)),
-        G_val=_call(problem, "G", problem.G, x, (mg,)),
+        G_val=_call(problem, "G", problem.G, x, (mg,), G_val),
         DF_val=_call(problem, "DF", problem.DF, x, (m, n)),
         DH_val=_call(problem, "DH", problem.DH, x, (mh, n)),
         DG_val=_call(problem, "DG", problem.DG, x, (mg, n)),

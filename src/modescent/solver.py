@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .direction import SubproblemKind, active_set, solve_direction
+from .direction import SubproblemKind, solve_direction
 from .errors import ModescentError
 from .geometry import ManifoldChart, feasible_start
 from .linesearch import boundary_step, feasible_armijo_step
@@ -132,9 +132,12 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     value alpha2 <= -eta and a step is possible, otherwise fall back to the
     boundary-leaving subproblem (active inequalities as extra objectives)
     and stop once its value alpha1 >= -tol_alpha, or after ``max_iters``
-    steps.  Returns ``(final_point, IterateTrace)``; a ``ModescentError``
-    raised by the feasibility solve or inside the loop carries the partial
-    trace as ``err.trace``.
+    steps (``ITER_CAP`` unless alpha1 at the final point passes the same
+    test).  The next iteration takes F at the accepted point, and G where
+    the step computed it, from the step instead of calling the maps again.
+    Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised by
+    the feasibility solve or inside the loop carries the partial trace as
+    ``err.trace``.
     """
     trace = IterateTrace(problem_name=problem.name, config=config)
     try:
@@ -142,14 +145,16 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     except ModescentError as err:
         raise _attach_trace(err, trace, as_point(x_init, problem.n))
 
+    # F and G at x when the accepted step already computed them
+    F_val = G_val = None
     try:
         for it in range(config.max_iters + 1):
             # the pass after the last allowed step only records alpha1
             at_cap = it == config.max_iters
-            bundle = evaluate(problem, x)
+            bundle = evaluate(problem, x, F_val, G_val)
             d2 = None
-            if not at_cap and problem.m_G > 0 and math.isfinite(config.eta) \
-                    and len(active_set(bundle, config.epsilon)) > 0:
+            if not at_cap and math.isfinite(config.eta) \
+                    and (bundle.G_val >= -config.epsilon).any():
                 d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, config.eps_act)
                 # a numerically null boundary direction cannot drive a step, so
                 # it falls through to the boundary-leaving branch as well
@@ -160,23 +165,24 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                         iteration=it, x=x.copy(), F=bundle.F_val.copy(),
                         alpha=d2.alpha, active_set=d2.active_set.indices,
                         branch="SP2-step", t=step.t, k=step.k, alpha2=d2.alpha))
-                    x = step.new_point
+                    x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
                     continue
 
             d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, config.epsilon)
             alpha2 = d2.alpha if d2 is not None else None
-            if at_cap or d1.alpha >= -config.tol_alpha:
+            critical = d1.alpha >= -config.tol_alpha
+            if at_cap or critical:
                 trace.records.append(IterateRecord(
                     iteration=it, x=x.copy(), F=bundle.F_val.copy(),
                     alpha=d1.alpha, active_set=d1.active_set.indices, alpha2=alpha2))
-                trace.termination = ITER_CAP if at_cap else TERMINATED_CRITICAL
+                trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
                 break
             step = feasible_armijo_step(bundle, d1.v, d1.active_set, config)
             trace.records.append(IterateRecord(
                 iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d1.alpha,
                 active_set=d1.active_set.indices, branch="SP1-step",
                 t=step.t, k=step.k, alpha2=alpha2))
-            x = step.new_point
+            x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
     except ModescentError as err:
         raise _attach_trace(err, trace, x)
 

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,6 +24,22 @@ def sphere3d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(170305)
+
+
+def with_counted_maps(problem, names):
+    """``problem`` with the named maps wrapped to count their calls, and the
+    counter they add to."""
+    calls = collections.Counter()
+
+    def counted(name):
+        fun = getattr(problem, name)
+
+        def wrapped(x):
+            calls[name] += 1
+            return fun(x)
+        return wrapped
+
+    return dataclasses.replace(problem, **{name: counted(name) for name in names}), calls
 
 
 def make_box_problem():

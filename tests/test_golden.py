@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import modescent as md
 from modescent.cli import main
+
+from conftest import with_counted_maps
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -62,3 +65,15 @@ def test_cli_outputs_match_golden(name, tmp_path):
             bad = [(g, w) for g, w in zip(grow, wrow) if not _cell_matches(g, w)]
             assert not bad, (fname, i, bad)
 
+
+
+def test_circle2d_eta1_map_calls_are_pinned(circle2d):
+    # the circle2d_eta1 solve with counted maps; accepted SP1 steps hand F
+    # and G to the next evaluate, SP2 steps hand over F, and the boundary
+    # bisection computes G once per point, so a duplicate map call on the
+    # solver's path changes these counts
+    spec, calls = with_counted_maps(circle2d, ("F", "DF", "G", "DG"))
+    _, trace = md.solve_constrained(spec, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
+    assert trace.iterations == 130
+    assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
+    assert dict(calls) == {"F": 611, "DF": 131, "G": 1147, "DG": 181}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import modescent as md
+from conftest import with_counted_maps
 from oracles import central_diff_jacobian
 
 
@@ -43,6 +44,26 @@ def test_evaluate_flags_nonfinite_component():
     with pytest.raises(md.EvaluationError) as err:
         md.evaluate(bad, [0.0])
     assert err.value.component == "F"
+
+
+def test_evaluate_uses_given_values_without_calling_the_maps(circle2d):
+    spec, calls = with_counted_maps(circle2d, ("F", "G"))
+    x = np.array([-2.0, 0.5])
+    given = md.evaluate(spec, x, F_val=circle2d.F(x), G_val=circle2d.G(x))
+    assert not calls
+    computed = md.evaluate(circle2d, x)
+    assert np.array_equal(given.F_val, computed.F_val)
+    assert np.array_equal(given.G_val, computed.G_val)
+
+
+@pytest.mark.parametrize("component, bad", [("F", np.nan), ("F", -np.inf), ("G", np.inf)])
+def test_evaluate_rejects_nonfinite_given_values(circle2d, component, bad):
+    x = np.array([-2.0, 0.5])
+    given = {"F_val": circle2d.F(x), "G_val": circle2d.G(x)}
+    given[f"{component}_val"][0] = bad
+    with pytest.raises(md.EvaluationError) as err:
+        md.evaluate(circle2d, x, **given)
+    assert err.value.component == component
 
 
 def test_evaluate_rejects_wrong_dimension(circle2d):

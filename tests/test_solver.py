@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import modescent as md
+from modescent import solver
 from modescent.solver import write_trace_csv, write_trace_json
 
 from conftest import (CIRCLE_CONFIG, hemisphere_critical_distance,
@@ -215,10 +216,60 @@ def test_backtracking_stops_once_the_step_rounds_to_zero():
         md.solve_constrained(counted, (0.0,), md.SolverConfig(beta0=4.0))
     x_last = err.value.trace.final_x
     assert x_last[0] == 1.5
-    # F(x_last) is also computed by the Armijo test that accepted x_last and
-    # by the evaluate call of the final iteration
-    trials_at_x = sum(1 for z in seen if np.array_equal(z, x_last)) - 2
+    # F(x_last) is also computed by the Armijo test that accepted x_last;
+    # the final iteration's evaluate reuses that value
+    trials_at_x = sum(1 for z in seen if np.array_equal(z, x_last)) - 1
     assert trials_at_x <= 1
+
+
+def test_carried_minus_inf_objective_raises_with_trace():
+    # F is -inf past 1.5: the Armijo test accepts the first trial, which
+    # lands at x = 3, and the next evaluate must reject the carried value
+    problem = md.ProblemSpec(
+        name="minus-inf", n=1, m=1,
+        F=lambda x: np.array([(x[0] - 3.0) ** 2 if x[0] <= 1.5 else -np.inf]),
+        DF=lambda x: np.array([[2.0 * (x[0] - 3.0)]]))
+    with pytest.raises(md.EvaluationError) as err:
+        md.solve_constrained(problem, (1.0,), md.SolverConfig(beta0=0.5))
+    assert err.value.component == "F"
+    trace = err.value.trace
+    assert trace.termination == "FAILED:EvaluationError"
+    assert trace.iterations == 1
+    assert trace.final_x[0] > 1.5
+
+
+def test_ascent_direction_fails_the_run_not_the_front(circle2d, monkeypatch):
+    # a direction the line search rejects is solver state gone wrong: the
+    # run fails with its partial trace and multistart records the failure
+    real = solver.solve_direction
+
+    def ascent(bundle, kind, epsilon=0.0):
+        d = real(bundle, kind, epsilon)
+        return dataclasses.replace(d, v=-d.v)
+
+    monkeypatch.setattr(solver, "solve_direction", ascent)
+    with pytest.raises(md.StepPreconditionError) as err:
+        md.solve_constrained(circle2d, (-2.0, 0.5))
+    assert isinstance(err.value, md.NoStep) and isinstance(err.value, ValueError)
+    assert err.value.trace.termination == "FAILED:StepPreconditionError"
+    archive = md.multistart(circle2d, [np.array([-2.0, 0.5]), np.array([2.0, 0.0])])
+    failed, critical = archive.entries
+    assert failed.x is None and not failed.converged
+    assert "StepPreconditionError" in failed.error
+    assert critical.converged
+
+
+def test_psi_base_point_off_the_chart_fails_the_run_not_the_front(circle2d):
+    # a boundary-landing step leaves the iterate within eps_act of the newly
+    # active inequality, further off the chart than retract_psi accepts for
+    # its base point; the run fails with its trace instead of crashing
+    start = md.grid_points(circle2d.box, (12, 12))[4]
+    cfg = md.SolverConfig(beta0=0.1, eta=1.0, retraction="psi")
+    with pytest.raises(md.StepPreconditionError) as err:
+        md.solve_constrained(circle2d, start, cfg)
+    assert err.value.trace.iterations >= 1
+    entry = md.multistart(circle2d, [start], cfg).entries[0]
+    assert "StepPreconditionError" in entry.error
 
 
 def test_constrained_infeasible_problem_attaches_trace():
@@ -241,6 +292,18 @@ def test_constrained_iteration_cap_flag(circle2d):
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), cfg)
     assert trace.termination == md.ITER_CAP
     assert trace.iterations == 3
+
+
+def test_cap_pass_at_a_critical_point_terminates_critical(sphere3d):
+    # four steps reach the south pole: the pass after the last allowed step
+    # finds alpha1 >= -tol_alpha there, so the run is critical, not capped
+    _, capped = md.solve_constrained(sphere3d, (1.0, 0.0, 0.0), md.SolverConfig(max_iters=3))
+    assert capped.termination == md.ITER_CAP
+    x, trace = md.solve_constrained(sphere3d, (1.0, 0.0, 0.0), md.SolverConfig(max_iters=4))
+    assert trace.iterations == 4
+    assert trace.final_alpha >= -md.SolverConfig().tol_alpha
+    assert trace.termination == md.TERMINATED_CRITICAL
+    assert x == pytest.approx([0.0, 0.0, -1.0], abs=1e-8)
 
 
 def test_constrained_infeasible_start_is_projected_first(circle2d):
