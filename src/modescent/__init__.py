@@ -1,8 +1,8 @@
 """Steepest descent for equality- and inequality-constrained multiobjective
 optimization, with two active-set strategies and a multistart front driver."""
 
-from .direction import (ActiveSet, DirectionResult, SubproblemKind, active_set,
-                        min_norm_in_hull, solve_direction, tangent_basis)
+from .direction import (DirectionResult, SubproblemKind, active_set, min_norm_in_hull,
+                        solve_direction, tangent_basis)
 from .errors import (EvaluationError, ModescentError, NoConvergence, NoRoot,
                      NoStep, RankError, StepPreconditionError, UnknownProblemError)
 from .geometry import (ManifoldChart, chart_retraction, feasible_start, project,
@@ -17,9 +17,9 @@ from .solver import (ITER_CAP, IterateRecord, IterateTrace, SolverConfig,
                      write_trace_csv, write_trace_json)
 
 __all__ = [
-    "ActiveSet", "ArchiveEntry", "DirectionResult", "EvalBundle",
-    "EvaluationError", "ITER_CAP", "IterateRecord", "IterateTrace",
-    "ManifoldChart", "ModescentError", "NoConvergence", "NoRoot", "NoStep",
+    "ArchiveEntry", "DirectionResult", "EvalBundle", "EvaluationError",
+    "ITER_CAP", "IterateRecord", "IterateTrace", "ManifoldChart",
+    "ModescentError", "NoConvergence", "NoRoot", "NoStep",
     "ParetoArchive", "ProblemSpec", "RankError", "SolverConfig",
     "StepPreconditionError", "StepResult", "SubproblemKind",
     "TERMINATED_CRITICAL", "UnknownProblemError",

@@ -1,8 +1,14 @@
-"""Steepest common descent directions for the four subproblem variants.
+"""Steepest common descent directions for the two subproblems of the merged
+active-set method.
 
-Each variant is solved through its dual: the direction is the negative of the
-minimum-norm point in the convex hull of the (projected) generator gradients,
-with simplex weights as the dual certificate.
+SP1 treats the inequalities active at tolerance epsilon as extra
+objectives; SP2 pins them as equalities.  Both move in the kernel of the
+equality rows.  The Fliege-Svaiter problem (SP) and its equality-constrained
+form (SPe) are SP1 with no active inequality.
+
+Each subproblem is solved through its dual: the direction is the negative of
+the minimum-norm point in the convex hull of the (projected) generator
+gradients, with simplex weights as the dual certificate.
 """
 
 from dataclasses import dataclass
@@ -20,21 +26,8 @@ KKT_TOL = 1e-12
 
 
 class SubproblemKind(Enum):
-    UNCONSTRAINED = "SP"
-    EQUALITY = "SPe"
     OBJECTIVE_ICS = "SP1"
     EQUALITY_ICS = "SP2"
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Inequality indices (1-based) within ``epsilon`` of their boundary."""
-
-    indices: tuple
-    epsilon: float
-
-    def __len__(self):
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -43,26 +36,23 @@ class DirectionResult:
 
     ``v`` is the descent direction, ``alpha`` the optimal value
     max_i g_i.v + 0.5*||v||^2 (always <= 0, and 0 exactly at critical
-    points).  ``lam`` are simplex weights over ``generators`` with
-    v = -sum lam_i (projected gradient)_i, and ``maxset`` lists the
-    generators attaining max g.v.
+    points).  ``lam`` are simplex weights over the generators (the
+    objective gradients, then for SP1 the active inequality gradients) with
+    v = -sum lam_i (projected gradient)_i.  ``active_set`` is the tuple of
+    1-based inequality indices the subproblem was built with.
     """
 
     v: np.ndarray
     alpha: float
     lam: np.ndarray
-    generators: tuple
-    kind: SubproblemKind
-    maxset: tuple
-    active_set: ActiveSet
+    active_set: tuple
 
 
-def active_set(bundle: EvalBundle, epsilon: float) -> ActiveSet:
-    """Indices i with G_i(x) >= -epsilon at the bundle's point."""
+def active_set(bundle: EvalBundle, epsilon: float) -> tuple:
+    """Indices i (1-based) with G_i(x) >= -epsilon at the bundle's point."""
     if epsilon < 0:
         raise ValueError("active-set tolerance must be >= 0")
-    idx = (bundle.G_val >= -epsilon).nonzero()[0] + 1
-    return ActiveSet(indices=tuple(idx.tolist()), epsilon=float(epsilon))
+    return tuple(((bundle.G_val >= -epsilon).nonzero()[0] + 1).tolist())
 
 
 def tangent_basis(eq_rows) -> np.ndarray:
@@ -121,14 +111,14 @@ def _enumerate_min_norm(G, tol):
     return best[1], best[2]
 
 
-def min_norm_in_hull(generators, tol: float = KKT_TOL):
+def min_norm_in_hull(generators):
     """Minimum-norm point of the convex hull of the given vectors.
 
     Returns ``(lam, point)`` with ``point = lam @ generators`` and the KKT
-    certificate g_j.point >= ||point||^2 - tol for every generator.  Uses
-    Wolfe's min-norm-point iteration with closed forms for one or two
-    generators and an exhaustive small-instance fallback if the iteration
-    stalls.
+    certificate g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2)
+    for every generator.  Uses Wolfe's min-norm-point iteration with closed
+    forms for one or two generators and an exhaustive small-instance
+    fallback if the iteration stalls.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -151,7 +141,7 @@ def min_norm_in_hull(generators, tol: float = KKT_TOL):
         return lam, lam @ G
 
     sq = np.einsum("ij,ij->i", G, G)
-    tol_eff = tol * max(1.0, float(sq.max()))
+    tol_eff = KKT_TOL * max(1.0, float(sq.max()))
 
     support = [int(np.argmin(sq))]
     w = np.ones(1)
@@ -197,36 +187,26 @@ def min_norm_in_hull(generators, tol: float = KKT_TOL):
 
 def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
                     epsilon: float = 0.0) -> DirectionResult:
-    """Solve one of the four direction subproblems at the bundle's point.
+    """Solve SP1 or SP2 at the bundle's point, with the inequalities active
+    at tolerance ``epsilon``.
 
-    Construction: stack the equality rows of the variant (DH, plus the
-    active DG rows for EQUALITY_ICS), compute an orthonormal kernel basis,
-    project the generator gradients (objectives, plus active DG rows for
-    OBJECTIVE_ICS) into kernel coordinates, take the min-norm point of
-    their hull, and map back: v = -(basis @ point).  Without equality rows
-    the kernel is the whole space and the generators are used as they are.
+    SP1 adds the active DG rows to the generators (the objective gradients),
+    SP2 adds them to the equality rows (DH).  With no active inequality the
+    two coincide: SP1 is then the Fliege-Svaiter problem SP, or SPe when
+    there are equality rows.  Construction: compute an orthonormal kernel
+    basis of the equality rows, project the generators into kernel
+    coordinates, take the min-norm point of their hull, and map back:
+    v = -(basis @ point).  Without equality rows the kernel is the whole
+    space and the generators are used as they are.
     """
-    problem = bundle.problem
-    n = problem.n
-
-    if kind in (SubproblemKind.OBJECTIVE_ICS, SubproblemKind.EQUALITY_ICS):
-        act = active_set(bundle, epsilon)
-    else:
-        act = ActiveSet(indices=(), epsilon=float(epsilon))
-    act_rows = [i - 1 for i in act.indices]
-
-    if kind is SubproblemKind.UNCONSTRAINED:
-        eq_rows = np.zeros((0, n))
-    elif kind is SubproblemKind.EQUALITY_ICS:
-        eq_rows = np.vstack([bundle.DH_val, bundle.DG_val[act_rows]])
-    else:
-        eq_rows = bundle.DH_val
-
-    gens = bundle.DF_val
-    labels = [f"F{i + 1}" for i in range(problem.m)]
-    if kind is SubproblemKind.OBJECTIVE_ICS and act_rows:
-        gens = np.vstack([gens, bundle.DG_val[act_rows]])
-        labels += [f"G{i}" for i in act.indices]
+    act = active_set(bundle, epsilon)
+    gens, eq_rows = bundle.DF_val, bundle.DH_val
+    if act:
+        act_rows = bundle.DG_val[[i - 1 for i in act]]
+        if kind is SubproblemKind.EQUALITY_ICS:
+            eq_rows = np.vstack([eq_rows, act_rows])
+        else:
+            gens = np.vstack([gens, act_rows])
 
     if len(eq_rows):
         basis = tangent_basis(eq_rows)
@@ -235,12 +215,5 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     else:
         lam, point = min_norm_in_hull(gens)
         v = -point
-    dots = gens @ v
-    max_dot = float(dots.max())
-    alpha = min(0.0, max_dot + 0.5 * float(v @ v))
-    maxset = tuple(lab for lab, dv in zip(labels, dots) if dv >= max_dot - 1e-8)
-
-    return DirectionResult(
-        v=v, alpha=alpha, lam=lam, generators=tuple(labels),
-        kind=kind, maxset=maxset, active_set=act,
-    )
+    alpha = min(0.0, float((gens @ v).max()) + 0.5 * float(v @ v))
+    return DirectionResult(v=v, alpha=alpha, lam=lam, active_set=act)

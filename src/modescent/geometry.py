@@ -15,6 +15,14 @@ from .problems import ProblemSpec, as_point
 
 # points are accepted as feasible / on-manifold up to this absolute tolerance
 FEAS_TOL = 1e-9
+# a step's base point counts as on its chart up to this absolute tolerance;
+# a boundary landing leaves the iterate up to eps_act (1e-9 by default) off
+# the newly crossed inequality, which the next boundary step then pins
+CHART_TOL = 1e-8
+# Newton iterations of one projection
+PROJECT_ITERS = 100
+# bracket doublings of one psi retraction
+PSI_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ def chart_jacobian(chart: ManifoldChart, x) -> np.ndarray:
     return np.vstack(parts)
 
 
-def project(chart: ManifoldChart, y, *, max_iter: int = 100, _init=None) -> np.ndarray:
+def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     """Nearest-point projection of ``y`` onto the chart manifold.
 
     Lagrange-Newton iteration on the stationarity system
@@ -73,7 +81,7 @@ def project(chart: ManifoldChart, y, *, max_iter: int = 100, _init=None) -> np.n
     initialized at ``y``, with damped steps on a merit-function increase.
     Raises ``NoConvergence`` when the iteration stalls (``y`` too far from
     the manifold, or a degenerate configuration such as an equidistant
-    center point).
+    center point) or takes more than PROJECT_ITERS Newton steps.
     """
     p = chart.problem
     y = as_point(y, p.n)
@@ -109,7 +117,7 @@ def project(chart: ManifoldChart, y, *, max_iter: int = 100, _init=None) -> np.n
         raise NoConvergence("projection: feasibility presolve hit its cap")
 
     mu, *_ = np.linalg.lstsq(chart_jacobian(chart, z).T, y - z, rcond=None)
-    for _ in range(max_iter):
+    for _ in range(PROJECT_ITERS):
         c = chart_value(chart, z)
         J = chart_jacobian(chart, z)
         r1 = z - y + J.T @ mu
@@ -138,7 +146,7 @@ def project(chart: ManifoldChart, y, *, max_iter: int = 100, _init=None) -> np.n
             step *= 0.5
         else:
             raise NoConvergence("projection: damped Newton made no progress")
-    raise NoConvergence(f"projection did not converge within {max_iter} iterations")
+    raise NoConvergence(f"projection did not converge within {PROJECT_ITERS} iterations")
 
 
 def _bisect(phi, a, fa, b, fb):
@@ -155,13 +163,14 @@ def _bisect(phi, a, fa, b, fb):
     return 0.5 * (a + b)
 
 
-def retract_psi(chart: ManifoldChart, x, w, *, growth_limit: int = 60) -> np.ndarray:
+def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
     """Cheap retraction along the constraint normal for single-equality charts.
 
     Returns x + w + s * grad(c)(x) where s is the smallest-magnitude root of
-    s -> c(x + w + s * grad(c)(x)), found by bracketing outward from s = 0
-    and bisecting.  Requires x on the chart (within 1e-10) and w tangent
-    (within 1e-8); otherwise raises ``StepPreconditionError``.
+    s -> c(x + w + s * grad(c)(x)), found by doubling a bracket outward from
+    s = 0 (at most PSI_DOUBLINGS times, else ``NoRoot``) and bisecting.
+    Requires x on the chart (within CHART_TOL) and w tangent (within 1e-8);
+    otherwise raises ``StepPreconditionError``.
     """
     p = chart.problem
     if chart.n_rows != 1:
@@ -169,7 +178,7 @@ def retract_psi(chart: ManifoldChart, x, w, *, growth_limit: int = 60) -> np.nda
     x = as_point(x, p.n)
     w = as_point(w, p.n)
     c0 = float(chart_value(chart, x)[0])
-    if abs(c0) > 1e-10:
+    if abs(c0) > CHART_TOL:
         raise StepPreconditionError("retract_psi: base point is not on the chart manifold")
     g = chart_jacobian(chart, x)[0]
     gnorm = float(np.linalg.norm(g))
@@ -190,7 +199,7 @@ def retract_psi(chart: ManifoldChart, x, w, *, growth_limit: int = 60) -> np.nda
     prev = 0.0
     f_prev_pos = f0
     f_prev_neg = f0
-    for _ in range(growth_limit):
+    for _ in range(PSI_DOUBLINGS):
         roots = []
         f_pos = phi(delta)
         if (f0 < 0.0) != (f_pos < 0.0) or f_pos == 0.0:

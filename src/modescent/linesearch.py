@@ -9,17 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direction import ActiveSet
 from .errors import NoConvergence, NoRoot, NoStep, StepPreconditionError
-from .geometry import FEAS_TOL, ManifoldChart, chart_retraction, chart_value
+from .geometry import CHART_TOL, FEAS_TOL, ManifoldChart, chart_retraction, chart_value
 from .problems import EvalBundle
 
 
 @dataclass(frozen=True)
 class StepResult:
     """An accepted step: length t = beta0 * beta^k (possibly shrunk further
-    by feasibility repair), the Armijo inequality sides at acceptance, and
-    the retracted new point.
+    by feasibility repair), the Armijo left-hand side at acceptance, and the
+    retracted new point.
 
     ``armijo_lhs`` is F(new_point); ``G_val`` is G(new_point) where the step
     computed it for its feasibility test, else None.  The descent loop hands
@@ -29,7 +28,6 @@ class StepResult:
     t: float
     k: int
     armijo_lhs: np.ndarray
-    armijo_rhs: np.ndarray
     feasibility_repaired: bool
     new_point: np.ndarray
     G_val: np.ndarray | None = None
@@ -66,11 +64,10 @@ def _trials(retract, x, v, beta0, beta, k_first, k_max):
 
 
 def _armijo(bundle, slope, sigma, t, z):
-    """Both sides of F(z) < F(x) + sigma t DF(x) v and whether it holds
-    (strictly, in every component)."""
+    """F(z) and whether F(z) < F(x) + sigma t DF(x) v holds (strictly, in
+    every component)."""
     lhs = _eval_F(bundle.problem, z)
-    rhs = bundle.F_val + sigma * t * slope
-    return lhs, rhs, bool((lhs < rhs).all())
+    return lhs, bool((lhs < bundle.F_val + sigma * t * slope).all())
 
 
 def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
@@ -84,10 +81,10 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
     for k, t, z in _trials(retract, bundle.x, v, beta0, beta, 0, k_max):
         if z is None:
             continue
-        lhs, rhs, ok = _armijo(bundle, slope, sigma, t, z)
+        lhs, ok = _armijo(bundle, slope, sigma, t, z)
         if ok:
-            return StepResult(t=t, k=k, armijo_lhs=lhs, armijo_rhs=rhs,
-                              feasibility_repaired=False, new_point=z)
+            return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
+                              new_point=z)
     raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
 
 
@@ -122,20 +119,20 @@ def _try_retract(retract, x, w):
         return None
 
 
-def feasible_armijo_step(bundle: EvalBundle, v, active: ActiveSet, config) -> StepResult:
+def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepResult:
     """Armijo step through the equality-manifold retraction that also keeps
     all inequalities satisfied (strategy with active inequalities treated as
     extra objectives).
 
-    Requires DF(x) v < 0 and, for every inequality in ``active`` (the active
-    set the direction was computed with), the strict inflow condition
-    grad(G_i) v < 0.  Takes the smallest k whose point satisfies both Armijo
-    and G <= 0; the repair flag records whether feasibility forced k past
-    the plain Armijo k.
+    Requires DF(x) v < 0 and, for every inequality in ``active`` (the 1-based
+    indices of the active set the direction was computed with), the strict
+    inflow condition grad(G_i) v < 0.  Takes the smallest k whose point
+    satisfies both Armijo and G <= 0; the repair flag records whether
+    feasibility forced k past the plain Armijo k.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
-    for i in active.indices:
+    for i in active:
         if bundle.DG_val[i - 1] @ v >= 0.0:
             raise StepPreconditionError(
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
@@ -147,14 +144,14 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: ActiveSet, config) -> St
     for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, config.k_max):
         if z is None:
             continue
-        lhs, rhs, ok = _armijo(bundle, slope, config.sigma, t, z)
+        lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
         if not ok:
             continue
         if k_armijo is None:
             k_armijo = k
         feasible, g = _feasible(problem, z)
         if feasible:
-            return StepResult(t=t, k=k, armijo_lhs=lhs, armijo_rhs=rhs,
+            return StepResult(t=t, k=k, armijo_lhs=lhs,
                               feasibility_repaired=(k != k_armijo), new_point=z, G_val=g)
     raise NoStep(f"feasible Armijo: no acceptable step within k_max={config.k_max}")
 
@@ -171,7 +168,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
-    if active_chart.n_rows > 0 and np.abs(chart_value(active_chart, bundle.x)).max() > 1e-8:
+    if active_chart.n_rows > 0 and np.abs(chart_value(active_chart, bundle.x)).max() > CHART_TOL:
         raise StepPreconditionError("boundary step requires the base point on the active chart")
 
     retract = _pick_retraction(active_chart, config)
@@ -187,15 +184,15 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     for k_armijo, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta,
                                   0, config.k_max):
         if z is not None:
-            lhs, rhs, ok = _armijo(bundle, slope, config.sigma, t, z)
+            lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
             if ok:
                 break
     else:
         raise NoStep(f"boundary step: Armijo failed for all k <= {config.k_max}")
 
     if max_outside_g(z) <= FEAS_TOL:
-        return StepResult(t=t, k=k_armijo, armijo_lhs=lhs, armijo_rhs=rhs,
-                          feasibility_repaired=False, new_point=z)
+        return StepResult(t=t, k=k_armijo, armijo_lhs=lhs, feasibility_repaired=False,
+                          new_point=z)
 
     # shrink by beta until the projected point is feasible again; g_lo is
     # max_outside_g(z_lo), kept so that no point's G is computed twice, and
@@ -228,8 +225,8 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     if g_lo < -config.eps_act:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 
-    lhs, rhs, ok = _armijo(bundle, slope, config.sigma, t_lo, z_lo)
+    lhs, ok = _armijo(bundle, slope, config.sigma, t_lo, z_lo)
     if not ok:
         raise NoStep("boundary step: Armijo fails at the boundary-activating step")
-    return StepResult(t=t_lo, k=k_armijo, armijo_lhs=lhs, armijo_rhs=rhs,
-                      feasibility_repaired=True, new_point=z_lo)
+    return StepResult(t=t_lo, k=k_armijo, armijo_lhs=lhs, feasibility_repaired=True,
+                      new_point=z_lo)

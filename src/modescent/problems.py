@@ -6,7 +6,7 @@ user supplied; ``fd_audit`` cross-checks them against central differences.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 

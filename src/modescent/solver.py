@@ -159,11 +159,11 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                 # a numerically null boundary direction cannot drive a step, so
                 # it falls through to the boundary-leaving branch as well
                 if not (d2.alpha > -config.eta or d2.alpha >= -config.tol_alpha):
-                    chart = ManifoldChart(problem, d2.active_set.indices)
+                    chart = ManifoldChart(problem, d2.active_set)
                     step = boundary_step(bundle, d2.v, chart, config)
                     trace.records.append(IterateRecord(
                         iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                        alpha=d2.alpha, active_set=d2.active_set.indices,
+                        alpha=d2.alpha, active_set=d2.active_set,
                         branch="SP2-step", t=step.t, k=step.k, alpha2=d2.alpha))
                     x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
                     continue
@@ -174,13 +174,13 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
             if at_cap or critical:
                 trace.records.append(IterateRecord(
                     iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                    alpha=d1.alpha, active_set=d1.active_set.indices, alpha2=alpha2))
+                    alpha=d1.alpha, active_set=d1.active_set, alpha2=alpha2))
                 trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
                 break
             step = feasible_armijo_step(bundle, d1.v, d1.active_set, config)
             trace.records.append(IterateRecord(
                 iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d1.alpha,
-                active_set=d1.active_set.indices, branch="SP1-step",
+                active_set=d1.active_set, branch="SP1-step",
                 t=step.t, k=step.k, alpha2=alpha2))
             x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
     except ModescentError as err:

@@ -1,14 +1,22 @@
 import collections
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import modescent as md
+
+# CI runs the property tests on a fixed example sequence (no example
+# database), so a red CI run repeats locally with CI=true
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -25,11 +25,13 @@ def _simplex_lambdas(n_parts: int, k: int) -> np.ndarray:
     return out
 
 
-def _pairwise_polish(G, lam, sweeps=500):
+def _pairwise_polish(G, lam, sweeps=20000):
     """Exact pairwise mass exchanges until no pair improves ||lam @ G||^2.
 
     At a fixed point no feasible direction e_i - e_j decreases the norm,
-    which is exactly the optimality condition on the simplex.
+    which is exactly the optimality condition on the simplex.  On a thin
+    hull (two nearly antiparallel rows plus a third) the exchanges converge
+    slowly: one such instance needed about 1,000 sweeps.
     """
     lam = lam.astype(float).copy()
     p = lam @ G

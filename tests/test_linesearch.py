@@ -62,11 +62,13 @@ def test_armijo_satisfies_componentwise_inequality(circle2d, rng):
     for _ in range(10):
         x = rng.uniform(1.2, 2.8, size=2)
         b = md.evaluate(circle2d, x)
-        d = md.solve_direction(b, md.SubproblemKind.UNCONSTRAINED)
+        # far outside the circle no inequality is active, so SP1 is SP
+        d = md.solve_direction(b, md.SubproblemKind.OBJECTIVE_ICS)
+        assert d.active_set == ()
         if d.alpha >= -1e-8:
             continue
         step = armijo_step(b, d.v, IDENTITY, 1.0, 0.5, 1e-4)
-        assert np.all(step.armijo_lhs < step.armijo_rhs)
+        assert np.all(step.armijo_lhs < b.F_val + 1e-4 * step.t * (b.DF_val @ d.v))
         assert 0.0 < step.t <= 1.0
 
 
@@ -117,7 +119,7 @@ def test_feasible_armijo_repairs_infeasible_step(circle2d):
     step = feasible_armijo_step(b, d.v, d.active_set, cfg)
     assert step.feasibility_repaired
     assert float(circle2d.G(step.new_point)[0]) <= 1e-9
-    assert np.all(step.armijo_lhs < step.armijo_rhs)
+    assert np.all(step.armijo_lhs < b.F_val + cfg.sigma * step.t * (b.DF_val @ d.v))
 
 
 def test_feasible_armijo_rejects_outflow_direction(circle2d):
@@ -164,7 +166,7 @@ def test_boundary_step_activates_second_face():
     assert step.feasibility_repaired
     assert step.new_point == pytest.approx([1.0, 0.0], abs=1e-7)
     new_active = md.active_set(md.evaluate(p, step.new_point), cfg.eps_act)
-    assert new_active.indices == (1, 2)
+    assert new_active == (1, 2)
     assert float(np.max(p.G(step.new_point))) <= 1e-9
 
 

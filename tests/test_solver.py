@@ -10,7 +10,7 @@ from modescent.solver import write_trace_csv, write_trace_json
 
 from conftest import (CIRCLE_CONFIG, hemisphere_critical_distance,
                       make_hemisphere_problem, make_infeasible_problem)
-from oracles import dist_to_critical_set
+from oracles import dist_to_critical_set, dist_to_segment
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +259,16 @@ def test_ascent_direction_fails_the_run_not_the_front(circle2d, monkeypatch):
     assert critical.converged
 
 
-def test_psi_base_point_off_the_chart_fails_the_run_not_the_front(circle2d):
-    # a boundary-landing step leaves the iterate within eps_act of the newly
-    # active inequality, further off the chart than retract_psi accepts for
-    # its base point; the run fails with its trace instead of crashing
-    start = md.grid_points(circle2d.box, (12, 12))[4]
+def test_psi_follows_the_boundary_after_a_boundary_landing(circle2d):
+    # a boundary-landing step leaves the iterate up to eps_act off the newly
+    # active inequality, which the next SP2 step pins; the psi retraction
+    # accepts that base point and the run reaches the critical segment
     cfg = md.SolverConfig(beta0=0.1, eta=1.0, retraction="psi")
-    with pytest.raises(md.StepPreconditionError) as err:
-        md.solve_constrained(circle2d, start, cfg)
-    assert err.value.trace.iterations >= 1
-    entry = md.multistart(circle2d, [start], cfg).entries[0]
-    assert "StepPreconditionError" in entry.error
+    x, trace = md.solve_constrained(circle2d, (-3.0, -9.0 / 11.0), cfg)
+    assert trace.termination == md.TERMINATED_CRITICAL
+    assert trace.branch_counts().get("SP2-step", 0) >= 1
+    assert dist_to_segment(x) <= 1e-3
+    assert float(circle2d.G(x)[0]) <= 1e-9
 
 
 def test_constrained_infeasible_problem_attaches_trace():
