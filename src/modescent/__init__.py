@@ -7,8 +7,8 @@ from .errors import (EvaluationError, ModescentError, NoConvergence, NoRoot,
                      NoStep, RankError, StepPreconditionError, UnknownProblemError)
 from .geometry import (ManifoldChart, chart_retraction, feasible_start, project,
                        retract_psi)
-from .globalize import (ArchiveEntry, ParetoArchive, deduplicate, dominates,
-                        grid_points, multistart, nondominated_filter)
+from .globalize import (ArchiveEntry, ParetoArchive, deduplicate, grid_points,
+                        multistart, nondominated_filter)
 from .linesearch import StepResult, armijo_step, boundary_step, feasible_armijo_step
 from .problems import (EvalBundle, ProblemSpec, evaluate, fd_audit, load_problem,
                        registry_get, registry_names)
@@ -24,7 +24,7 @@ __all__ = [
     "StepPreconditionError", "StepResult", "SubproblemKind",
     "TERMINATED_CRITICAL", "UnknownProblemError",
     "active_set", "armijo_step", "boundary_step", "chart_retraction",
-    "deduplicate", "dominates", "evaluate", "fd_audit", "feasible_armijo_step",
+    "deduplicate", "evaluate", "fd_audit", "feasible_armijo_step",
     "feasible_start", "grid_points", "load_problem", "min_norm_in_hull",
     "multistart", "nondominated_filter", "project", "registry_get",
     "registry_names", "retract_psi", "solve_constrained", "solve_direction",

@@ -27,18 +27,6 @@ from .solver import (SolverConfig, TERMINATED_CRITICAL, solve_constrained,
 _AUDIT_SEED = 20170907
 
 
-def _parse_eta(ctx, param, value):
-    if value is None:
-        return math.inf
-    text = str(value).strip().lower()
-    if text in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise click.UsageError(f"--eta expects a number or 'inf', got {value!r}")
-
-
 def _parse_x0(value, n):
     try:
         vec = np.array([float(part) for part in value.split(",")], dtype=float)
@@ -90,7 +78,7 @@ def _solver_options(fn):
                      help="sufficient-decrease factor in (0,1)"),
         click.option("--eps", "epsilon", type=float, default=1e-4, show_default=True,
                      help="active-set tolerance"),
-        click.option("--eta", callback=_parse_eta, default="inf", show_default=True,
+        click.option("--eta", type=float, default=math.inf, show_default=True,
                      help="strategy switch threshold; 'inf' never follows the boundary"),
         click.option("--max-iters", type=int, default=10000, show_default=True),
         click.option("--retraction", type=click.Choice(["project", "psi"]),

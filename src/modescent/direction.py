@@ -91,34 +91,15 @@ def _affine_weights(S):
     return sol[:s]
 
 
-def _enumerate_min_norm(G, tol):
-    """Exhaustive fallback over support sets; exact for small generator counts."""
-    k = G.shape[0]
-    best = None
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        w = _affine_weights(G[idx])
-        if np.min(w) < -1e-10:
-            continue
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        p = w @ G[idx]
-        nrm = p @ p
-        if best is None or nrm < best[0]:
-            lam = np.zeros(k)
-            lam[idx] = w
-            best = (nrm, lam, p)
-    return best[1], best[2]
-
-
 def min_norm_in_hull(generators):
     """Minimum-norm point of the convex hull of the given vectors.
 
     Returns ``(lam, point)`` with ``point = lam @ generators`` and the KKT
     certificate g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2)
     for every generator.  Uses Wolfe's min-norm-point iteration with closed
-    forms for one or two generators and an exhaustive small-instance
-    fallback if the iteration stalls.
+    forms for one or two generators.  When the entering generator is already
+    in the support, the iteration stops at the best point reachable at
+    working precision.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -145,13 +126,11 @@ def min_norm_in_hull(generators):
 
     support = [int(np.argmin(sq))]
     w = np.ones(1)
-    converged = False
     for _ in range(50 * (k + 2)):
         p = w @ G[support]
         dots = G @ p
         j = int(np.argmin(dots))
         if dots[j] >= p @ p - tol_eff:
-            converged = True
             break
         if j in support:
             break  # best achievable at working precision
@@ -177,12 +156,7 @@ def min_norm_in_hull(generators):
 
     lam = np.zeros(k)
     lam[support] = w
-    p = lam @ G
-    if not converged and k <= 14:
-        dots = G @ p
-        if dots.min() < p @ p - 10.0 * tol_eff:
-            lam, p = _enumerate_min_norm(G, tol_eff)
-    return lam, p
+    return lam, lam @ G
 
 
 def solve_direction(bundle: EvalBundle, kind: SubproblemKind,

@@ -92,12 +92,12 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     n = p.n
 
     # damped Gauss-Newton feasibility presolve when far from the manifold;
-    # plain Newton on the stationarity system diverges there
-    c = chart_value(chart, z)
+    # plain Newton on the stationarity system diverges there.  c and J are
+    # the chart's value and Jacobian at z, updated with every accepted z.
+    c, J = chart_value(chart, z), chart_jacobian(chart, z)
     for _ in range(60):
         if np.max(np.abs(c)) <= 1e-6:
             break
-        J = chart_jacobian(chart, z)
         try:
             dz = -J.T @ np.linalg.solve(J @ J.T, c)
         except np.linalg.LinAlgError:
@@ -105,10 +105,10 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
         merit0 = float(c @ c)
         step = 1.0
         for _ in range(40):
-            c_try = chart_value(chart, z + step * dz)
+            z_try = z + step * dz
+            c_try = chart_value(chart, z_try)
             if float(c_try @ c_try) < merit0:
-                z = z + step * dz
-                c = c_try
+                z, c, J = z_try, c_try, chart_jacobian(chart, z_try)
                 break
             step *= 0.5
         else:
@@ -116,11 +116,9 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     else:
         raise NoConvergence("projection: feasibility presolve hit its cap")
 
-    mu, *_ = np.linalg.lstsq(chart_jacobian(chart, z).T, y - z, rcond=None)
+    mu, *_ = np.linalg.lstsq(J.T, y - z, rcond=None)
+    r1 = z - y + J.T @ mu
     for _ in range(PROJECT_ITERS):
-        c = chart_value(chart, z)
-        J = chart_jacobian(chart, z)
-        r1 = z - y + J.T @ mu
         if np.max(np.abs(c)) <= 1e-12 and np.max(np.abs(r1)) <= 1e-10:
             return z
         kkt = np.zeros((n + chart.n_rows, n + chart.n_rows))
@@ -139,9 +137,10 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
             z_try = z + step * dz
             mu_try = mu + step * dmu
             c_try = chart_value(chart, z_try)
-            r1_try = z_try - y + chart_jacobian(chart, z_try).T @ mu_try
+            J_try = chart_jacobian(chart, z_try)
+            r1_try = z_try - y + J_try.T @ mu_try
             if float(c_try @ c_try + r1_try @ r1_try) < merit0:
-                z, mu = z_try, mu_try
+                z, mu, c, J, r1 = z_try, mu_try, c_try, J_try, r1_try
                 break
             step *= 0.5
         else:
@@ -219,17 +218,16 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
 def chart_retraction(chart: ManifoldChart, kind: str = "project"):
     """Retraction callable (base, step) -> point for the given chart.
 
-    ``kind`` is "project" (nearest-point, any chart) or "psi" (normal-line
-    root, single-equality charts only).
+    ``kind`` is "project" (nearest-point projection) or "psi": the
+    normal-line root on single-row charts and the projection on charts with
+    more rows.  On a chart without rows the retraction is x + w.
     """
     if chart.n_rows == 0:
         return lambda x, w: x + w
-    if kind == "project":
-        return lambda x, w: project(chart, x + w)
-    if kind == "psi":
-        if chart.n_rows != 1:
-            raise ValueError("psi retraction requires a single-equality chart")
+    if kind == "psi" and chart.n_rows == 1:
         return lambda x, w: retract_psi(chart, x, w)
+    if kind in ("project", "psi"):
+        return lambda x, w: project(chart, x + w)
     raise ValueError(f"unknown retraction kind {kind!r}")
 
 

@@ -31,13 +31,6 @@ class ParetoArchive:
         return len(self.entries)
 
 
-def dominates(v, w) -> bool:
-    """v dominates w iff v <= w componentwise with some strict component."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return bool(np.all(v <= w) and np.any(v < w))
-
-
 # candidate dominators compared at once in dominance_flags; bounds its
 # working memory to a few (_BLOCK x N) boolean arrays
 _BLOCK = 128
@@ -46,12 +39,11 @@ _BLOCK = 128
 def dominance_flags(archive: ParetoArchive) -> list:
     """Dominated flag per entry; None for entries without objective values.
 
-    Exact and vectorised: v dominates w under the same elementwise
-    comparisons as ``dominates``, so equal F-vectors do not dominate each
-    other and a NaN component never takes part in a domination.  For N
-    valued entries with m objectives the pass makes O(N^2 m) comparisons in
-    numpy, _BLOCK candidate dominators at a time, and holds O(_BLOCK N)
-    extra memory.
+    Exact and vectorised: v dominates w iff v <= w componentwise with some
+    strict component, so equal F-vectors do not dominate each other and a
+    NaN component never takes part in a domination.  For N valued entries
+    with m objectives the pass makes O(N^2 m) comparisons in numpy, _BLOCK
+    candidate dominators at a time, and holds O(_BLOCK N) extra memory.
     """
     flags: list = [None] * len(archive.entries)
     valued = [i for i, e in enumerate(archive.entries) if e.F is not None]

@@ -104,12 +104,6 @@ def _feasible(problem, z):
     return True, g
 
 
-def _pick_retraction(chart, config):
-    kind = config.retraction if (config.retraction == "project" or chart.n_rows == 1) \
-        else "project"
-    return chart_retraction(chart, kind)
-
-
 def _try_retract(retract, x, w):
     # retractions are local maps; a failure far from the manifold just means
     # the candidate step is too long and backtracking must continue
@@ -139,7 +133,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
             )
 
     chart = ManifoldChart(problem, ())
-    retract = _pick_retraction(chart, config)
+    retract = chart_retraction(chart, config.retraction)
     k_armijo = None
     for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, config.k_max):
         if z is None:
@@ -171,7 +165,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     if active_chart.n_rows > 0 and np.abs(chart_value(active_chart, bundle.x)).max() > CHART_TOL:
         raise StepPreconditionError("boundary step requires the base point on the active chart")
 
-    retract = _pick_retraction(active_chart, config)
+    retract = chart_retraction(active_chart, config.retraction)
     outside_rows = [j - 1 for j in range(1, problem.m_G + 1)
                     if j not in active_chart.ineq_indices]
 

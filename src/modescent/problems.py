@@ -81,12 +81,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class EvalBundle:
-    """All values and Jacobians of a problem at one point."""
+    """F and G values and all Jacobians of a problem at one point.
+
+    H is not kept, since nothing reads it: the solver's iterates lie on
+    H = 0 by construction (feasible start, retraction, and the feasibility
+    test of the step).
+    """
 
     problem: ProblemSpec
     x: Array
     F_val: Array
-    H_val: Array
     G_val: Array
     DF_val: Array
     DH_val: Array
@@ -105,7 +109,7 @@ def _call(problem, component, fun, x, shape, value=None):
 
 
 def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
-    """Evaluate all maps and Jacobians of ``problem`` at ``x`` in one bundle.
+    """Evaluate F, G and all Jacobians of ``problem`` at ``x`` in one bundle.
 
     ``F_val`` and ``G_val``, when given, are taken as F(x) and G(x) in place
     of calling the maps; the descent loop passes the values the line search
@@ -119,7 +123,6 @@ def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
         problem=problem,
         x=x,
         F_val=_call(problem, "F", problem.F, x, (m,), F_val),
-        H_val=_call(problem, "H", problem.H, x, (mh,)),
         G_val=_call(problem, "G", problem.G, x, (mg,), G_val),
         DF_val=_call(problem, "DF", problem.DF, x, (m, n)),
         DH_val=_call(problem, "DH", problem.DH, x, (mh, n)),

@@ -41,21 +41,22 @@ class SolverConfig:
     k_max: int = 60
 
     def __post_init__(self):
-        if self.beta0 <= 0:
+        # each float test is written so that NaN fails it
+        if not (self.beta0 > 0):
             raise ValueError("beta0 must be > 0")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
         if not (0.0 < self.sigma < 1.0):
             raise ValueError("sigma must lie in (0, 1)")
-        if self.epsilon < 0:
+        if not (self.epsilon >= 0):
             raise ValueError("epsilon must be >= 0")
-        if self.eta < 0:
+        if not (self.eta >= 0):
             raise ValueError("eta must be >= 0 (inf selects the pure boundary-leaving strategy)")
-        if self.tol_alpha <= 0:
+        if not (self.tol_alpha > 0):
             raise ValueError("tol_alpha must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.eps_act < 0:
+        if not (self.eps_act >= 0):
             raise ValueError("eps_act must be >= 0")
         if self.retraction not in ("project", "psi"):
             raise ValueError("retraction must be 'project' or 'psi'")

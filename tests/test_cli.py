@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import modescent as md
 from modescent.cli import main
@@ -53,6 +54,25 @@ def test_solve_bad_flags(tmp_path):
     assert main(["solve", "--x0", "0,0", "--out", str(tmp_path)]) == 64
     assert main(["solve", "--problem", "circle2d", "--x0", "0,0",
                  "--eta", "huge", "--out", str(tmp_path)]) == 64
+
+
+@pytest.mark.parametrize("flag", ["--eta", "--beta0", "--eps"])
+def test_solve_nan_parameter_is_usage_error(tmp_path, flag):
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "circle2d", "--x0=-2,0.5", flag, "nan",
+                 "--out", str(out)]) == 64
+    assert not out.exists()
+
+
+def test_eta_accepts_infinity_spellings(tmp_path, capsys):
+    for text in ("inf", "Infinity", "1e400"):
+        out = tmp_path / text
+        assert main(["solve", "--problem", "circle2d", "--x0", "2,0", "--eta", text,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "trace.json").read_text())["config"]["eta"] == "inf"
+    capsys.readouterr()
+    assert main(["solve", "--help"]) == 0
+    assert "[default: inf]" in " ".join(capsys.readouterr().out.split())
 
 
 def test_gamma_option_is_gone(tmp_path):

@@ -131,9 +131,19 @@ def test_min_norm_handles_duplicates_and_zero():
     assert _kkt_residual(G, lam, p) <= 1e-8
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
-                min_size=1, max_size=5))
+@st.composite
+def _hull_generators(draw):
+    # d = 1..4, k = 1..8; small-integer entries make degenerate hulls
+    # (collinear, coplanar, containing the origin) and repeated rows common
+    d = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([st.floats(-10, 10), st.integers(-3, 3).map(float)]))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=8 - len(rows)))
+    return rows + repeats
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hull_generators())
 def test_min_norm_kkt_certificate_property(gens):
     G = np.asarray(gens, dtype=float)
     lam, p = md.min_norm_in_hull(G)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import modescent as md
+from modescent import geometry
 from modescent.geometry import chart_jacobian, chart_retraction, chart_value
 
 
@@ -140,6 +141,13 @@ def test_chart_retraction_identity_without_rows(circle2d):
     assert out == pytest.approx([1.5, 1.5], abs=1e-15)
 
 
+def test_psi_retraction_projects_on_multirow_charts():
+    chart = md.ManifoldChart(_lens_problem(), (1, 2))
+    x = np.array([0.9, np.sqrt(0.19)])
+    w = np.array([0.01, -0.02])
+    assert np.array_equal(chart_retraction(chart, "psi")(x, w), md.project(chart, x + w))
+
+
 # ---------------------------------------------------------------------------
 # feasible_start
 
@@ -175,6 +183,40 @@ def test_feasible_start_respects_tolerances(circle2d, rng):
         x = rng.uniform(-3, 3, size=2)
         z = md.feasible_start(circle2d, x)
         assert float(circle2d.G(z)[0]) <= 1e-9
+
+
+def _lens_problem():
+    # min x1 over the lens of the unit disks centred at (0, 0) and (1.8, 0);
+    # the two boundary circles cross at the corners (0.9, +-sqrt(0.19))
+    return md.load_problem({
+        "n": 2, "m": 1,
+        "objectives": [[[1.0, [1, 0]]]],
+        "inequalities": [
+            [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 0]]],
+            [[1.0, [2, 0]], [1.0, [0, 2]], [-3.6, [1, 0]], [2.24, [0, 0]]],
+        ],
+    })
+
+
+@pytest.mark.parametrize("start, charts, nearest", [
+    # projecting onto circle 1 crosses circle 2: the active set grows
+    ((1.8, 0.95), [(1,), (1, 2)], (0.9, np.sqrt(0.19))),
+    # both violated at the start; circle 2's multiplier is negative at the
+    # corner, so the active set shrinks back to circle 1
+    ((3.0, 0.2), [(1, 2), (1,)], np.array([3.0, 0.2]) / np.hypot(3.0, 0.2)),
+])
+def test_feasible_start_active_set_changes(monkeypatch, start, charts, nearest):
+    seen = []
+    original = geometry._project_with_retries
+
+    def spy(chart, x):
+        seen.append(chart.ineq_indices)
+        return original(chart, x)
+
+    monkeypatch.setattr(geometry, "_project_with_retries", spy)
+    z = md.feasible_start(_lens_problem(), start)
+    assert seen == charts
+    assert z == pytest.approx(nearest, abs=1e-9)
 
 
 def test_chart_validation(circle2d):

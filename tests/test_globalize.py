@@ -28,10 +28,12 @@ def _archive_from_F(values):
 
 
 def test_dominates_definition():
-    assert md.dominates([1.0, 1.0], [2.0, 2.0])
-    assert md.dominates([1.0, 2.0], [1.0, 3.0])
-    assert not md.dominates([1.0, 2.0], [2.0, 1.0])
-    assert not md.dominates([1.0, 1.0], [1.0, 1.0])  # needs a strict component
+    # v dominates w iff v <= w componentwise with some strict component
+    assert dominance_flags(_archive_from_F([(1.0, 1.0), (2.0, 2.0)])) == [False, True]
+    assert dominance_flags(_archive_from_F([(1.0, 2.0), (1.0, 3.0)])) == [False, True]
+    assert dominance_flags(_archive_from_F([(1.0, 2.0), (2.0, 1.0)])) == [False, False]
+    # needs a strict component
+    assert dominance_flags(_archive_from_F([(1.0, 1.0), (1.0, 1.0)])) == [False, False]
 
 
 def test_filter_strict_dominance():
@@ -110,10 +112,7 @@ f_vectors = st.lists(
 def test_filter_output_is_antichain(values):
     out = md.nondominated_filter(_archive_from_F(values))
     assert len(out) >= 1
-    for a in out.entries:
-        for b in out.entries:
-            if a is not b:
-                assert not md.dominates(a.F, b.F)
+    assert pairwise_dominance_flags([e.F for e in out.entries]) == [False] * len(out)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,7 @@
 """Static hygiene of the package, checked with the standard library's ``ast``:
-no module imports a name it never uses, and the public name list holds
-only names the package defines."""
+no module imports a name it never uses, no private module-level function
+or class outlives its last caller, and the public name list holds only
+names the package defines."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,34 @@ def test_every_imported_name_is_used(path):
 def test_every_public_name_resolves():
     missing = [name for name in md.__all__ if not hasattr(md, name)]
     assert not missing
+
+
+def _referenced_names(tree, skip=None):
+    """Names read as a bare name or an attribute anywhere in ``tree``,
+    except inside the node ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    unreferenced = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            # a reference inside the definition itself (recursion) does not count
+            if not any(node.name in set(_referenced_names(other, skip=node))
+                       for other in trees.values()):
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unreferenced, f"private definitions without a caller: {unreferenced}"

@@ -358,6 +358,13 @@ def test_config_validation():
     assert md.SolverConfig(eta=np.inf).eta == np.inf
 
 
+@pytest.mark.parametrize("field", ["beta0", "beta", "sigma", "epsilon", "eta",
+                                   "tol_alpha", "eps_act"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        md.SolverConfig(**{field: np.nan})
+
+
 def test_trace_csv_columns_and_determinism(circle2d, tmp_path):
     cfg = md.SolverConfig(**CIRCLE_CONFIG, eta=1.0)
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), cfg)
