@@ -99,6 +99,40 @@ def central_diff_jacobian(fun, x, rows, h=1e-6):
     return J
 
 
+def poly_maps(polys, n):
+    """Value and Jacobian of a list of polynomials, one polynomial and one
+    Jacobian entry at a time.
+
+    A polynomial is a list of ``(coefficient, exponents)`` pairs.  Row i is
+    ``c_i @ prod(x ** E_i, axis=1)`` and entry (i, j) is the same with the
+    coefficients times column j of ``E_i`` and that column lowered by one
+    (floored at 0), so every row and entry is one dot over all of the
+    polynomial's monomials.
+    """
+    compiled = []
+    for poly in polys:
+        coefs = np.asarray([float(c) for c, _ in poly], dtype=float)
+        expos = np.asarray([list(e) for _, e in poly], dtype=float).reshape(len(coefs), n)
+        deriv = []
+        for j in range(n):
+            de = expos.copy()
+            de[:, j] = np.maximum(de[:, j] - 1.0, 0.0)
+            deriv.append((coefs * expos[:, j], de))
+        compiled.append((coefs, expos, deriv))
+
+    def fun(x):
+        return np.array([c @ np.prod(x ** e, axis=1) for c, e, _ in compiled])
+
+    def jac(x):
+        J = np.empty((len(compiled), n))
+        for i, (_, _, deriv) in enumerate(compiled):
+            for j, (dc, de) in enumerate(deriv):
+                J[i, j] = dc @ np.prod(x ** de, axis=1)
+        return J
+
+    return fun, jac
+
+
 def pairwise_dominance_flags(values):
     """Dominated flag per F-vector (None stays None) by comparing every
     ordered pair: v dominates w iff v <= w componentwise with some strict

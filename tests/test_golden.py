@@ -17,7 +17,9 @@ from modescent.cli import main
 
 from conftest import with_counted_maps
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+OCTANT_FILE = DATA / "octant3d.json"
 
 CASES = {
     "circle2d_eta1": (["solve", "--problem", "circle2d", "--x0=-2,0.5",
@@ -27,6 +29,9 @@ CASES = {
                       "--retraction", "psi"], ["trace.csv"]),
     "front5": (["front", "--problem", "circle2d", "--grid", "5x5",
                 "--beta0", "0.1", "--eta", "1"], ["archive.csv", "front.csv"]),
+    # a polynomial problem file: every map is a compiled monomial table
+    "octant3d": (["front", "--problem-file", str(OCTANT_FILE), "--grid", "3x3x3",
+                  "--beta0", "0.1", "--eta", "1"], ["archive.csv", "front.csv"]),
 }
 
 
@@ -66,7 +71,6 @@ def test_cli_outputs_match_golden(name, tmp_path):
             assert not bad, (fname, i, bad)
 
 
-
 def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     # the circle2d_eta1 solve with counted maps; accepted SP1 steps hand F
     # and G to the next evaluate, SP2 steps hand over F, the boundary
@@ -90,3 +94,16 @@ def test_sphere3d_map_calls_are_pinned(sphere3d):
     assert trace.iterations == 4
     assert trace.branch_counts() == {"SP1-step": 4}
     assert dict(calls) == {"F": 5, "DF": 5, "H": 24, "DH": 24}
+
+
+def test_octant3d_map_calls_are_pinned():
+    # one solve of the octant3d golden front with counted polynomial maps;
+    # every trial point is projected onto the sphere, so H and DH count the
+    # projections, and the cap inequality is tested once per trial point
+    spec, calls = with_counted_maps(md.load_problem(OCTANT_FILE),
+                                    ("F", "DF", "G", "DG", "H", "DH"))
+    _, trace = md.solve_constrained(spec, (0.5, -0.5, -0.7),
+                                    md.SolverConfig(beta0=0.1, eta=1.0))
+    assert trace.iterations == 46
+    assert trace.branch_counts() == {"SP1-step": 46}
+    assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "DG": 47, "H": 179, "DH": 179}
