@@ -5,7 +5,6 @@ error, failed audit, or a front in which every start failed, 2 iteration
 cap, 64 usage error.
 """
 
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -57,7 +56,7 @@ def _resolve_problem(name, problem_file):
             raise click.UsageError(str(err))
     try:
         return load_problem(problem_file)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         raise click.UsageError(f"cannot load problem file {problem_file}: {err}")
 
 

@@ -6,6 +6,9 @@ user supplied; ``fd_audit`` cross-checks them against central differences.
 """
 
 import json
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -245,43 +248,86 @@ def registry_get(name: str) -> ProblemSpec:
 # declarative polynomial problems
 
 
-def _compile_poly(monomials, n, where):
-    """Precompute coefficient/exponent arrays and per-variable derivatives."""
-    coefs = []
-    expos = []
-    for pair in monomials:
-        if len(pair) != 2:
-            raise ValueError(f"{where}: each monomial must be a (coefficient, exponents) pair")
-        c, e = pair
-        e = list(e)
-        if len(e) != n or any(int(k) != k or k < 0 for k in e):
-            raise ValueError(f"{where}: exponent vector must hold {n} non-negative integers")
-        coefs.append(float(c))
-        expos.append([int(k) for k in e])
-    coefs = np.asarray(coefs, dtype=float)
-    expos = np.asarray(expos, dtype=float).reshape(len(coefs), n)
+_SEQUENCE = (list, tuple, np.ndarray)
 
-    deriv = []
-    for j in range(n):
-        dc = coefs * expos[:, j]
-        de = expos.copy()
-        de[:, j] = np.maximum(de[:, j] - 1.0, 0.0)
-        deriv.append((dc, de))
-    return coefs, expos, deriv
+
+def _finite(value):
+    """``value`` as a float if it is a finite real number (not a bool), else None."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _is_count(value, low) -> bool:
+    """``value`` is an integral number >= ``low`` (2.0 counts, 2.5 does not)."""
+    value = _finite(value)
+    return value is not None and value.is_integer() and value >= low
+
+
+def _read_poly(poly, n, where):
+    """Coefficient vector and exponent table of one polynomial, validated."""
+    if not isinstance(poly, _SEQUENCE):
+        raise ValueError(f"{where}: a polynomial must be a list of [coefficient, exponents] pairs")
+    coefs, expos = [], []
+    for k, pair in enumerate(poly):
+        at = f"{where}[{k}]"
+        if not isinstance(pair, _SEQUENCE) or len(pair) != 2:
+            raise ValueError(f"{at}: each monomial must be a (coefficient, exponents) pair")
+        c, e = pair
+        if _finite(c) is None:
+            raise ValueError(f"{at}: coefficient must be a finite number, got {c!r}")
+        if not (isinstance(e, _SEQUENCE) and len(e) == n and all(_is_count(p, 0) for p in e)):
+            raise ValueError(f"{at}: exponent vector must hold {n} non-negative integers")
+        coefs.append(float(c))
+        expos.append([float(p) for p in e])
+    return np.asarray(coefs, dtype=float), np.asarray(expos, dtype=float).reshape(len(coefs), n)
+
+
+def _poly_list(doc, key):
+    """The list of polynomials under ``key`` (empty when absent)."""
+    polys = doc.get(key, [])
+    if not isinstance(polys, _SEQUENCE):
+        raise ValueError(f"{key}: must be a list of polynomials, got {polys!r}")
+    return polys
 
 
 def _make_poly_maps(poly_list, n, where):
-    compiled = [_compile_poly(p, n, f"{where}[{i}]") for i, p in enumerate(poly_list)]
+    """Value and Jacobian maps of a list of polynomials in ``n`` variables.
+
+    Every monomial of every polynomial is one row of a stacked exponent
+    table ``E``; the derivative monomials of every (row, variable) entry
+    are one row each of ``DE``, with the coefficients times the exponent
+    and that exponent lowered by one (floored at 0).  A call takes one
+    ``x ** E`` and one product per table row, then one dot per polynomial
+    (or Jacobian entry) over the slice of the table it owns, so each value
+    is the same sum, in the same order, as one polynomial at a time.
+    """
+    rows, entries = [], []
+    E, DE = [], []
+    for i, poly in enumerate(poly_list):
+        coefs, expos = _read_poly(poly, n, f"{where}[{i}]")
+        rows.append((coefs, slice(len(E), len(E) + len(coefs))))
+        E.extend(expos)
+        for j in range(n):
+            de = expos.copy()
+            de[:, j] = np.maximum(de[:, j] - 1.0, 0.0)
+            entries.append((coefs * expos[:, j], slice(len(DE), len(DE) + len(coefs))))
+            DE.extend(de)
+    E = np.asarray(E, dtype=float).reshape(-1, n)
+    DE = np.asarray(DE, dtype=float).reshape(-1, n)
+    shape = (len(rows), n)
 
     def fun(x):
-        return np.array([c @ np.prod(x ** e, axis=1) for c, e, _ in compiled])
+        mono = np.multiply.reduce(x ** E, axis=1)
+        return np.array([c @ mono[s] for c, s in rows])
 
     def jac(x):
-        J = np.empty((len(compiled), n))
-        for i, (_, _, deriv) in enumerate(compiled):
-            for j, (dc, de) in enumerate(deriv):
-                J[i, j] = dc @ np.prod(x ** de, axis=1)
-        return J
+        mono = np.multiply.reduce(x ** DE, axis=1)
+        return np.array([c @ mono[s] for c, s in entries]).reshape(shape)
 
     return fun, jac
 
@@ -292,33 +338,47 @@ def load_problem(source) -> ProblemSpec:
     ``source`` is a JSON file path or an already-parsed dict with fields
     ``n``, ``m``, ``objectives`` (list of m polynomials), and optional
     ``equalities``, ``inequalities``, ``name``, ``box``.  A polynomial is a
-    list of ``[coefficient, exponent-vector]`` monomial pairs.
+    list of ``[coefficient, exponent-vector]`` monomial pairs: coefficients
+    are finite numbers, exponents non-negative integers, and ``n`` and
+    ``m`` positive integers.  A malformed description raises ``ValueError``
+    naming where it is wrong (``objectives[0][2]`` is the third monomial of
+    the first objective).
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         doc = json.loads(path.read_text())
         default_name = path.stem
     else:
-        doc = dict(source)
+        doc = source
         default_name = "problem"
+    if not isinstance(doc, Mapping):
+        raise ValueError("a problem description must be a JSON object")
 
-    n = int(doc["n"])
-    m = int(doc["m"])
-    objectives = doc["objectives"]
+    for key in ("n", "m"):
+        if key not in doc:
+            raise ValueError(f"{key}: missing")
+        if not _is_count(doc[key], 1):
+            raise ValueError(f"{key}: must be a positive integer, got {doc[key]!r}")
+    n, m = int(doc["n"]), int(doc["m"])
+    objectives, equalities, inequalities = (
+        _poly_list(doc, key) for key in ("objectives", "equalities", "inequalities"))
     if len(objectives) != m:
-        raise ValueError(f"expected {m} objectives, got {len(objectives)}")
-    equalities = doc.get("equalities", [])
-    inequalities = doc.get("inequalities", [])
+        raise ValueError(f"objectives: expected {m} objectives, got {len(objectives)}")
 
     F, DF = _make_poly_maps(objectives, n, "objectives")
     kwargs = {}
-    if equalities:
+    if len(equalities):
         kwargs["H"], kwargs["DH"] = _make_poly_maps(equalities, n, "equalities")
-    if inequalities:
+    if len(inequalities):
         kwargs["G"], kwargs["DG"] = _make_poly_maps(inequalities, n, "inequalities")
 
     box = doc.get("box")
     if box is not None:
+        if not (isinstance(box, _SEQUENCE)
+                and all(isinstance(pair, _SEQUENCE) and len(pair) == 2
+                        and all(_finite(v) is not None for v in pair)
+                        for pair in box)):
+            raise ValueError("box: must be a list of [lo, hi] pairs of finite numbers")
         box = tuple((float(lo), float(hi)) for lo, hi in box)
 
     return ProblemSpec(

@@ -188,6 +188,30 @@ def test_problem_file_missing(tmp_path):
                  "--x0", "0,0"]) == 64
 
 
+MALFORMED_FILES = {
+    "infinite-exponent": ('{"n": 2, "m": 1, "objectives": [[[1, [Infinity, 0]]]]}',
+                          "objectives[0][0]: exponent"),
+    "number-as-exponents": ('{"n": 2, "m": 1, "objectives": [[[1, 2]]]}',
+                            "objectives[0][0]: exponent"),
+    "objectives-not-a-list": ('{"n": 2, "m": 1, "objectives": 5}', "objectives:"),
+    "top-level-array": ('[{"n": 2, "m": 1, "objectives": [[[1, [1, 0]]]]}]', "JSON object"),
+    "fractional-n": ('{"n": 2.5, "m": 1, "objectives": [[[1, [2, 0]], [1, [0, 2]]]]}', "n:"),
+    "nan-coefficient": ('{"n": 2, "m": 1, "objectives": [[[NaN, [2, 0]], [1, [0, 2]]]]}',
+                        "objectives[0][0]: coefficient"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_problem_file_is_usage_error(tmp_path, capsys, command, case):
+    text, location = MALFORMED_FILES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    extra = ["--x0", "1,1", "--out", str(tmp_path / "run")] if command == "solve" else []
+    assert main([command, "--problem-file", str(path), *extra]) == 64
+    assert location in capsys.readouterr().err
+
+
 def test_solve_runtime_error_exit_code(tmp_path):
     # the equality x1^2 + 1 = 0 has no solutions; the feasibility solve fails
     doc = {

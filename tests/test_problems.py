@@ -169,6 +169,26 @@ def test_load_problem_validates_exponents():
         md.load_problem(doc)
 
 
+@pytest.mark.parametrize("change, location", [
+    ({"n": None}, "n: missing"),
+    ({"m": True}, "m: must be a positive integer"),
+    ({"n": 0}, "n: must be a positive integer"),
+    ({"objectives": [[[1.0, [10 ** 400, 0]]]]}, "objectives[0][0]: exponent"),
+    ({"objectives": [[[1.0, [-1, 0]]]]}, "objectives[0][0]: exponent"),
+    ({"objectives": [[[10 ** 400, [1, 0]]]]}, "objectives[0][0]: coefficient"),
+    ({"objectives": [5]}, "objectives[0]: a polynomial"),
+    ({"equalities": [[[1.0, [1, 0]]], [[1.0]]]}, "equalities[1][0]: each monomial"),
+    ({"inequalities": {"a": 1}}, "inequalities: must be a list"),
+    ({"box": [[-1, 1], [0, float("nan")]]}, "box:"),
+])
+def test_load_problem_names_the_malformed_field(change, location):
+    doc = {"n": 2, "m": 1, "objectives": [[[1.0, [1, 0]]]], **change}
+    doc = {key: value for key, value in doc.items() if value is not None}
+    with pytest.raises(ValueError) as err:
+        md.load_problem(doc)
+    assert str(err.value).startswith(location)
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         md.ProblemSpec(name="x", n=0, m=1, F=lambda x: x, DF=lambda x: x)
