@@ -77,8 +77,8 @@ class ProblemSpec:
         if box is None:
             box = ((-3.0, 3.0),) * self.n
         box = tuple((float(lo), float(hi)) for lo, hi in box)
-        if len(box) != self.n or any(hi <= lo for lo, hi in box):
-            raise ValueError("box must give one (lo, hi) pair with lo < hi per coordinate")
+        if len(box) != self.n or not all(-math.inf < lo < hi < math.inf for lo, hi in box):
+            raise ValueError("box must give one finite (lo, hi) pair with lo < hi per coordinate")
         object.__setattr__(self, "box", box)
 
 

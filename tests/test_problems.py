@@ -194,3 +194,6 @@ def test_problem_spec_validation():
         md.ProblemSpec(name="x", n=0, m=1, F=lambda x: x, DF=lambda x: x)
     with pytest.raises(ValueError):
         md.ProblemSpec(name="x", n=1, m=1, F=lambda x: x, DF=lambda x: x, m_G=1)
+    for box in (((0.0, float("nan")),), ((-float("inf"), 1.0),), ((1.0, 1.0),)):
+        with pytest.raises(ValueError):
+            md.ProblemSpec(name="x", n=1, m=1, F=lambda x: x, DF=lambda x: x, box=box)
