@@ -5,7 +5,6 @@ error, failed audit, or a front in which every start failed, 2 iteration
 cap, 64 usage error.
 """
 
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -69,19 +68,19 @@ def _build_config(**kwargs):
 
 def _solver_options(fn):
     opts = [
-        click.option("--beta0", type=float, default=1.0, show_default=True,
-                     help="initial step length"),
-        click.option("--beta", type=float, default=0.5, show_default=True,
-                     help="backtracking factor in (0,1)"),
-        click.option("--sigma", type=float, default=1e-4, show_default=True,
-                     help="sufficient-decrease factor in (0,1)"),
-        click.option("--eps", "epsilon", type=float, default=1e-4, show_default=True,
-                     help="active-set tolerance"),
-        click.option("--eta", type=float, default=math.inf, show_default=True,
+        click.option("--beta0", type=float, default=SolverConfig.beta0,
+                     show_default=True, help="initial step length"),
+        click.option("--beta", type=float, default=SolverConfig.beta,
+                     show_default=True, help="backtracking factor in (0,1)"),
+        click.option("--sigma", type=float, default=SolverConfig.sigma,
+                     show_default=True, help="sufficient-decrease factor in (0,1)"),
+        click.option("--eps", "epsilon", type=float, default=SolverConfig.epsilon,
+                     show_default=True, help="active-set tolerance"),
+        click.option("--eta", type=float, default=SolverConfig.eta, show_default=True,
                      help="strategy switch threshold; 'inf' never follows the boundary"),
-        click.option("--max-iters", type=int, default=10000, show_default=True),
+        click.option("--max-iters", type=int, default=SolverConfig.max_iters, show_default=True),
         click.option("--retraction", type=click.Choice(["project", "psi"]),
-                     default="project", show_default=True),
+                     default=SolverConfig.retraction, show_default=True),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -154,7 +153,7 @@ def solve(problem_name, problem_file, x0, outdir, **config_kwargs):
 @click.option("--problem-file", type=click.Path(exists=True, dir_okay=False),
               help="polynomial problem description (JSON)")
 @click.option("--grid", required=True, help="grid counts per coordinate, e.g. 20x20")
-@click.option("--x0", default=None, help="anchor point used when the grid is all 1s")
+@click.option("--x0", default=None, help="anchor point; only with a grid of all 1s")
 @click.option("--out", "outdir", type=click.Path(file_okay=False), default="run",
               show_default=True, help="output directory")
 @_solver_options
@@ -164,10 +163,12 @@ def front(problem_name, problem_file, grid, x0, outdir, **config_kwargs):
     problem = _resolve_problem(problem_name, problem_file)
     config = _build_config(**config_kwargs)
     counts = _parse_grid(grid, problem.n)
-    if x0 is not None and all(c == 1 for c in counts):
+    if x0 is None:
+        starts = grid_points(problem.box, counts)
+    elif all(c == 1 for c in counts):
         starts = _parse_x0(x0, problem.n).reshape(1, -1)
     else:
-        starts = grid_points(problem.box, counts)
+        raise click.UsageError(f"--x0 needs a grid of all 1s, got {grid!r}")
 
     archive = multistart(problem, starts, config)
     front_archive = deduplicate(nondominated_filter(archive))

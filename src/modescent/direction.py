@@ -104,14 +104,12 @@ def min_norm_in_hull(generators):
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
         G = G.reshape(1, -1)
-    k, d = G.shape
+    k = G.shape[0]
     if k < 1:
         raise ValueError("need at least one generator")
     if not np.isfinite(G).all():
         raise ValueError("generators contain non-finite entries")
 
-    if d == 0:
-        return np.full(k, 1.0 / k), np.zeros(0)
     if k == 1:
         return np.ones(1), G[0].copy()
     if k == 2:

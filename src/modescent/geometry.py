@@ -15,10 +15,12 @@ from .problems import ProblemSpec, as_point
 
 # points are accepted as feasible / on-manifold up to this absolute tolerance
 FEAS_TOL = 1e-9
-# a step's base point counts as on its chart up to this absolute tolerance;
-# a boundary landing leaves the iterate up to eps_act (1e-9 by default) off
-# the newly crossed inequality, which the next boundary step then pins
+# a step's base point counts as on its chart up to this absolute tolerance
 CHART_TOL = 1e-8
+# an inequality within EPS_ACT of zero is pinned as an equality; a boundary
+# landing leaves the iterate up to EPS_ACT off the crossed inequality, which
+# the next boundary step pins, so EPS_ACT must not exceed CHART_TOL
+EPS_ACT = 1e-9
 # Newton iterations of one projection
 PROJECT_ITERS = 100
 # bracket doublings of one psi retraction
@@ -148,15 +150,15 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     raise NoConvergence(f"projection did not converge within {PROJECT_ITERS} iterations")
 
 
-def _bisect(phi, a, fa, b, fb):
-    # fa and fb bracket a sign change; returns the root to machine resolution
+def _bisect(phi, a, fa, b):
+    # phi changes sign on [a, b], fa = phi(a); returns the root to machine resolution
     for _ in range(200):
         mid = 0.5 * (a + b)
         fm = phi(mid)
         if fm == 0.0 or (b - a) <= 1e-16 * max(1.0, abs(mid)):
             return mid
         if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
+            b = mid
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
@@ -197,20 +199,19 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
     delta = max(1e-14, 0.1 * abs(f0) / gsq)
     prev = 0.0
     f_prev_pos = f0
-    f_prev_neg = f0
     for _ in range(PSI_DOUBLINGS):
         roots = []
         f_pos = phi(delta)
         if (f0 < 0.0) != (f_pos < 0.0) or f_pos == 0.0:
-            roots.append(_bisect(phi, prev, f_prev_pos, delta, f_pos))
+            roots.append(_bisect(phi, prev, f_prev_pos, delta))
         f_neg = phi(-delta)
         if (f0 < 0.0) != (f_neg < 0.0) or f_neg == 0.0:
-            roots.append(_bisect(phi, -delta, f_neg, -prev, f_prev_neg))
+            roots.append(_bisect(phi, -delta, f_neg, -prev))
         if roots:
             s = min(roots, key=abs)
             return base + s * g
         prev = delta
-        f_prev_pos, f_prev_neg = f_pos, f_neg
+        f_prev_pos = f_pos
         delta *= 2.0
     raise NoRoot("retract_psi: no sign change within the bracket growth limit")
 
@@ -236,16 +237,14 @@ def _project_with_retries(chart: ManifoldChart, x):
         return project(chart, x)
     except NoConvergence:
         pass
-    # deterministic perturbation schedule for degenerate targets
-    for scale in (1e-3, 1e-2, 1e-1):
-        for j in range(chart.problem.n):
-            for sign in (1.0, -1.0):
-                init = x.copy()
-                init[j] += sign * scale * max(1.0, abs(x[j]))
-                try:
-                    return project(chart, x, _init=init)
-                except NoConvergence:
-                    continue
+    # restart from x nudged along each coordinate in turn (degenerate targets)
+    for j in range(chart.problem.n):
+        init = x.copy()
+        init[j] += 1e-3 * max(1.0, abs(x[j]))
+        try:
+            return project(chart, x, _init=init)
+        except NoConvergence:
+            continue
     raise NoConvergence("feasible start: projection failed from all retry seeds")
 
 

@@ -10,8 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NoRoot, NoStep, StepPreconditionError
-from .geometry import CHART_TOL, FEAS_TOL, ManifoldChart, chart_retraction, chart_value
+from .geometry import (CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, chart_retraction,
+                       chart_value)
 from .problems import EvalBundle
+
+# largest backtracking exponent k of a step t = beta0 * beta^k
+K_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ def _armijo(bundle, slope, sigma, t, z):
 
 
 def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
-                sigma: float, k_max: int = 60) -> StepResult:
+                sigma: float, k_max: int = K_MAX) -> StepResult:
     """Smallest k with F(retract(x, t v)) < F(x) + sigma t DF(x) v, t = beta0 beta^k.
 
     The inequality is strict and componentwise.  Raises ``NoStep`` when no
@@ -135,7 +139,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     chart = ManifoldChart(problem, ())
     retract = chart_retraction(chart, config.retraction)
     k_armijo = None
-    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, config.k_max):
+    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, K_MAX):
         if z is None:
             continue
         lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
@@ -147,7 +151,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
         if feasible:
             return StepResult(t=t, k=k, armijo_lhs=lhs,
                               feasibility_repaired=(k != k_armijo), new_point=z, G_val=g)
-    raise NoStep(f"feasible Armijo: no acceptable step within k_max={config.k_max}")
+    raise NoStep(f"feasible Armijo: no acceptable step within k_max={K_MAX}")
 
 
 def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) -> StepResult:
@@ -157,7 +161,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     If the Armijo-accepted point violates a previously inactive inequality,
     the step is shrunk by repeated multiplication with beta to bracket the
     crossing, then bisected so the projected point is feasible and lands on
-    the newly crossed boundary (within ``config.eps_act``); the Armijo
+    the newly crossed boundary (within ``EPS_ACT``); the Armijo
     inequality is re-verified at the shrunk step.
     """
     problem = bundle.problem
@@ -169,35 +173,39 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     outside_rows = [j - 1 for j in range(1, problem.m_G + 1)
                     if j not in active_chart.ineq_indices]
 
-    def max_outside_g(z):
+    def outside_g(z):
+        """G(z) (None without outside rows) and its largest entry over the
+        rows outside the chart; a failed retraction (z None) reads NaN,
+        which is never feasible."""
+        if z is None:
+            return None, np.nan
         if not outside_rows:
-            return -np.inf
+            return None, -np.inf
         g = np.asarray(problem.G(z), dtype=float).reshape(problem.m_G)
-        return float(g[outside_rows].max())
+        return g, float(g[outside_rows].max())
 
-    for k_armijo, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta,
-                                  0, config.k_max):
+    for k_armijo, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, K_MAX):
         if z is not None:
             lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
             if ok:
                 break
     else:
-        raise NoStep(f"boundary step: Armijo failed for all k <= {config.k_max}")
+        raise NoStep(f"boundary step: Armijo failed for all k <= {K_MAX}")
 
-    if max_outside_g(z) <= FEAS_TOL:
+    g, g_max = outside_g(z)
+    if g_max <= FEAS_TOL:
         return StepResult(t=t, k=k_armijo, armijo_lhs=lhs, feasibility_repaired=False,
-                          new_point=z)
+                          new_point=z, G_val=g)
 
-    # shrink by beta until the projected point is feasible again; g_lo is
-    # max_outside_g(z_lo), kept so that no point's G is computed twice, and
-    # a failed retraction reads NaN, which is never feasible
+    # shrink by beta until the projected point is feasible again; the bracket
+    # keeps G(z_lo) and its outside maximum so that no point's G is computed twice
     t_hi = t
     t_lo = None
     for _, t_try, z_try in _trials(retract, bundle.x, v, config.beta0, config.beta,
-                                   k_armijo + 1, config.k_max):
-        g_try = max_outside_g(z_try) if z_try is not None else np.nan
-        if g_try <= FEAS_TOL:
-            t_lo, z_lo, g_lo = t_try, z_try, g_try
+                                   k_armijo + 1, K_MAX):
+        g_try, max_try = outside_g(z_try)
+        if max_try <= FEAS_TOL:
+            t_lo, z_lo, g_lo, max_lo = t_try, z_try, g_try, max_try
             break
         t_hi = t_try
     if t_lo is None:
@@ -205,22 +213,22 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
 
     # bisect the bracket so a newly crossed inequality becomes active
     for _ in range(200):
-        if g_lo >= -config.eps_act:
+        if max_lo >= -EPS_ACT:
             break
         if t_hi - t_lo <= 1e-15 * max(1.0, t_hi):
             break
         t_mid = 0.5 * (t_lo + t_hi)
         z_mid = _try_retract(retract, bundle.x, t_mid * v)
-        g_mid = max_outside_g(z_mid) if z_mid is not None else np.nan
-        if g_mid <= FEAS_TOL:
-            t_lo, z_lo, g_lo = t_mid, z_mid, g_mid
+        g_mid, max_mid = outside_g(z_mid)
+        if max_mid <= FEAS_TOL:
+            t_lo, z_lo, g_lo, max_lo = t_mid, z_mid, g_mid, max_mid
         else:
             t_hi = t_mid
-    if g_lo < -config.eps_act:
+    if max_lo < -EPS_ACT:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 
     lhs, ok = _armijo(bundle, slope, config.sigma, t_lo, z_lo)
     if not ok:
         raise NoStep("boundary step: Armijo fails at the boundary-activating step")
     return StepResult(t=t_lo, k=k_armijo, armijo_lhs=lhs, feasibility_repaired=True,
-                      new_point=z_lo)
+                      new_point=z_lo, G_val=g_lo)

@@ -100,7 +100,7 @@ class EvalBundle:
     DG_val: Array
 
 
-def _call(problem, component, fun, x, shape, value=None):
+def _call(component, fun, x, shape, value=None):
     """``fun(x)`` (or the given ``value`` of it) as a float array of
     ``shape``, checked to be finite."""
     if fun is None:
@@ -125,11 +125,11 @@ def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
     return EvalBundle(
         problem=problem,
         x=x,
-        F_val=_call(problem, "F", problem.F, x, (m,), F_val),
-        G_val=_call(problem, "G", problem.G, x, (mg,), G_val),
-        DF_val=_call(problem, "DF", problem.DF, x, (m, n)),
-        DH_val=_call(problem, "DH", problem.DH, x, (mh, n)),
-        DG_val=_call(problem, "DG", problem.DG, x, (mg, n)),
+        F_val=_call("F", problem.F, x, (m,), F_val),
+        G_val=_call("G", problem.G, x, (mg,), G_val),
+        DF_val=_call("DF", problem.DF, x, (m, n)),
+        DH_val=_call("DH", problem.DH, x, (mh, n)),
+        DG_val=_call("DG", problem.DG, x, (mg, n)),
     )
 
 
@@ -151,12 +151,12 @@ def fd_audit(problem: ProblemSpec, x, h: float = 1e-6) -> float:
     if problem.m_G > 0:
         triples.append(("G", problem.G, problem.DG, problem.m_G))
     for component, fun, jac, rows in triples:
-        J = _call(problem, "D" + component, jac, x, (rows, problem.n))
+        J = _call("D" + component, jac, x, (rows, problem.n))
         for j in range(problem.n):
             step = np.zeros(problem.n)
             step[j] = h
-            hi = _call(problem, component, fun, x + step, (rows,))
-            lo = _call(problem, component, fun, x - step, (rows,))
+            hi = _call(component, fun, x + step, (rows,))
+            lo = _call(component, fun, x - step, (rows,))
             fd = (hi - lo) / (2.0 * h)
             denom = np.maximum(1.0, np.maximum(np.abs(J[:, j]), np.abs(fd)))
             worst = max(worst, float(np.max(np.abs(fd - J[:, j]) / denom)))

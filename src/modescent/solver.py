@@ -9,13 +9,15 @@ import numpy as np
 
 from .direction import SubproblemKind, solve_direction
 from .errors import ModescentError
-from .geometry import ManifoldChart, feasible_start
+from .geometry import EPS_ACT, ManifoldChart, feasible_start
 from .linesearch import boundary_step, feasible_armijo_step
 from .output import config_to_dict, fmt, write_csv, write_json
 from .problems import ProblemSpec, as_point, evaluate
 
 TERMINATED_CRITICAL = "TERMINATED_CRITICAL"
 ITER_CAP = "ITER_CAP"
+# a point is critical once the boundary-leaving value alpha1 >= -TOL_ALPHA
+TOL_ALPHA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,7 @@ class SolverConfig:
     ``eta`` is the strategy switch: boundary-following steps are taken while
     the boundary subproblem value stays below -eta; ``eta = inf`` selects the
     pure boundary-leaving strategy.  ``epsilon`` is the active-set tolerance
-    of the boundary-leaving subproblem, ``eps_act`` the (much tighter)
-    activation tolerance for treating an inequality as an equality.
+    of the boundary-leaving subproblem.  These are the CLI's solver options.
     """
 
     beta0: float = 1.0
@@ -34,11 +35,8 @@ class SolverConfig:
     sigma: float = 1e-4
     epsilon: float = 1e-4
     eta: float = math.inf
-    tol_alpha: float = 1e-8
     max_iters: int = 10000
-    eps_act: float = 1e-9
     retraction: str = "project"
-    k_max: int = 60
 
     def __post_init__(self):
         # each float test is written so that NaN fails it
@@ -52,16 +50,10 @@ class SolverConfig:
             raise ValueError("epsilon must be >= 0")
         if not (self.eta >= 0):
             raise ValueError("eta must be >= 0 (inf selects the pure boundary-leaving strategy)")
-        if not (self.tol_alpha > 0):
-            raise ValueError("tol_alpha must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.eps_act >= 0):
-            raise ValueError("eps_act must be >= 0")
         if self.retraction not in ("project", "psi"):
             raise ValueError("retraction must be 'project' or 'psi'")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
 
 
 @dataclass
@@ -129,10 +121,10 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
 
     Per iteration: with any inequality active at tolerance ``epsilon`` and a
     finite eta, solve the boundary subproblem (active inequalities pinned as
-    equalities at tolerance ``eps_act``); follow the boundary while its
+    equalities at tolerance ``EPS_ACT``); follow the boundary while its
     value alpha2 <= -eta and a step is possible, otherwise fall back to the
     boundary-leaving subproblem (active inequalities as extra objectives)
-    and stop once its value alpha1 >= -tol_alpha, or after ``max_iters``
+    and stop once its value alpha1 >= -TOL_ALPHA, or after ``max_iters``
     steps (``ITER_CAP`` unless alpha1 at the final point passes the same
     test).  The next iteration takes F at the accepted point, and G where
     the step computed it, from the step instead of calling the maps again.
@@ -156,10 +148,10 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
             d2 = None
             if not at_cap and math.isfinite(config.eta) \
                     and (bundle.G_val >= -config.epsilon).any():
-                d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, config.eps_act)
+                d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
                 # a numerically null boundary direction cannot drive a step, so
                 # it falls through to the boundary-leaving branch as well
-                if not (d2.alpha > -config.eta or d2.alpha >= -config.tol_alpha):
+                if not (d2.alpha > -config.eta or d2.alpha >= -TOL_ALPHA):
                     chart = ManifoldChart(problem, d2.active_set)
                     step = boundary_step(bundle, d2.v, chart, config)
                     trace.records.append(IterateRecord(
@@ -171,7 +163,7 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
 
             d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, config.epsilon)
             alpha2 = d2.alpha if d2 is not None else None
-            critical = d1.alpha >= -config.tol_alpha
+            critical = d1.alpha >= -TOL_ALPHA
             if at_cap or critical:
                 trace.records.append(IterateRecord(
                     iteration=it, x=x.copy(), F=bundle.F_val.copy(),

@@ -93,6 +93,22 @@ def hemisphere_critical_distance(x):
     return best
 
 
+def make_vertex_problem():
+    """Three objectives pushing up and right into the corner x <= (1, 1).
+
+    With both walls pinned, SP2 at (1, 1) has a zero-dimensional tangent
+    space.
+    """
+    return md.ProblemSpec(
+        name="vertex", n=2, m=3,
+        F=lambda x: np.array([-x[0], -x[1], -x[0] - x[1]]),
+        DF=lambda x: np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]),
+        m_G=2,
+        G=lambda x: np.array([x[0] - 1.0, x[1] - 1.0]),
+        DG=lambda x: np.eye(2),
+    )
+
+
 def make_infeasible_problem():
     """Equality x1^2 + 1 = 0 has no solution; feasibility solves must fail."""
     return md.ProblemSpec(

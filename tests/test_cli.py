@@ -1,15 +1,18 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import modescent as md
-from modescent.cli import main
+from modescent.cli import front, main, solve
 
 from oracles import dist_to_critical_set
 
+OCTANT_FILE = Path(__file__).parent / "data" / "octant3d.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -54,6 +57,21 @@ def test_solve_bad_flags(tmp_path):
     assert main(["solve", "--x0", "0,0", "--out", str(tmp_path)]) == 64
     assert main(["solve", "--problem", "circle2d", "--x0", "0,0",
                  "--eta", "huge", "--out", str(tmp_path)]) == 64
+
+
+def test_solve_non_numeric_x0_is_usage_error(tmp_path):
+    assert main(["solve", "--problem", "circle2d", "--x0", "1,a",
+                 "--out", str(tmp_path)]) == 64
+
+
+@pytest.mark.parametrize("command", [solve, front], ids=["solve", "front"])
+def test_solver_options_are_the_config_fields(command):
+    # every solver option is a SolverConfig field with the same default,
+    # and every field is an option
+    own = {"problem_name", "problem_file", "x0", "grid", "outdir"}
+    options = {p.name: p.default for p in command.params if p.name not in own}
+    fields = {f.name: f.default for f in dataclasses.fields(md.SolverConfig)}
+    assert options == fields
 
 
 @pytest.mark.parametrize("flag", ["--eta", "--beta0", "--eps"])
@@ -123,6 +141,13 @@ def test_front_single_cell_grid_uses_anchor(tmp_path):
     assert doc["entries"][0]["iterations"] == 0
 
 
+def test_front_anchor_with_larger_grid_is_usage_error(tmp_path):
+    out = tmp_path / "front"
+    assert main(["front", "--problem", "circle2d", "--grid", "5x5",
+                 "--x0", "1,1", "--out", str(out)]) == 64
+    assert not out.exists()
+
+
 def test_front_missing_grid_is_usage_error():
     assert main(["front", "--problem", "circle2d"]) == 64
 
@@ -155,6 +180,11 @@ def test_audit_passes_on_analytic_problem():
 
 def test_audit_fails_on_broken_jacobian():
     assert main(["audit", "--problem", "broken-jacobian"]) == 1
+
+
+def test_audit_problem_and_problem_file_is_usage_error():
+    assert main(["audit", "--problem", "circle2d",
+                 "--problem-file", str(OCTANT_FILE)]) == 64
 
 
 def test_audit_all_registered_by_default():

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import modescent as md
 from modescent.direction import SubproblemKind
+
+from conftest import make_vertex_problem
 from oracles import grid_min_norm, origin_in_hull
 
 
@@ -241,6 +243,17 @@ def test_direction_sp2_rank_error_propagates():
     b = md.evaluate(p, [0.0, 0.0])
     with pytest.raises(md.RankError):
         md.solve_direction(b, SubproblemKind.EQUALITY_ICS, 1e-9)
+
+
+def test_direction_sp2_at_a_vertex_is_zero():
+    # both walls pinned leave no tangent direction: the hull of the
+    # zero-length projected gradients gives v = 0 with a simplex certificate
+    b = md.evaluate(make_vertex_problem(), [1.0, 1.0])
+    d = md.solve_direction(b, SubproblemKind.EQUALITY_ICS, 1e-9)
+    assert d.active_set == (1, 2)
+    assert np.array_equal(d.v, np.zeros(2))
+    assert d.alpha == 0.0
+    assert d.lam.min() >= 0.0 and d.lam.sum() == pytest.approx(1.0)
 
 
 def _sample_feasible_circle_points(rng, count):

@@ -1,7 +1,8 @@
 """Static hygiene of the package, checked with the standard library's ``ast``:
 no module imports a name it never uses, no private module-level function
-or class outlives its last caller, and the public name list holds only
-names the package defines."""
+or class outlives its last caller, no private module-level function takes
+a parameter it never reads, and the public name list holds only names the
+package defines."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,20 @@ def test_every_private_definition_is_referenced():
                        for other in trees.values()):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreferenced, f"private definitions without a caller: {unreferenced}"
+
+
+def test_every_private_function_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({name})"
+                       for name in params if name not in read]
+    assert not unread, f"parameters never read: {unread}"

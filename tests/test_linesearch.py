@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import modescent as md
+from modescent.geometry import EPS_ACT
 from modescent.linesearch import armijo_step, boundary_step, feasible_armijo_step
 
 from conftest import make_box_problem
@@ -104,7 +105,7 @@ def test_feasible_armijo_delegates_when_ics_inactive(circle2d):
     b = md.evaluate(circle2d, (-2.0, 0.5))
     d = md.solve_direction(b, md.SubproblemKind.OBJECTIVE_ICS, 1e-4)
     cfg = md.SolverConfig(beta0=0.01, beta=0.5)
-    plain = armijo_step(b, d.v, IDENTITY, cfg.beta0, cfg.beta, cfg.sigma, cfg.k_max)
+    plain = armijo_step(b, d.v, IDENTITY, cfg.beta0, cfg.beta, cfg.sigma)
     feas = feasible_armijo_step(b, d.v, d.active_set, cfg)
     assert feas.t == pytest.approx(plain.t)
     assert feas.new_point == pytest.approx(plain.new_point, abs=1e-12)
@@ -165,21 +166,26 @@ def test_boundary_step_activates_second_face():
     step = boundary_step(b, np.array([1.0, 0.0]), chart, cfg)
     assert step.feasibility_repaired
     assert step.new_point == pytest.approx([1.0, 0.0], abs=1e-7)
-    new_active = md.active_set(md.evaluate(p, step.new_point), cfg.eps_act)
+    new_active = md.active_set(md.evaluate(p, step.new_point), EPS_ACT)
     assert new_active == (1, 2)
     assert float(np.max(p.G(step.new_point))) <= 1e-9
 
 
-def test_boundary_step_no_step_on_exhaustion(circle2d):
-    # curvature along the circle makes Armijo with sigma ~ 1 need tiny steps;
-    # a small exponent budget cannot reach them
-    x = np.array([np.cos(2.0), np.sin(2.0)])
-    b = md.evaluate(circle2d, x)
-    d = md.solve_direction(b, md.SubproblemKind.EQUALITY_ICS, 1e-9)
-    chart = md.ManifoldChart(circle2d, (1,))
-    cfg = md.SolverConfig(beta0=1.0, beta=0.5, sigma=1.0 - 1e-9, k_max=3)
-    with pytest.raises(md.NoStep):
-        boundary_step(b, d.v, chart, cfg)
+def test_boundary_step_no_step_on_exhaustion():
+    # DF claims descent up the circle while F = x2 grows there, so no
+    # k <= K_MAX passes Armijo
+    p = md.ProblemSpec(
+        name="lying", n=2, m=1,
+        F=lambda x: np.array([x[1]]),
+        DF=lambda x: np.array([[0.0, -1.0]]),
+        m_G=1,
+        G=lambda x: np.array([1.0 - x @ x]),
+        DG=lambda x: np.array([-2.0 * x]),
+    )
+    b = md.evaluate(p, [1.0, 0.0])
+    chart = md.ManifoldChart(p, (1,))
+    with pytest.raises(md.NoStep, match="Armijo failed"):
+        boundary_step(b, np.array([0.0, 1.0]), chart, md.SolverConfig())
 
 
 def test_boundary_step_requires_point_on_chart(circle2d):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
 from modescent.geometry import FEAS_TOL
+from modescent.solver import TOL_ALPHA
 
 from oracles import grid_min_norm
 
@@ -55,7 +56,7 @@ def _assert_certified(problem, x, cfg):
     rows = [np.asarray(problem.DF(x), dtype=float)]
     rows.append(np.asarray(problem.DG(x), dtype=float)[G >= -cfg.epsilon])
     _, p = grid_min_norm(np.vstack(rows))
-    assert 0.5 * float(p @ p) <= cfg.tol_alpha + 1e-10
+    assert 0.5 * float(p @ p) <= TOL_ALPHA + 1e-10
 
 
 # the start (-3, 3) ends where grad F2 is antiparallel to grad G: a thin

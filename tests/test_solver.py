@@ -6,10 +6,10 @@ import pytest
 
 import modescent as md
 from modescent import solver
-from modescent.solver import write_trace_csv, write_trace_json
+from modescent.solver import TOL_ALPHA, write_trace_csv, write_trace_json
 
 from conftest import (CIRCLE_CONFIG, hemisphere_critical_distance,
-                      make_hemisphere_problem, make_infeasible_problem)
+                      make_hemisphere_problem, make_infeasible_problem, make_vertex_problem)
 from oracles import dist_to_critical_set, dist_to_segment
 
 
@@ -29,7 +29,7 @@ def test_equality_critical_start_stops_immediately(sphere3d):
     x, trace = md.solve_equality(sphere3d, (0.0, 0.0, -1.0))
     assert trace.iterations == 0
     assert trace.termination == md.TERMINATED_CRITICAL
-    assert trace.final_alpha >= -md.SolverConfig().tol_alpha
+    assert trace.final_alpha >= -TOL_ALPHA
 
 
 def test_equality_opposite_gradients_every_point_critical(rng):
@@ -112,7 +112,7 @@ def test_constrained_critical_flag_certified_independently(circle2d):
     assert trace.termination == md.TERMINATED_CRITICAL
     check = md.solve_direction(md.evaluate(circle2d, x),
                                md.SubproblemKind.OBJECTIVE_ICS, cfg.epsilon)
-    assert check.alpha >= -cfg.tol_alpha
+    assert check.alpha >= -TOL_ALPHA
     assert trace.final_alpha == pytest.approx(check.alpha, abs=1e-15)
 
 
@@ -129,7 +129,7 @@ def test_constrained_eta_branch_counts(circle2d):
     # has any usable descent; SP1 steps see it only at numerical criticality
     for rec in tr_zero.records:
         if rec.branch == "SP1-step" and rec.alpha2 is not None:
-            assert abs(rec.alpha2) <= cfg_zero.tol_alpha
+            assert abs(rec.alpha2) <= TOL_ALPHA
 
 
 def test_constrained_equality_only_problem_matches_equality_solver(sphere3d):
@@ -279,11 +279,15 @@ def test_constrained_infeasible_problem_attaches_trace():
     assert err.value.trace.termination.startswith("FAILED")
 
 
-def test_constrained_no_step_attaches_partial_trace(circle2d):
-    cfg = md.SolverConfig(**CIRCLE_CONFIG, eta=np.inf, k_max=2)
+def test_constrained_no_step_attaches_partial_trace():
+    # after three steps broken-jacobian's biased DF entry claims descent
+    # along a direction in which the true F1 grows, so no step passes Armijo
+    problem = md.registry_get("broken-jacobian")
+    cfg = md.SolverConfig(beta0=0.1, eta=np.inf)
     with pytest.raises(md.NoStep) as err:
-        md.solve_constrained(circle2d, (-2.0, 0.5), cfg)
-    assert len(err.value.trace.records) >= 1
+        md.solve_constrained(problem, (2.5, 2.0), cfg)
+    assert err.value.trace.termination == "FAILED:NoStep"
+    assert len(err.value.trace.records) == 3
 
 
 def test_constrained_iteration_cap_flag(circle2d):
@@ -295,12 +299,12 @@ def test_constrained_iteration_cap_flag(circle2d):
 
 def test_cap_pass_at_a_critical_point_terminates_critical(sphere3d):
     # four steps reach the south pole: the pass after the last allowed step
-    # finds alpha1 >= -tol_alpha there, so the run is critical, not capped
+    # finds alpha1 >= -TOL_ALPHA there, so the run is critical, not capped
     _, capped = md.solve_constrained(sphere3d, (1.0, 0.0, 0.0), md.SolverConfig(max_iters=3))
     assert capped.termination == md.ITER_CAP
     x, trace = md.solve_constrained(sphere3d, (1.0, 0.0, 0.0), md.SolverConfig(max_iters=4))
     assert trace.iterations == 4
-    assert trace.final_alpha >= -md.SolverConfig().tol_alpha
+    assert trace.final_alpha >= -TOL_ALPHA
     assert trace.termination == md.TERMINATED_CRITICAL
     assert x == pytest.approx([0.0, 0.0, -1.0], abs=1e-8)
 
@@ -312,6 +316,18 @@ def test_constrained_infeasible_start_is_projected_first(circle2d):
     # the run starts from the projected boundary point (1, 0)
     assert trace.records[0].x == pytest.approx([1.0, 0.0], abs=1e-9)
     assert dist_to_critical_set(x) <= 1e-3
+
+
+def test_constrained_vertex_is_critical_and_reached():
+    problem = make_vertex_problem()
+    # at the vertex SP2 has no direction, so SP1 certifies criticality at once
+    x, trace = md.solve_constrained(problem, (1.0, 1.0), md.SolverConfig(eta=1.0))
+    assert trace.termination == md.TERMINATED_CRITICAL
+    assert trace.iterations == 0
+    assert np.array_equal(x, [1.0, 1.0])
+    x, trace = md.solve_constrained(problem, (0.0, 0.0), md.SolverConfig(beta0=0.5))
+    assert trace.termination == md.TERMINATED_CRITICAL
+    assert x == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_constrained_combined_equality_and_inequality():
@@ -358,8 +374,7 @@ def test_config_validation():
     assert md.SolverConfig(eta=np.inf).eta == np.inf
 
 
-@pytest.mark.parametrize("field", ["beta0", "beta", "sigma", "epsilon", "eta",
-                                   "tol_alpha", "eps_act"])
+@pytest.mark.parametrize("field", ["beta0", "beta", "sigma", "epsilon", "eta"])
 def test_config_rejects_nan(field):
     with pytest.raises(ValueError, match=field):
         md.SolverConfig(**{field: np.nan})
