@@ -3,12 +3,12 @@ optimization, with two active-set strategies and a multistart front driver."""
 
 from .direction import (DirectionResult, SubproblemKind, active_set, min_norm_in_hull,
                         solve_direction, tangent_basis)
-from .errors import (EvaluationError, ModescentError, NoConvergence, NoRoot,
-                     NoStep, RankError, StepPreconditionError, UnknownProblemError)
+from .errors import (EvaluationError, ModescentError, NoConvergence, NoStep,
+                     RankError, StepPreconditionError, UnknownProblemError)
 from .geometry import (ManifoldChart, chart_retraction, feasible_start, project,
                        retract_psi)
-from .globalize import (ArchiveEntry, ParetoArchive, deduplicate, grid_points,
-                        multistart, nondominated_filter)
+from .globalize import (ArchiveEntry, deduplicate, grid_points, multistart,
+                        nondominated_filter)
 from .linesearch import StepResult, armijo_step, boundary_step, feasible_armijo_step
 from .problems import (EvalBundle, ProblemSpec, evaluate, fd_audit, load_problem,
                        registry_get, registry_names)
@@ -19,10 +19,9 @@ from .solver import (ITER_CAP, IterateRecord, IterateTrace, SolverConfig,
 __all__ = [
     "ArchiveEntry", "DirectionResult", "EvalBundle", "EvaluationError",
     "ITER_CAP", "IterateRecord", "IterateTrace", "ManifoldChart",
-    "ModescentError", "NoConvergence", "NoRoot", "NoStep",
-    "ParetoArchive", "ProblemSpec", "RankError", "SolverConfig",
-    "StepPreconditionError", "StepResult", "SubproblemKind",
-    "TERMINATED_CRITICAL", "UnknownProblemError",
+    "ModescentError", "NoConvergence", "NoStep", "ProblemSpec",
+    "RankError", "SolverConfig", "StepPreconditionError", "StepResult",
+    "SubproblemKind", "TERMINATED_CRITICAL", "UnknownProblemError",
     "active_set", "armijo_step", "boundary_step", "chart_retraction",
     "deduplicate", "evaluate", "fd_audit", "feasible_armijo_step",
     "feasible_start", "grid_points", "load_problem", "min_norm_in_hull",

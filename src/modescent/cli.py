@@ -183,10 +183,10 @@ def front(problem_name, problem_file, grid, x0, outdir, **config_kwargs):
         write_archive_json(arch, json_path)
         outputs += [csv_path, json_path]
 
-    failures = sum(1 for e in archive.entries if e.error is not None)
+    failures = sum(1 for e in archive if e.error is not None)
     summary = {
         "runs": len(archive),
-        "converged": sum(1 for e in archive.entries if e.converged),
+        "converged": sum(1 for e in archive if e.converged),
         "failures": failures,
         "front_size": len(front_archive),
     }

@@ -110,6 +110,9 @@ def min_norm_in_hull(generators):
     if not np.isfinite(G).all():
         raise ValueError("generators contain non-finite entries")
 
+    # kept although Wolfe's first pass returns the same bits: 5 us against
+    # 26 us per call (timeit, one 3-vector, 2-core x86, Python 3.11, numpy
+    # 2.4), a cost every SP1 solve at m = 1 would pay
     if k == 1:
         return np.ones(1), G[0].copy()
     if k == 2:

@@ -11,10 +11,10 @@ class EvaluationError(ModescentError):
     Carries the name of the offending component ("F", "DF", "H", ...).
     """
 
-    def __init__(self, component, x, message=None):
+    def __init__(self, component, x):
         self.component = component
         self.x = x
-        super().__init__(message or f"non-finite value in component {component!r} at x={x!r}")
+        super().__init__(f"non-finite value in component {component!r} at x={x!r}")
 
 
 class RankError(ModescentError):
@@ -22,7 +22,8 @@ class RankError(ModescentError):
 
 
 class NoConvergence(ModescentError):
-    """An iterative subsolver (projection, feasibility) stalled or hit its cap."""
+    """An iterative subsolver (projection, feasibility, the psi root bracket)
+    stalled or hit its cap."""
 
 
 class NoStep(ModescentError):
@@ -40,10 +41,6 @@ class StepPreconditionError(NoStep, ValueError):
     trace; for a caller passing such arguments directly it is a
     ``ValueError``.
     """
-
-
-class NoRoot(ModescentError):
-    """Scalar root bracketing hit its growth limit without a sign change."""
 
 
 class UnknownProblemError(ModescentError):

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NoRoot, StepPreconditionError
-from .problems import ProblemSpec, as_point
+from .errors import NoConvergence, StepPreconditionError
+from .problems import ProblemSpec, _call, as_point
 
 # points are accepted as feasible / on-manifold up to this absolute tolerance
 FEAS_TOL = 1e-9
@@ -47,30 +47,29 @@ class ManifoldChart:
         return self.problem.m_H + len(self.ineq_indices)
 
 
-def chart_value(chart: ManifoldChart, x) -> np.ndarray:
+def _chart_rows(chart: ManifoldChart, x, h, g, row_shape) -> np.ndarray:
+    """All rows of h(x), then the rows of g(x) pinned by the chart, each
+    row of shape ``row_shape``."""
     p = chart.problem
     parts = []
     if p.m_H > 0:
-        parts.append(np.asarray(p.H(x), dtype=float).reshape(p.m_H))
+        parts.append(np.asarray(h(x), dtype=float).reshape(p.m_H, *row_shape))
     if chart.ineq_indices:
-        g = np.asarray(p.G(x), dtype=float).reshape(p.m_G)
-        parts.append(g[[i - 1 for i in chart.ineq_indices]])
+        rows = np.asarray(g(x), dtype=float).reshape(p.m_G, *row_shape)
+        parts.append(rows[[i - 1 for i in chart.ineq_indices]])
     if not parts:
-        return np.zeros(0)
+        return np.zeros((0, *row_shape))
     return np.concatenate(parts)
+
+
+def chart_value(chart: ManifoldChart, x) -> np.ndarray:
+    p = chart.problem
+    return _chart_rows(chart, x, p.H, p.G, ())
 
 
 def chart_jacobian(chart: ManifoldChart, x) -> np.ndarray:
     p = chart.problem
-    parts = []
-    if p.m_H > 0:
-        parts.append(np.asarray(p.DH(x), dtype=float).reshape(p.m_H, p.n))
-    if chart.ineq_indices:
-        dg = np.asarray(p.DG(x), dtype=float).reshape(p.m_G, p.n)
-        parts.append(dg[[i - 1 for i in chart.ineq_indices]])
-    if not parts:
-        return np.zeros((0, p.n))
-    return np.vstack(parts)
+    return _chart_rows(chart, x, p.DH, p.DG, (p.n,))
 
 
 def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
@@ -169,7 +168,7 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
 
     Returns x + w + s * grad(c)(x) where s is the smallest-magnitude root of
     s -> c(x + w + s * grad(c)(x)), found by doubling a bracket outward from
-    s = 0 (at most PSI_DOUBLINGS times, else ``NoRoot``) and bisecting.
+    s = 0 (at most PSI_DOUBLINGS times, else ``NoConvergence``) and bisecting.
     Requires x on the chart (within CHART_TOL) and w tangent (within 1e-8);
     otherwise raises ``StepPreconditionError``.
     """
@@ -213,7 +212,7 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
         prev = delta
         f_prev_pos = f_pos
         delta *= 2.0
-    raise NoRoot("retract_psi: no sign change within the bracket growth limit")
+    raise NoConvergence("retract_psi: no sign change within the bracket growth limit")
 
 
 def chart_retraction(chart: ManifoldChart, kind: str = "project"):
@@ -255,12 +254,15 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
     pinned to zero, projected, and dropped again when their distance
     multiplier turns negative.  Global minimality is not guaranteed; at
     equidistant degenerate targets an arbitrary nearby feasible point is
-    returned.
+    returned.  Raises ``EvaluationError`` naming the component when H or G
+    is non-finite at ``x``, or G at a projected point: no row could count
+    as violated there, so the point would pass as feasible.
     """
     x = as_point(x, problem.n)
-    h_ok = problem.m_H == 0 or np.max(np.abs(problem.H(x))) <= FEAS_TOL
-    g_val = np.asarray(problem.G(x), dtype=float) if problem.m_G > 0 else np.zeros(0)
-    if h_ok and (g_val.size == 0 or np.max(g_val) <= FEAS_TOL):
+    h_val = _call("H", problem.H, x, (problem.m_H,))
+    g_val = _call("G", problem.G, x, (problem.m_G,))
+    if (h_val.size == 0 or np.max(np.abs(h_val)) <= FEAS_TOL) \
+            and (g_val.size == 0 or np.max(g_val) <= FEAS_TOL):
         return x.copy()
 
     active = {int(i) + 1 for i in np.flatnonzero(g_val > FEAS_TOL)}
@@ -268,7 +270,7 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
         chart = ManifoldChart(problem, tuple(sorted(active)))
         z = _project_with_retries(chart, x)
         if problem.m_G > 0:
-            gz = np.asarray(problem.G(z), dtype=float).reshape(problem.m_G)
+            gz = _call("G", problem.G, z, (problem.m_G,))
             newly = {int(i) + 1 for i in np.flatnonzero(gz > FEAS_TOL)} - active
             if newly:
                 active |= newly

@@ -1,6 +1,6 @@
 """Multistart driver over a sampling grid plus a nondominance filter."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +23,14 @@ class ArchiveEntry:
     error: str | None = None
 
 
-@dataclass
-class ParetoArchive:
-    entries: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.entries)
-
-
+# entries whose x lie closer than this are duplicates in deduplicate
+DEDUP_TOL = 1e-6
 # candidate dominators compared at once in dominance_flags; bounds its
 # working memory to a few (_BLOCK x N) boolean arrays
 _BLOCK = 128
 
 
-def dominance_flags(archive: ParetoArchive) -> list:
+def dominance_flags(archive: list) -> list:
     """Dominated flag per entry; None for entries without objective values.
 
     Exact and vectorised: v dominates w iff v <= w componentwise with some
@@ -45,11 +39,11 @@ def dominance_flags(archive: ParetoArchive) -> list:
     with m objectives the pass makes O(N^2 m) comparisons in numpy, _BLOCK
     candidate dominators at a time, and holds O(_BLOCK N) extra memory.
     """
-    flags: list = [None] * len(archive.entries)
-    valued = [i for i, e in enumerate(archive.entries) if e.F is not None]
+    flags: list = [None] * len(archive)
+    valued = [i for i, e in enumerate(archive) if e.F is not None]
     if not valued:
         return flags
-    F = np.array([archive.entries[i].F for i in valued], dtype=float).reshape(len(valued), -1)
+    F = np.array([archive[i].F for i in valued], dtype=float).reshape(len(valued), -1)
     dominated = np.zeros(len(valued), dtype=bool)
     for lo in range(0, len(valued), _BLOCK):
         block = F[lo:lo + _BLOCK]
@@ -66,25 +60,26 @@ def dominance_flags(archive: ParetoArchive) -> list:
     return flags
 
 
-def nondominated_filter(archive: ParetoArchive) -> ParetoArchive:
+def nondominated_filter(archive: list) -> list:
     """Retain exactly the entries whose F-value no other entry dominates.
 
     Identical F-vectors do not dominate each other (a strict component is
     required), so exact duplicates are all retained.
     """
     flags = dominance_flags(archive)
-    return ParetoArchive([e for e, f in zip(archive.entries, flags) if f is False])
+    return [e for e, f in zip(archive, flags) if f is False]
 
 
-def deduplicate(archive: ParetoArchive, tol: float = 1e-6) -> ParetoArchive:
-    """Reporting helper: drop entries whose x is within ``tol`` of a kept one."""
+def deduplicate(archive: list) -> list:
+    """Reporting helper: drop entries whose x is within ``DEDUP_TOL`` of a
+    kept one."""
     kept: list = []
-    for entry in archive.entries:
+    for entry in archive:
         if entry.x is None:
             continue
-        if all(np.linalg.norm(entry.x - other.x) >= tol for other in kept):
+        if all(np.linalg.norm(entry.x - other.x) >= DEDUP_TOL for other in kept):
             kept.append(entry)
-    return ParetoArchive(kept)
+    return kept
 
 
 def grid_points(box, counts) -> np.ndarray:
@@ -103,23 +98,23 @@ def grid_points(box, counts) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def multistart(problem: ProblemSpec, starts, config: SolverConfig = SolverConfig()) -> ParetoArchive:
-    """Run the constrained solver from every start point and archive the
-    terminal points.  Individual run failures are recorded as failed
-    entries, not raised."""
+def multistart(problem: ProblemSpec, starts, config: SolverConfig = SolverConfig()) -> list:
+    """Run the constrained solver from every start point and return one
+    ``ArchiveEntry`` per start, in start order.  Individual run failures are
+    recorded as failed entries, not raised."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    archive = ParetoArchive()
+    archive: list = []
     for x0 in starts:
         try:
             x, trace = solve_constrained(problem, x0, config)
         except ModescentError as err:
             part = getattr(err, "trace", None)
-            archive.entries.append(ArchiveEntry(
+            archive.append(ArchiveEntry(
                 start=x0.copy(), x=None, F=None, alpha=None, converged=False,
                 iterations=part.iterations if part is not None else 0,
                 error=f"{type(err).__name__}: {err}"))
             continue
-        archive.entries.append(ArchiveEntry(
+        archive.append(ArchiveEntry(
             start=x0.copy(), x=x, F=trace.records[-1].F.copy(),
             alpha=trace.final_alpha,
             converged=trace.termination == TERMINATED_CRITICAL,
@@ -131,13 +126,13 @@ def multistart(problem: ProblemSpec, starts, config: SolverConfig = SolverConfig
 # archive serialization
 
 
-def write_archive_csv(archive: ParetoArchive, path, n: int, m: int) -> None:
+def write_archive_csv(archive: list, path, n: int, m: int) -> None:
     """Columns: x..., F..., alpha, converged, dominated."""
     flags = dominance_flags(archive)
     header = ([f"x{i + 1}" for i in range(n)] + [f"F{i + 1}" for i in range(m)]
               + ["alpha", "converged", "dominated"])
     rows = []
-    for entry, flag in zip(archive.entries, flags):
+    for entry, flag in zip(archive, flags):
         row = [fmt(v) for v in entry.x] if entry.x is not None else [""] * n
         row += [fmt(v) for v in entry.F] if entry.F is not None else [""] * m
         row.append(fmt(entry.alpha) if entry.alpha is not None else "")
@@ -147,7 +142,7 @@ def write_archive_csv(archive: ParetoArchive, path, n: int, m: int) -> None:
     write_csv(path, header, rows)
 
 
-def archive_to_dict(archive: ParetoArchive) -> dict:
+def archive_to_dict(archive: list) -> dict:
     flags = dominance_flags(archive)
     return {
         "entries": [
@@ -161,10 +156,10 @@ def archive_to_dict(archive: ParetoArchive) -> dict:
                 "dominated": flag,
                 "error": e.error,
             }
-            for e, flag in zip(archive.entries, flags)
+            for e, flag in zip(archive, flags)
         ]
     }
 
 
-def write_archive_json(archive: ParetoArchive, path) -> None:
+def write_archive_json(archive: list, path) -> None:
     write_json(path, archive_to_dict(archive))

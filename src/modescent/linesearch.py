@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NoRoot, NoStep, StepPreconditionError
+from .errors import NoConvergence, NoStep, StepPreconditionError
 from .geometry import (CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, chart_retraction,
                        chart_value)
 from .problems import EvalBundle
@@ -37,10 +37,6 @@ class StepResult:
     G_val: np.ndarray | None = None
 
 
-def _eval_F(problem, x):
-    return np.asarray(problem.F(x), dtype=float).reshape(problem.m)
-
-
 def _descent_slope(bundle, v):
     slope = bundle.DF_val @ v
     if not (slope < 0.0).all():
@@ -49,8 +45,8 @@ def _descent_slope(bundle, v):
     return slope
 
 
-def _trials(retract, x, v, beta0, beta, k_first, k_max):
-    """Yield ``(k, t, z)`` for t = beta0 * beta^k, k = k_first..k_max, where
+def _trials(retract, x, v, beta0, beta, k_max):
+    """Yield ``(k, t, z)`` for t = beta0 * beta^k, k = 0..k_max, where
     z is the retracted point of the step t v, or None where the retraction
     fails.
 
@@ -58,7 +54,7 @@ def _trials(retract, x, v, beta0, beta, k_first, k_max):
     x every later trial repeats the last one: the generator stops after
     such a trial if it failed or returned x itself.
     """
-    for k in range(k_first, k_max + 1):
+    for k in range(k_max + 1):
         t = beta0 * beta ** k
         w = t * v
         z = _try_retract(retract, x, w)
@@ -70,7 +66,8 @@ def _trials(retract, x, v, beta0, beta, k_first, k_max):
 def _armijo(bundle, slope, sigma, t, z):
     """F(z) and whether F(z) < F(x) + sigma t DF(x) v holds (strictly, in
     every component)."""
-    lhs = _eval_F(bundle.problem, z)
+    problem = bundle.problem
+    lhs = np.asarray(problem.F(z), dtype=float).reshape(problem.m)
     return lhs, bool((lhs < bundle.F_val + sigma * t * slope).all())
 
 
@@ -82,7 +79,7 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
     k <= k_max satisfies it (numerically degenerate tolerances).
     """
     slope = _descent_slope(bundle, v)
-    for k, t, z in _trials(retract, bundle.x, v, beta0, beta, 0, k_max):
+    for k, t, z in _trials(retract, bundle.x, v, beta0, beta, k_max):
         if z is None:
             continue
         lhs, ok = _armijo(bundle, slope, sigma, t, z)
@@ -113,7 +110,7 @@ def _try_retract(retract, x, w):
     # the candidate step is too long and backtracking must continue
     try:
         return retract(x, w)
-    except (NoConvergence, NoRoot):
+    except NoConvergence:
         return None
 
 
@@ -139,7 +136,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     chart = ManifoldChart(problem, ())
     retract = chart_retraction(chart, config.retraction)
     k_armijo = None
-    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, K_MAX):
+    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX):
         if z is None:
             continue
         lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
@@ -184,7 +181,11 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         g = np.asarray(problem.G(z), dtype=float).reshape(problem.m_G)
         return g, float(g[outside_rows].max())
 
-    for k_armijo, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, 0, K_MAX):
+    # the shrink phase continues this generator after the accepted trial (a
+    # strict Armijo test never accepts z == x, so the generator's early stop
+    # cannot fire there)
+    trials = _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX)
+    for k_armijo, t, z in trials:
         if z is not None:
             lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
             if ok:
@@ -201,8 +202,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     # keeps G(z_lo) and its outside maximum so that no point's G is computed twice
     t_hi = t
     t_lo = None
-    for _, t_try, z_try in _trials(retract, bundle.x, v, config.beta0, config.beta,
-                                   k_armijo + 1, K_MAX):
+    for _, t_try, z_try in trials:
         g_try, max_try = outside_g(z_try)
         if max_try <= FEAS_TOL:
             t_lo, z_lo, g_lo, max_lo = t_try, z_try, g_try, max_try

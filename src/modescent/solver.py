@@ -145,36 +145,31 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
             # the pass after the last allowed step only records alpha1
             at_cap = it == config.max_iters
             bundle = evaluate(problem, x, F_val, G_val)
-            d2 = None
+            d2 = step = None
             if not at_cap and math.isfinite(config.eta) \
                     and (bundle.G_val >= -config.epsilon).any():
                 d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
                 # a numerically null boundary direction cannot drive a step, so
                 # it falls through to the boundary-leaving branch as well
                 if not (d2.alpha > -config.eta or d2.alpha >= -TOL_ALPHA):
-                    chart = ManifoldChart(problem, d2.active_set)
-                    step = boundary_step(bundle, d2.v, chart, config)
+                    d, branch = d2, "SP2-step"
+                    step = boundary_step(bundle, d.v, ManifoldChart(problem, d.active_set),
+                                         config)
+            alpha2 = d2.alpha if d2 is not None else None
+            if step is None:
+                d = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, config.epsilon)
+                critical = d.alpha >= -TOL_ALPHA
+                if at_cap or critical:
                     trace.records.append(IterateRecord(
                         iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                        alpha=d2.alpha, active_set=d2.active_set,
-                        branch="SP2-step", t=step.t, k=step.k, alpha2=d2.alpha))
-                    x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
-                    continue
-
-            d1 = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, config.epsilon)
-            alpha2 = d2.alpha if d2 is not None else None
-            critical = d1.alpha >= -TOL_ALPHA
-            if at_cap or critical:
-                trace.records.append(IterateRecord(
-                    iteration=it, x=x.copy(), F=bundle.F_val.copy(),
-                    alpha=d1.alpha, active_set=d1.active_set, alpha2=alpha2))
-                trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
-                break
-            step = feasible_armijo_step(bundle, d1.v, d1.active_set, config)
+                        alpha=d.alpha, active_set=d.active_set, alpha2=alpha2))
+                    trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
+                    break
+                branch = "SP1-step"
+                step = feasible_armijo_step(bundle, d.v, d.active_set, config)
             trace.records.append(IterateRecord(
-                iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d1.alpha,
-                active_set=d1.active_set, branch="SP1-step",
-                t=step.t, k=step.k, alpha2=alpha2))
+                iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d.alpha,
+                active_set=d.active_set, branch=branch, t=step.t, k=step.k, alpha2=alpha2))
             x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
     except ModescentError as err:
         raise _attach_trace(err, trace, x)

@@ -83,8 +83,8 @@ def test_criterion_3_global_front(circle2d):
     archive = md.multistart(circle2d, md.grid_points(circle2d.box, (20, 20)), config)
     front = md.nondominated_filter(archive)
     elapsed = time.perf_counter() - start
-    seg = max(dist_to_segment(e.x) for e in front.entries)
-    off_arc = all(dist_to_arc(e.x) > 1e-2 for e in front.entries)
+    seg = max(dist_to_segment(e.x) for e in front)
+    off_arc = all(dist_to_arc(e.x) > 1e-2 for e in front)
     ok = seg <= 1e-2 and off_arc and elapsed < 60.0 and len(front) >= 1
     _report(3, "multistart front collapses onto the globally optimal segment",
             ok, f"runs={len(archive)}, front={len(front)}, "

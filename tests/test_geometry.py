@@ -185,6 +185,29 @@ def test_feasible_start_respects_tolerances(circle2d, rng):
         assert float(circle2d.G(z)[0]) <= 1e-9
 
 
+@pytest.mark.parametrize("constraints, start, component", [
+    # G undefined at the start: no row counts as violated
+    (dict(m_G=1, G=lambda x: np.array([np.nan if x[0] > 1.5 else x[0] - 5.0]),
+          DG=lambda x: np.array([[1.0, 0.0]])), (2.0, 0.0), "G"),
+    # H undefined at the start
+    (dict(m_H=1, H=lambda x: np.array([np.nan if x[0] > 1.5 else x[0] - 1.0]),
+          DH=lambda x: np.array([[1.0, 0.0]])), (2.0, 0.0), "H"),
+    # G defined at the start, its second row undefined at the projection
+    # (1, 0) onto the first row's boundary
+    (dict(m_G=2, G=lambda x: np.array([1.0 - x[0], np.nan if x[0] > 0.9 else -1.0]),
+          DG=lambda x: np.array([[-1.0, 0.0], [0.0, 0.0]])), (0.0, 0.0), "G"),
+], ids=["G-at-start", "H-at-start", "G-at-projection"])
+def test_feasible_start_rejects_undefined_constraints(constraints, start, component):
+    p = md.ProblemSpec(
+        name="undefined", n=2, m=2,
+        F=lambda x: np.array([(x[0] - 3.0) ** 2, x[1] ** 2]),
+        DF=lambda x: np.array([[2.0 * (x[0] - 3.0), 0.0], [0.0, 2.0 * x[1]]]),
+        **constraints)
+    with pytest.raises(md.EvaluationError) as err:
+        md.feasible_start(p, start)
+    assert err.value.component == component
+
+
 def _lens_problem():
     # min x1 over the lens of the unit disks centred at (0, 0) and (1.8, 0);
     # the two boundary circles cross at the corners (0.9, +-sqrt(0.19))

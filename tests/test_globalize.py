@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import modescent as md
 from modescent import globalize
-from modescent.globalize import ArchiveEntry, ParetoArchive, dominance_flags
+from modescent.globalize import ArchiveEntry, dominance_flags
 
 from conftest import CIRCLE_CONFIG, make_infeasible_problem
 from oracles import (dist_to_arc, dist_to_critical_set, dist_to_segment,
@@ -14,13 +14,12 @@ from oracles import (dist_to_arc, dist_to_critical_set, dist_to_segment,
 
 
 def _archive_from_F(values):
-    entries = [
+    return [
         ArchiveEntry(start=np.zeros(2), x=np.array([float(i), 0.0]),
                      F=np.asarray(v, dtype=float), alpha=0.0,
                      converged=True, iterations=0)
         for i, v in enumerate(values)
     ]
-    return ParetoArchive(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +38,7 @@ def test_dominates_definition():
 def test_filter_strict_dominance():
     out = md.nondominated_filter(_archive_from_F([(1.0, 1.0), (2.0, 2.0)]))
     assert len(out) == 1
-    assert out.entries[0].F == pytest.approx([1.0, 1.0])
+    assert out[0].F == pytest.approx([1.0, 1.0])
 
 
 def test_filter_keeps_incomparable():
@@ -54,9 +53,9 @@ def test_filter_keeps_exact_ties():
 
 def test_filter_skips_failed_entries():
     archive = _archive_from_F([(1.0, 2.0)])
-    archive.entries.append(ArchiveEntry(start=np.zeros(2), x=None, F=None,
-                                        alpha=None, converged=False,
-                                        iterations=0, error="boom"))
+    archive.append(ArchiveEntry(start=np.zeros(2), x=None, F=None,
+                                alpha=None, converged=False,
+                                iterations=0, error="boom"))
     flags = dominance_flags(archive)
     assert flags == [False, None]
     assert len(md.nondominated_filter(archive)) == 1
@@ -84,7 +83,7 @@ def test_dominance_flags_match_pairwise_oracle(monkeypatch, block, values):
                      iterations=0)
         for v in values
     ]
-    assert dominance_flags(ParetoArchive(entries)) == pairwise_dominance_flags(values)
+    assert dominance_flags(entries) == pairwise_dominance_flags(values)
 
 
 def test_dominance_flags_memory_is_blocked():
@@ -112,7 +111,7 @@ f_vectors = st.lists(
 def test_filter_output_is_antichain(values):
     out = md.nondominated_filter(_archive_from_F(values))
     assert len(out) >= 1
-    assert pairwise_dominance_flags([e.F for e in out.entries]) == [False] * len(out)
+    assert pairwise_dominance_flags([e.F for e in out]) == [False] * len(out)
 
 
 @settings(max_examples=50, deadline=None)
@@ -120,16 +119,16 @@ def test_filter_output_is_antichain(values):
 def test_filter_idempotent(values):
     once = md.nondominated_filter(_archive_from_F(values))
     twice = md.nondominated_filter(once)
-    assert [tuple(e.F) for e in twice.entries] == [tuple(e.F) for e in once.entries]
+    assert [tuple(e.F) for e in twice] == [tuple(e.F) for e in once]
 
 
 @settings(max_examples=50, deadline=None)
 @given(f_vectors, st.randoms(use_true_random=False))
 def test_filter_invariant_under_permutation(values, rand):
-    base = sorted(tuple(e.F) for e in md.nondominated_filter(_archive_from_F(values)).entries)
+    base = sorted(tuple(e.F) for e in md.nondominated_filter(_archive_from_F(values)))
     shuffled = list(values)
     rand.shuffle(shuffled)
-    perm = sorted(tuple(e.F) for e in md.nondominated_filter(_archive_from_F(shuffled)).entries)
+    perm = sorted(tuple(e.F) for e in md.nondominated_filter(_archive_from_F(shuffled)))
     assert perm == base
 
 
@@ -142,7 +141,7 @@ def test_deduplicate_by_x_distance():
         ArchiveEntry(start=np.zeros(2), x=np.array([2.0, 0.5]), F=np.array([0.25, 2.25]),
                      alpha=0.0, converged=True, iterations=0),
     ]
-    out = md.deduplicate(ParetoArchive(entries))
+    out = md.deduplicate(entries)
     assert len(out) == 2
 
 
@@ -165,23 +164,23 @@ def test_multistart_small_grid_lands_on_critical_set(circle2d):
     starts = md.grid_points(circle2d.box, (5, 5))
     archive = md.multistart(circle2d, starts, cfg)
     assert len(archive) == 25
-    assert all(e.converged for e in archive.entries)
-    for entry in archive.entries:
+    assert all(e.converged for e in archive)
+    for entry in archive:
         assert dist_to_critical_set(entry.x) <= 1e-2
 
 
 def test_multistart_single_start_at_critical_point(circle2d):
     archive = md.multistart(circle2d, [np.array([2.0, 0.0])])
     assert len(archive) == 1
-    assert archive.entries[0].iterations == 0
-    assert archive.entries[0].converged
+    assert archive[0].iterations == 0
+    assert archive[0].converged
 
 
 def test_multistart_records_failures():
     bad = make_infeasible_problem()
     archive = md.multistart(bad, [np.array([1.0, 1.0])])
     assert len(archive) == 1
-    entry = archive.entries[0]
+    entry = archive[0]
     assert not entry.converged
     assert entry.x is None
     assert "NoConvergence" in entry.error
@@ -193,7 +192,7 @@ def test_multistart_filter_keeps_only_segment(circle2d):
     archive = md.multistart(circle2d, starts, cfg)
     front = md.nondominated_filter(archive)
     assert len(front) >= 1
-    for entry in front.entries:
+    for entry in front:
         assert dist_to_segment(entry.x) <= 1e-2
         assert dist_to_arc(entry.x) > 0.5
 

@@ -188,6 +188,39 @@ def test_boundary_step_no_step_on_exhaustion():
         boundary_step(b, np.array([0.0, 1.0]), chart, md.SolverConfig())
 
 
+def _bump_F(x):
+    # -x1 plus a narrow bump of height 2 at x1 = 0.3
+    return -x[0] + 2.0 * np.exp(-((x[0] - 0.3) / 0.05) ** 2)
+
+
+def _bump_DF(x):
+    u = (x[0] - 0.3) / 0.05
+    return np.array([[-1.0 - 80.0 * u * np.exp(-u * u), 0.0]])
+
+
+@pytest.mark.parametrize("F, DF, G, message", [
+    # G jumps from -1 to +1 at x1 = 0.5: the bracket never gets within
+    # EPS_ACT of zero
+    (lambda x: np.array([-x[0]]), lambda x: np.array([[-1.0, 0.0]]),
+     lambda x: np.array([-1.0 if x[0] < 0.5 else 1.0]),
+     "could not land on the newly crossed boundary"),
+    # G is feasible only at the base point, so every shrunk trial violates it
+    (lambda x: np.array([-x[0]]), lambda x: np.array([[-1.0, 0.0]]),
+     lambda x: np.array([0.0 if not x.any() else 1.0]),
+     "shrinking never re-entered the feasible set"),
+    # the landing point x1 = 0.3 sits on top of the bump
+    (lambda x: np.array([_bump_F(x)]), _bump_DF,
+     lambda x: np.array([x[0] - 0.3]),
+     "Armijo fails at the boundary-activating step"),
+], ids=["could-not-land", "never-re-entered", "armijo-fails-at-landing"])
+def test_boundary_step_repair_exits(F, DF, G, message):
+    p = md.ProblemSpec(name="repair-exit", n=2, m=1, F=F, DF=DF, m_G=1, G=G,
+                       DG=lambda x: np.array([[1.0, 0.0]]))
+    b = md.evaluate(p, [0.0, 0.0])
+    with pytest.raises(md.NoStep, match=message):
+        boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
+
+
 def test_boundary_step_requires_point_on_chart(circle2d):
     b = md.evaluate(circle2d, (-2.0, 0.5))
     chart = md.ManifoldChart(circle2d, (1,))

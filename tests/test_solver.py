@@ -195,7 +195,7 @@ def test_failed_trace_counts_the_steps_taken(nan_in, error):
     trace = err.value.trace
     assert [rec.t is not None for rec in trace.records] == [True]
     assert trace.iterations == 1
-    entry = md.multistart(problem, [np.array([0.0])], config).entries[0]
+    entry = md.multistart(problem, [np.array([0.0])], config)[0]
     assert entry.error is not None
     assert entry.iterations == 1
 
@@ -253,7 +253,7 @@ def test_ascent_direction_fails_the_run_not_the_front(circle2d, monkeypatch):
     assert isinstance(err.value, md.NoStep) and isinstance(err.value, ValueError)
     assert err.value.trace.termination == "FAILED:StepPreconditionError"
     archive = md.multistart(circle2d, [np.array([-2.0, 0.5]), np.array([2.0, 0.0])])
-    failed, critical = archive.entries
+    failed, critical = archive
     assert failed.x is None and not failed.converged
     assert "StepPreconditionError" in failed.error
     assert critical.converged
