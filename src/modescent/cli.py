@@ -196,12 +196,17 @@ def front(problem_name, problem_file, grid, x0, outdir, **config_kwargs):
     return 1 if failures == len(archive) else 0
 
 
-def _audit_fd(problem, rng, report):
+def _box_point(problem, rng):
+    """One uniform draw from the problem's sampling box."""
     lo = np.array([b[0] for b in problem.box])
     hi = np.array([b[1] for b in problem.box])
+    return lo + rng.random(problem.n) * (hi - lo)
+
+
+def _audit_fd(problem, rng, report):
     worst = 0.0
     for _ in range(100):
-        x = lo + rng.random(problem.n) * (hi - lo)
+        x = _box_point(problem, rng)
         worst = max(worst, fd_audit(problem, x, 1e-6))
     ok = worst <= 1e-6
     report(f"derivative audit: worst rel err {worst:.3e}", ok)
@@ -219,13 +224,11 @@ def _audit_charts(problem):
 
 def _chart_samples(chart, rng, count):
     problem = chart.problem
-    lo = np.array([b[0] for b in problem.box])
-    hi = np.array([b[1] for b in problem.box])
     samples = []
     for _ in range(20 * count):
         if len(samples) == count:
             break
-        y = lo + rng.random(problem.n) * (hi - lo)
+        y = _box_point(problem, rng)
         try:
             x = project(chart, y)
         except NoConvergence:
@@ -261,11 +264,9 @@ def _audit_retraction(problem, rng, report):
 
 
 def _audit_min_norm(problem, rng, report):
-    lo = np.array([b[0] for b in problem.box])
-    hi = np.array([b[1] for b in problem.box])
     worst = 0.0
     for _ in range(50):
-        x = lo + rng.random(problem.n) * (hi - lo)
+        x = _box_point(problem, rng)
         bundle = evaluate(problem, x)
         gens = np.vstack([bundle.DF_val, bundle.DG_val]) if problem.m_G > 0 else bundle.DF_val
         lam, p = min_norm_in_hull(gens)

@@ -150,17 +150,18 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
 
 
 def _bisect(phi, a, fa, b):
-    # phi changes sign on [a, b], fa = phi(a); returns the root to machine resolution
+    # phi changes sign on [a, b], fa = phi(a); returns the root s to machine
+    # resolution and phi(s)
     for _ in range(200):
         mid = 0.5 * (a + b)
         fm = phi(mid)
         if fm == 0.0 or (b - a) <= 1e-16 * max(1.0, abs(mid)):
-            return mid
+            break
         if (fa < 0.0) != (fm < 0.0):
             b = mid
         else:
             a, fa = mid, fm
-    return 0.5 * (a + b)
+    return mid, fm
 
 
 def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
@@ -169,6 +170,8 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
     Returns x + w + s * grad(c)(x) where s is the smallest-magnitude root of
     s -> c(x + w + s * grad(c)(x)), found by doubling a bracket outward from
     s = 0 (at most PSI_DOUBLINGS times, else ``NoConvergence``) and bisecting.
+    Raises ``NoConvergence`` as well when c at the returned root is not
+    within FEAS_TOL of zero (c jumps across zero there, or is NaN).
     Requires x on the chart (within CHART_TOL) and w tangent (within 1e-8);
     otherwise raises ``StepPreconditionError``.
     """
@@ -207,7 +210,9 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
         if (f0 < 0.0) != (f_neg < 0.0) or f_neg == 0.0:
             roots.append(_bisect(phi, -delta, f_neg, -prev))
         if roots:
-            s = min(roots, key=abs)
+            s, c = min(roots, key=lambda root: abs(root[0]))
+            if not abs(c) <= FEAS_TOL:
+                raise NoConvergence("retract_psi: the chart value at the root exceeds FEAS_TOL")
             return base + s * g
         prev = delta
         f_prev_pos = f_pos
@@ -220,7 +225,10 @@ def chart_retraction(chart: ManifoldChart, kind: str = "project"):
 
     ``kind`` is "project" (nearest-point projection) or "psi": the
     normal-line root on single-row charts and the projection on charts with
-    more rows.  On a chart without rows the retraction is x + w.
+    more rows.  On a chart without rows the retraction is x + w.  Every
+    point the retraction returns lies within FEAS_TOL of the chart: the
+    projection returns only when every chart row is within 1e-12 of zero,
+    and psi checks its root; otherwise it raises ``NoConvergence``.
     """
     if chart.n_rows == 0:
         return lambda x, w: x + w

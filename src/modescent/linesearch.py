@@ -89,22 +89,6 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
     raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
 
 
-def _feasible(problem, z):
-    """Whether G(z) <= FEAS_TOL and |H(z)| <= FEAS_TOL with every value
-    finite (a point where a constraint is undefined is not feasible), and
-    G(z) as computed on the way (None when there is no inequality)."""
-    g = None
-    if problem.m_G > 0:
-        g = np.asarray(problem.G(z), dtype=float)
-        if not (np.isfinite(g).all() and g.max() <= FEAS_TOL):
-            return False, g
-    if problem.m_H > 0:
-        h = np.abs(np.asarray(problem.H(z), dtype=float))
-        if not (np.isfinite(h).all() and h.max() <= FEAS_TOL):
-            return False, g
-    return True, g
-
-
 def _try_retract(retract, x, w):
     # retractions are local maps; a failure far from the manifold just means
     # the candidate step is too long and backtracking must continue
@@ -112,6 +96,24 @@ def _try_retract(retract, x, w):
         return retract(x, w)
     except NoConvergence:
         return None
+
+
+def _outside_g(problem, rows, z):
+    """G(z) and its largest entry over ``rows``, the G rows outside the
+    step's chart (an index list, or ``slice(None)`` for every row); without
+    such rows G is not called and the result is (None, -inf).  A failed
+    retraction (z None), a NaN or a -inf entry reads NaN and a +inf entry
+    reads +inf, which no feasibility test passes.  The chart rows need no
+    test: every retraction returns a point within FEAS_TOL of its chart or
+    fails."""
+    if z is None:
+        return None, np.nan
+    if not rows:
+        return None, -np.inf
+    g = np.asarray(problem.G(z), dtype=float)
+    out = g[rows]
+    # min > -inf is cheaper than an isfinite pass; NaN fails the comparison
+    return g, (out.max() if out.min() > -np.inf else np.nan)
 
 
 def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepResult:
@@ -133,8 +135,8 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
-    chart = ManifoldChart(problem, ())
-    retract = chart_retraction(chart, config.retraction)
+    retract = chart_retraction(ManifoldChart(problem, ()), config.retraction)
+    rows = slice(None) if problem.m_G > 0 else []
     k_armijo = None
     for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX):
         if z is None:
@@ -144,8 +146,8 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
             continue
         if k_armijo is None:
             k_armijo = k
-        feasible, g = _feasible(problem, z)
-        if feasible:
+        g, g_max = _outside_g(problem, rows, z)
+        if g_max <= FEAS_TOL:
             return StepResult(t=t, k=k, armijo_lhs=lhs,
                               feasibility_repaired=(k != k_armijo), new_point=z, G_val=g)
     raise NoStep(f"feasible Armijo: no acceptable step within k_max={K_MAX}")
@@ -155,37 +157,26 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     """Armijo step through the active-boundary chart projection (active
     inequalities treated as equalities).
 
-    If the Armijo-accepted point violates a previously inactive inequality,
-    the step is shrunk by repeated multiplication with beta to bracket the
-    crossing, then bisected so the projected point is feasible and lands on
-    the newly crossed boundary (within ``EPS_ACT``); the Armijo
-    inequality is re-verified at the shrunk step.
+    Requires the base point on the chart (within ``CHART_TOL``) and every
+    inequality outside the chart below ``-EPS_ACT`` there, which is what
+    pinning exactly the rows with G >= -EPS_ACT leaves.  If the
+    Armijo-accepted point at step t violates an outside inequality, [0, t]
+    is bisected, keeping a feasible lower end (at first the base point),
+    until that end lies within ``EPS_ACT`` of a crossed boundary; the
+    Armijo inequality is re-verified at the landing step.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
     if active_chart.n_rows > 0 and np.abs(chart_value(active_chart, bundle.x)).max() > CHART_TOL:
         raise StepPreconditionError("boundary step requires the base point on the active chart")
+    outside = [i for i in range(problem.m_G) if i + 1 not in active_chart.ineq_indices]
+    max_lo = bundle.G_val[outside].max() if outside else -np.inf
+    if not max_lo < -EPS_ACT:
+        raise StepPreconditionError(
+            "boundary step requires every inequality outside the chart below -EPS_ACT")
 
     retract = chart_retraction(active_chart, config.retraction)
-    outside_rows = [j - 1 for j in range(1, problem.m_G + 1)
-                    if j not in active_chart.ineq_indices]
-
-    def outside_g(z):
-        """G(z) (None without outside rows) and its largest entry over the
-        rows outside the chart; a failed retraction (z None) reads NaN,
-        which is never feasible."""
-        if z is None:
-            return None, np.nan
-        if not outside_rows:
-            return None, -np.inf
-        g = np.asarray(problem.G(z), dtype=float).reshape(problem.m_G)
-        return g, float(g[outside_rows].max())
-
-    # the shrink phase continues this generator after the accepted trial (a
-    # strict Armijo test never accepts z == x, so the generator's early stop
-    # cannot fire there)
-    trials = _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX)
-    for k_armijo, t, z in trials:
+    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX):
         if z is not None:
             lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
             if ok:
@@ -193,25 +184,14 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     else:
         raise NoStep(f"boundary step: Armijo failed for all k <= {K_MAX}")
 
-    g, g_max = outside_g(z)
+    g, g_max = _outside_g(problem, outside, z)
     if g_max <= FEAS_TOL:
-        return StepResult(t=t, k=k_armijo, armijo_lhs=lhs, feasibility_repaired=False,
+        return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
                           new_point=z, G_val=g)
 
-    # shrink by beta until the projected point is feasible again; the bracket
-    # keeps G(z_lo) and its outside maximum so that no point's G is computed twice
-    t_hi = t
-    t_lo = None
-    for _, t_try, z_try in trials:
-        g_try, max_try = outside_g(z_try)
-        if max_try <= FEAS_TOL:
-            t_lo, z_lo, g_lo, max_lo = t_try, z_try, g_try, max_try
-            break
-        t_hi = t_try
-    if t_lo is None:
-        raise NoStep("boundary step: shrinking never re-entered the feasible set")
-
-    # bisect the bracket so a newly crossed inequality becomes active
+    # bisect [0, t] so a newly crossed inequality becomes active; the lower
+    # end starts at the base point, whose G the bundle holds
+    t_lo, t_hi, z_lo, g_lo = 0.0, t, bundle.x, bundle.G_val
     for _ in range(200):
         if max_lo >= -EPS_ACT:
             break
@@ -219,7 +199,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
             break
         t_mid = 0.5 * (t_lo + t_hi)
         z_mid = _try_retract(retract, bundle.x, t_mid * v)
-        g_mid, max_mid = outside_g(z_mid)
+        g_mid, max_mid = _outside_g(problem, outside, z_mid)
         if max_mid <= FEAS_TOL:
             t_lo, z_lo, g_lo, max_lo = t_mid, z_mid, g_mid, max_mid
         else:
@@ -230,5 +210,5 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     lhs, ok = _armijo(bundle, slope, config.sigma, t_lo, z_lo)
     if not ok:
         raise NoStep("boundary step: Armijo fails at the boundary-activating step")
-    return StepResult(t=t_lo, k=k_armijo, armijo_lhs=lhs, feasibility_repaired=True,
+    return StepResult(t=t_lo, k=k, armijo_lhs=lhs, feasibility_repaired=True,
                       new_point=z_lo, G_val=g_lo)

@@ -87,8 +87,8 @@ class EvalBundle:
     """F and G values and all Jacobians of a problem at one point.
 
     H is not kept, since nothing reads it: the solver's iterates lie on
-    H = 0 by construction (feasible start, retraction, and the feasibility
-    test of the step).
+    H = 0 by construction (feasible start, and a retraction that returns
+    only points within FEAS_TOL of its chart).
     """
 
     problem: ProblemSpec

@@ -1,7 +1,7 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately brute force (grids, dense sampling, pairwise
-exchanges, finite differences, LP feasibility) and shares no code with the
+exchanges, support enumeration, finite differences, LP feasibility) and shares no code with the
 production solvers it checks.
 """
 
@@ -72,6 +72,49 @@ def grid_min_norm(G, step=1e-2, polish=True):
     if polish:
         lam, _ = _pairwise_polish(G, lam)
     return lam, lam @ G
+
+
+def support_min_norm(G, tol=1e-12):
+    """Exact min-norm point in the hull of the rows of G by enumerating
+    supports.
+
+    For every non-empty subset S of rows, the bordered system
+
+        [G_S G_S^T  1] [lam]   [0]
+        [1^T        0] [mu ] = [1]
+
+    gives the min-norm point of the affine hull of S.  Where its weights
+    are non-negative (down to -tol) it is a hull point; the minimum lies on
+    its own support face, so the shortest of these candidates is the
+    minimum.  Singular systems (affinely dependent S) are skipped: a
+    smaller subset covers their face.
+    """
+    from itertools import combinations
+
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    k = G.shape[0]
+    best_lam, best_p, best = None, None, np.inf
+    for size in range(1, k + 1):
+        for S in combinations(range(k), size):
+            rows = G[list(S)]
+            A = np.ones((size + 1, size + 1))
+            A[:size, :size] = rows @ rows.T
+            A[size, size] = 0.0
+            b = np.zeros(size + 1)
+            b[size] = 1.0
+            try:
+                sol = np.linalg.solve(A, b)
+            except np.linalg.LinAlgError:
+                continue
+            w = sol[:size]
+            if not (w.min() >= -tol and abs(w.sum() - 1.0) <= 1e-9):
+                continue
+            p = w @ rows
+            if float(p @ p) < best:
+                best_lam = np.zeros(k)
+                best_lam[list(S)] = w
+                best_p, best = p, float(p @ p)
+    return best_lam, best_p
 
 
 def origin_in_hull(G, tol=1e-9) -> bool:

@@ -3,7 +3,7 @@ import pytest
 
 import modescent as md
 from modescent import geometry
-from modescent.geometry import chart_jacobian, chart_retraction, chart_value
+from modescent.geometry import FEAS_TOL, chart_jacobian, chart_retraction, chart_value
 
 
 @pytest.fixture
@@ -130,9 +130,31 @@ def test_retraction_first_order_slope(circle_chart, sphere_chart, rng, kind):
             residuals = []
             for t in (1e-2, 1e-3):
                 z = retract(x, t * v)
+                assert np.max(np.abs(chart_value(chart, z))) <= FEAS_TOL
                 residuals.append(float(np.linalg.norm((z - x) / t - v)))
             assert residuals[1] < residuals[0]
             assert residuals[1] <= 1e-2  # ||v|| = 1
+            # a long step may fail (psi finds no root on the normal line at
+            # t >= 1), but a point it returns is on the chart
+            for t in (0.5, 3.0):
+                try:
+                    z = retract(x, t * v)
+                except md.NoConvergence:
+                    continue
+                assert np.max(np.abs(chart_value(chart, z))) <= FEAS_TOL
+
+
+def test_psi_rejects_a_root_where_the_chart_jumps():
+    # past x1 = 0.5, H jumps from -1 to +1 at x2 = 0.2, so the bisection on
+    # the normal line closes in on a jump instead of a zero
+    p = md.ProblemSpec(
+        name="jump", n=2, m=1, F=lambda x: np.array([x[0]]),
+        DF=lambda x: np.array([[1.0, 0.0]]), m_H=1,
+        H=lambda x: np.array([x[1] if x[0] < 0.5 else (-1.0 if x[1] < 0.2 else 1.0)]),
+        DH=lambda x: np.array([[0.0, 1.0]]))
+    chart = md.ManifoldChart(p, ())
+    with pytest.raises(md.NoConvergence, match="FEAS_TOL"):
+        md.retract_psi(chart, (0.0, 0.0), (1.0, 0.0))
 
 
 def test_chart_retraction_identity_without_rows(circle2d):

@@ -75,7 +75,8 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     # the circle2d_eta1 solve with counted maps; accepted SP1 steps hand F
     # and G to the next evaluate, SP2 steps hand over F, and G when their
     # chart leaves the inequality outside (17 of the 24 pin none), the
-    # boundary bisection computes G once per point, and a projection
+    # boundary bisection computes G once per point and takes the base
+    # point's G from the bundle, and a projection
     # computes its chart value and Jacobian once per point it accepts, so a
     # duplicate map call on the solver's path changes these counts
     spec, calls = with_counted_maps(circle2d, ("F", "DF", "G", "DG"))
@@ -87,24 +88,27 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
 
 def test_sphere3d_map_calls_are_pinned(sphere3d):
     # the sphere3d golden solve with counted maps: every trial point is
-    # projected onto the sphere and evaluate calls H no more, so H counts
-    # the projections and the feasibility tests, and DH the projections
-    # plus one call per evaluate
+    # projected onto the sphere, evaluate calls H no more and the step does
+    # not re-test H at a projected point, so H counts the projections plus
+    # the feasibility check of the start, and DH the projections plus one
+    # call per evaluate
     spec, calls = with_counted_maps(sphere3d, ("F", "DF", "H", "DH"))
     _, trace = md.solve_constrained(spec, (1.0, 0.0, 0.0), md.SolverConfig())
     assert trace.iterations == 4
     assert trace.branch_counts() == {"SP1-step": 4}
-    assert dict(calls) == {"F": 5, "DF": 5, "H": 24, "DH": 24}
+    assert dict(calls) == {"F": 5, "DF": 5, "H": 20, "DH": 24}
 
 
 def test_octant3d_map_calls_are_pinned():
     # one solve of the octant3d golden front with counted polynomial maps;
-    # every trial point is projected onto the sphere, so H and DH count the
-    # projections, and the cap inequality is tested once per trial point
+    # every trial point is projected onto the sphere, so H counts the
+    # projections plus the feasibility check of the start, DH the
+    # projections plus one call per evaluate, and the cap inequality is
+    # tested once per trial point
     spec, calls = with_counted_maps(md.load_problem(OCTANT_FILE),
                                     ("F", "DF", "G", "DG", "H", "DH"))
     _, trace = md.solve_constrained(spec, (0.5, -0.5, -0.7),
                                     md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 46
     assert trace.branch_counts() == {"SP1-step": 46}
-    assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "DG": 47, "H": 179, "DH": 179}
+    assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "DG": 47, "H": 133, "DH": 179}

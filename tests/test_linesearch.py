@@ -3,7 +3,7 @@ import pytest
 
 import modescent as md
 from modescent.geometry import EPS_ACT
-from modescent.linesearch import armijo_step, boundary_step, feasible_armijo_step
+from modescent.linesearch import _outside_g, armijo_step, boundary_step, feasible_armijo_step
 
 from conftest import make_box_problem
 from oracles import grid_min_norm
@@ -158,11 +158,14 @@ def test_boundary_step_along_circle_matches_enumeration(circle2d):
     assert np.linalg.norm(step.new_point) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_boundary_step_activates_second_face():
+# the landing bisects [0, t]: at beta = 1/2 its points are Armijo trial
+# points t = beta0 beta^k, at 0.9 they are not
+@pytest.mark.parametrize("beta", [0.5, 0.9])
+def test_boundary_step_activates_second_face(beta):
     p = make_box_problem()
     b = md.evaluate(p, [0.0, 0.0])
     chart = md.ManifoldChart(p, (1,))
-    cfg = md.SolverConfig(beta0=3.0, beta=0.5)
+    cfg = md.SolverConfig(beta0=3.0, beta=beta)
     step = boundary_step(b, np.array([1.0, 0.0]), chart, cfg)
     assert step.feasibility_repaired
     assert step.new_point == pytest.approx([1.0, 0.0], abs=1e-7)
@@ -204,15 +207,11 @@ def _bump_DF(x):
     (lambda x: np.array([-x[0]]), lambda x: np.array([[-1.0, 0.0]]),
      lambda x: np.array([-1.0 if x[0] < 0.5 else 1.0]),
      "could not land on the newly crossed boundary"),
-    # G is feasible only at the base point, so every shrunk trial violates it
-    (lambda x: np.array([-x[0]]), lambda x: np.array([[-1.0, 0.0]]),
-     lambda x: np.array([0.0 if not x.any() else 1.0]),
-     "shrinking never re-entered the feasible set"),
     # the landing point x1 = 0.3 sits on top of the bump
     (lambda x: np.array([_bump_F(x)]), _bump_DF,
      lambda x: np.array([x[0] - 0.3]),
      "Armijo fails at the boundary-activating step"),
-], ids=["could-not-land", "never-re-entered", "armijo-fails-at-landing"])
+], ids=["could-not-land", "armijo-fails-at-landing"])
 def test_boundary_step_repair_exits(F, DF, G, message):
     p = md.ProblemSpec(name="repair-exit", n=2, m=1, F=F, DF=DF, m_G=1, G=G,
                        DG=lambda x: np.array([[1.0, 0.0]]))
@@ -221,11 +220,45 @@ def test_boundary_step_repair_exits(F, DF, G, message):
         boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
 
 
+@pytest.mark.parametrize("G", [
+    # G is feasible only at the base point, where it is zero
+    lambda x: np.array([0.0 if not x.any() else 1.0]),
+    lambda x: np.array([-0.5 * EPS_ACT + x[0]]),
+], ids=["zero", "within-eps-act"])
+def test_boundary_step_requires_outside_inequalities_inside(G):
+    # an inequality the chart leaves out must be below -EPS_ACT at the base
+    # point, so the bisection's lower end starts strictly inside it
+    p = md.ProblemSpec(name="outside-at-zero", n=2, m=1, F=lambda x: np.array([-x[0]]),
+                       DF=lambda x: np.array([[-1.0, 0.0]]), m_G=1, G=G,
+                       DG=lambda x: np.array([[1.0, 0.0]]))
+    b = md.evaluate(p, [0.0, 0.0])
+    with pytest.raises(md.StepPreconditionError, match="outside the chart below -EPS_ACT"):
+        boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
+
+
 def test_boundary_step_requires_point_on_chart(circle2d):
     b = md.evaluate(circle2d, (-2.0, 0.5))
     chart = md.ManifoldChart(circle2d, (1,))
     with pytest.raises(ValueError):
         boundary_step(b, np.array([1.0, 0.0]), chart, md.SolverConfig())
+
+
+@pytest.mark.parametrize("g, rows, expected", [
+    ([-1.0, -2.0], slice(None), -1.0),
+    ([-1.0, 5.0], [0], -1.0),
+    ([-1.0, -np.inf], slice(None), np.nan),
+    ([np.nan, -1.0], slice(None), np.nan),
+    ([np.inf, -1.0], slice(None), np.inf),
+], ids=["all-rows", "outside-row", "minus-inf", "nan", "plus-inf"])
+def test_outside_g_reads_undefined_rows_as_infeasible(g, rows, expected):
+    p = md.ProblemSpec(name="g", n=1, m=1, F=lambda x: x, DF=lambda x: np.eye(1), m_G=2,
+                       G=lambda x: np.array(g), DG=lambda x: np.zeros((2, 1)))
+    got, g_max = _outside_g(p, rows, np.zeros(1))
+    assert got.tolist() == pytest.approx(g, nan_ok=True)
+    assert g_max == pytest.approx(expected, nan_ok=True)
+    # a failed retraction reads NaN; no rows to test read -inf without a G call
+    assert np.isnan(_outside_g(p, rows, None)[1])
+    assert _outside_g(p, [], np.zeros(1)) == (None, -np.inf)
 
 
 def test_step_results_stay_feasible(circle2d, rng):
