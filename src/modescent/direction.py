@@ -8,7 +8,9 @@ form (SPe) are SP1 with no active inequality.
 
 Each subproblem is solved through its dual: the direction is the negative of
 the minimum-norm point in the convex hull of the (projected) generator
-gradients, with simplex weights as the dual certificate.
+gradients, with simplex weights as the dual certificate.  Hulls of up to three
+generators have exact closed forms; four or more go through Wolfe's
+min-norm-point iteration (Wolfe 1976, Math. Programming 11:128).
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,23 @@ from .problems import EvalBundle
 RANK_RTOL = 1e-10
 # KKT certificate tolerance for the min-norm iteration (scaled by gradient size)
 KKT_TOL = 1e-12
+# three generators count as affinely dependent when the Gram determinant of
+# the two edges at the widest angle is at most this times the product of
+# their squared lengths (sin^2 of the angle).  Below it the altitude onto
+# the longest edge is at most sqrt(_AFFINE_RTOL) times that edge, so the best
+# edge point misses the certificate by at most 4 * _AFFINE_RTOL * max ||g||^2,
+# under KKT_TOL * max ||g||^2; above it the determinant stays two orders of
+# magnitude clear of its rounding error
+_AFFINE_RTOL = 1e-13
+
+# rows: the three generators, then the edges g1 - g0, g2 - g0, g2 - g1
+_EDGES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                   [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
+# per vertex i, in cyclic order i, j, k: the row of _EDGES and the sign that
+# give g_j - g_i, then the same for g_k - g_i; row 5 - i is the opposite edge
+_VERTICES = ((0, 1, 2, 3, 1.0, 4, 1.0),
+             (1, 2, 0, 5, 1.0, 3, -1.0),
+             (2, 0, 1, 4, -1.0, 5, -1.0))
 
 
 class SubproblemKind(Enum):
@@ -91,15 +110,68 @@ def _affine_weights(S):
     return sol[:s]
 
 
+def _min_norm_three(G):
+    """Simplex weights of the minimum-norm point in the hull of three rows.
+
+    One 6x6 Gram matrix of the rows and their edge differences, then Python
+    floats.  The edges are differenced before any dot product: edge lengths
+    taken from Gram entries of the rows (k11 - 2 k01 + k00) cancel on
+    collinear or far-offset hulls.
+    """
+    X = _EDGES @ G
+    K = (X @ X.T).tolist()
+    # the affine-hull minimiser, from the 2x2 normal equations at the vertex
+    # opposite the longest edge (the widest angle, best conditioned)
+    i, j, k, ru, su, rw, sw = _VERTICES[max(range(3), key=lambda v: K[5 - v][5 - v])]
+    uu, ww, uw = K[ru][ru], K[rw][rw], su * sw * K[ru][rw]
+    bu, bw = su * K[i][ru], sw * K[i][rw]
+    det = uu * ww - uw * uw
+    if det > _AFFINE_RTOL * uu * ww:
+        # a from the first equation (p.u = 0) given b, not by Cramer's rule:
+        # on flat triangles b is off by up to eps / sin^2 of the angle, and
+        # Cramer's a by a matching amount that slides p = lam @ G along the
+        # hull (certificate misses up to 1.6e-3 of its scale on random flat
+        # hulls); this way p.u = 0 holds whatever the error in b
+        b = (uw * bu - uu * bw) / det
+        a = -(bu + uw * b) / uu
+        c = 1.0 - a - b
+        if a >= 0.0 and b >= 0.0 and c >= 0.0:
+            lam = [0.0, 0.0, 0.0]
+            lam[i], lam[j], lam[k] = c, a, b
+            return lam
+    # otherwise the minimum lies on an edge (for affinely dependent rows the
+    # hull is the union of its edges).  Each edge's clamped minimiser q meets
+    # the certificate at its own two ends; the edge to keep is the one whose
+    # third generator meets it too, so pick the largest (g_k - q).q.
+    # Comparing ||q||^2 instead picks wrong edges: two edges can agree to
+    # 1e-18 in ||q||^2 and differ by 1e-9 in the certificate.
+    best = None
+    for i, j, k, ru, su, rw, sw in _VERTICES:
+        den, t = K[ru][ru], su * K[i][ru]
+        theta = 0.0 if den == 0.0 else min(max(-t / den, 0.0), 1.0)
+        # q = g_i + theta u and g_k - q = w - theta u, with u = g_j - g_i
+        # and w = g_k - g_i
+        gap = sw * K[i][rw] + theta * (su * sw * K[ru][rw] - t - theta * den)
+        if best is None or gap > best[0]:
+            best = (gap, i, j, theta)
+    _, i, j, theta = best
+    lam = [0.0, 0.0, 0.0]
+    lam[i], lam[j] = 1.0 - theta, theta
+    return lam
+
+
 def min_norm_in_hull(generators):
     """Minimum-norm point of the convex hull of the given vectors.
 
-    Returns ``(lam, point)`` with ``point = lam @ generators`` and the KKT
-    certificate g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2)
-    for every generator.  Uses Wolfe's min-norm-point iteration with closed
-    forms for one or two generators.  When the entering generator is already
-    in the support, the iteration stops at the best point reachable at
-    working precision.
+    Returns ``(lam, point)`` with simplex weights ``lam`` and
+    ``point = lam @ generators``.  One, two and three generators have closed
+    forms, exact up to rounding, that meet the KKT certificate
+    g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2) for every
+    generator.  Four or more go through Wolfe's min-norm-point iteration,
+    which stops at the certificate or, when the entering generator is
+    already in the support, at the best point it reaches at working
+    precision.  That point can miss the certificate: with two generators
+    1e-9 apart, by up to about 1e-10 * max(1, max_j ||g_j||^2).
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -120,6 +192,9 @@ def min_norm_in_hull(generators):
         den = diff @ diff
         theta = 0.0 if den == 0.0 else min(max(float(-(G[0] @ diff) / den), 0.0), 1.0)
         lam = np.array([1.0 - theta, theta])
+        return lam, lam @ G
+    if k == 3:
+        lam = np.array(_min_norm_three(G))
         return lam, lam @ G
 
     sq = np.einsum("ij,ij->i", G, G)

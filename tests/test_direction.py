@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
-from modescent.direction import SubproblemKind
+import modescent.direction as direction
+from modescent.direction import KKT_TOL, SubproblemKind
 
 from conftest import make_vertex_problem
-from oracles import grid_min_norm, origin_in_hull
+from oracles import grid_min_norm, origin_in_hull, support_min_norm
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,67 @@ def test_min_norm_kkt_certificate_property(gens):
     G = np.asarray(gens, dtype=float)
     lam, p = md.min_norm_in_hull(G)
     assert _kkt_residual(G, lam, p) <= 1e-8
+
+
+@st.composite
+def _three_generators(draw):
+    # the hulls on which a closed form can lose digits, at dim 1..4 and
+    # scales 1e-3..1e3: a repeated row, collinear rows, two rows 1e-9
+    # apart, and a small triangle far from the origin
+    d = draw(st.integers(1, 4))
+
+    def row():
+        return np.array(draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d)))
+
+    family = draw(st.sampled_from(["duplicate", "collinear", "close", "far"]))
+    a, b = row(), row()
+    if family == "duplicate":
+        G = [a, a, b]
+    elif family == "collinear":
+        G = [a + t * b for t in draw(st.lists(st.floats(-2, 2), min_size=3, max_size=3))]
+    elif family == "close":
+        G = [a, a + 1e-9 * row(), b]
+    else:
+        G = [a + 1e-3 * row() for _ in range(3)]
+    order = draw(st.permutations(range(3)))
+    return 10.0 ** draw(st.floats(-3, 3)) * np.array(G)[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_three_generators())
+# two rows 1e-9 apart: Wolfe stops at working precision 1.8e-10 short of
+# the certificate, whose bound here is 1.06e-11
+@example(np.array([[2.041, -2.556], [2.041 + 1e-9, -2.556 - 2e-9], [-0.453, -0.216]]))
+# two edges whose best points agree to 1e-18 in ||p||^2, below its rounding
+# error, while one of them misses the certificate by 1e-9
+@example(np.array([[1.0, 1.0], [1.0, 1.0 - 1e-9], [0.0, 1.0]]))
+# a flat hull around the origin: solving both affine weights by Cramer's
+# rule misses the certificate by 4e-5 of its scale
+@example(np.array([[2.25, 2.25], [2.2500000022500064, 2.25000000225],
+                   [-0.562500000006, -0.562500000004]]))
+def test_min_norm_three_generators_matches_support_oracle(G):
+    lam, p = md.min_norm_in_hull(G)
+    scale = max(1.0, float(np.max(np.einsum("ij,ij->i", G, G))))
+    assert lam.min() >= 0.0 and abs(float(lam.sum()) - 1.0) <= 1e-15
+    assert np.array_equal(p, lam @ G)
+    # the docstring's certificate, at its own tolerance
+    assert float((G @ p).min()) >= float(p @ p) - KKT_TOL * scale
+    _, p_oracle = support_min_norm(G)
+    assert abs(float(p @ p) - float(p_oracle @ p_oracle)) <= KKT_TOL * scale
+
+
+def test_min_norm_three_generators_bypass_wolfe(monkeypatch, rng):
+    def wolfe_step(S):
+        raise AssertionError("entered Wolfe's iteration")
+
+    monkeypatch.setattr(direction, "_affine_weights", wolfe_step)
+    hulls = [rng.standard_normal((3, d)) for d in (1, 2, 3)]
+    hulls += [np.ones((3, 2)), np.zeros((3, 0)), np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])]
+    for G in hulls:
+        md.min_norm_in_hull(G)
+    # four generators still go through Wolfe
+    with pytest.raises(AssertionError, match="Wolfe"):
+        md.min_norm_in_hull(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
 
 
 # ---------------------------------------------------------------------------
