@@ -13,6 +13,7 @@ generators have exact closed forms; four or more go through Wolfe's
 min-norm-point iteration (Wolfe 1976, Math. Programming 11:128).
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,12 +75,40 @@ def active_set(bundle: EvalBundle, epsilon: float) -> tuple:
     return tuple(((bundle.G_val >= -epsilon).nonzero()[0] + 1).tolist())
 
 
+def _householder_kernel(row) -> np.ndarray:
+    """Columns 1..n-1 of the Householder reflector I - v v^T / beta that maps
+    ``row`` to a multiple of e_0, an orthonormal basis of its kernel.
+
+    Python floats on the row divided by max |a_i|, so that no square or
+    product under- or overflows: with s = ||a||, v = a + sign(a_0) s e_0 and
+    beta = v.v / 2 = s (s + |a_0|).
+    """
+    a = row.tolist()
+    scale = max(map(abs, a))
+    if scale == 0.0:
+        raise RankError("equality constraint rows are numerically rank deficient")
+    a = [ai / scale for ai in a]
+    s = math.hypot(*a)
+    beta = s * (s + abs(a[0]))
+    u = [aj / beta for aj in a[1:]]
+    v0 = a[0] + math.copysign(s, a[0])
+    cols = [[-v0 * uj for uj in u]]
+    for i, ai in enumerate(a[1:]):
+        col = [-ai * uj for uj in u]
+        col[i] += 1.0
+        cols.append(col)
+    return np.array(cols)
+
+
 def tangent_basis(eq_rows) -> np.ndarray:
     """Orthonormal basis of the kernel of ``eq_rows`` as an (n, n-k) matrix.
 
     ``eq_rows`` must be a (k, n) array (pass a (0, n) array for "no
-    constraints").  Raises ``RankError`` if the rows are rank deficient at
-    the cutoff RANK_RTOL * largest singular value.
+    constraints").  One row takes columns 1..n-1 of the Householder
+    reflector that maps it to a multiple of e_0, in Python floats; only a
+    zero row is rank deficient there.  Two or more rows take the trailing
+    right singular vectors of an SVD, and raise ``RankError`` if the rows
+    are rank deficient at the cutoff RANK_RTOL * largest singular value.
     """
     A = np.asarray(eq_rows, dtype=float)
     if A.ndim != 2:
@@ -91,6 +120,8 @@ def tangent_basis(eq_rows) -> np.ndarray:
         raise ValueError("eq_rows contains non-finite entries")
     if k > n:
         raise RankError(f"{k} constraint rows cannot be independent in dimension {n}")
+    if k == 1:
+        return _householder_kernel(A[0])
     _, s, vt = np.linalg.svd(A)
     if s[0] == 0.0 or (s <= RANK_RTOL * s[0]).any():
         raise RankError("equality constraint rows are numerically rank deficient")

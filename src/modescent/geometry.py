@@ -3,7 +3,11 @@ and feasible starting points.
 
 A chart is the set {H = 0} intersected with a chosen subset of inequalities
 held at zero.  Projection is a Lagrange-Newton iteration on the stationarity
-system of min ||z - y||^2 subject to the chart equalities.
+system of min ||z - y||^2 subject to the chart equalities.  Its Newton matrix
+[I J^T; J 0] has an identity block, so each step is solved through the Schur
+complement J J^T (range-space method, Nocedal & Wright, Numerical
+Optimization, 2nd ed., sec. 16.2): a k x k solve for k chart rows, and for one
+row a division by ||J||^2.
 """
 
 from dataclasses import dataclass
@@ -72,6 +76,17 @@ def chart_jacobian(chart: ManifoldChart, x) -> np.ndarray:
     return _chart_rows(chart, x, p.DH, p.DG, (p.n,))
 
 
+def _gram_solve(J, rhs):
+    """(J J^T)^-1 rhs; a division for one row.  Raises LinAlgError when
+    J J^T is singular."""
+    if len(J) == 1:
+        jj = float(J[0] @ J[0])
+        if jj == 0.0:
+            raise np.linalg.LinAlgError("zero constraint row")
+        return rhs / jj
+    return np.linalg.solve(J @ J.T, rhs)
+
+
 def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     """Nearest-point projection of ``y`` onto the chart manifold.
 
@@ -80,6 +95,11 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
         z - y + DC(z)^T mu = 0,   C(z) = 0,
 
     initialized at ``y``, with damped steps on a merit-function increase.
+    Each Newton step solves [I J^T; J 0][dz; dmu] = -[r1; c] as
+    (J J^T) dmu = c - J r1, dz = -r1 - J^T dmu; for one chart row J J^T is
+    the scalar ||J||^2.  The multiplier starts at the least-squares solution
+    of J^T mu = y - z, which for one row is J (y - z) / ||J||^2, and 0 where
+    J vanishes.
     Raises ``NoConvergence`` when the iteration stalls (``y`` too far from
     the manifold, or a degenerate configuration such as an equidistant
     center point) or takes more than PROJECT_ITERS Newton steps.
@@ -90,17 +110,16 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
         return y.copy()
 
     z = as_point(_init, p.n).copy() if _init is not None else y.copy()
-    n = p.n
 
     # damped Gauss-Newton feasibility presolve when far from the manifold;
     # plain Newton on the stationarity system diverges there.  c and J are
     # the chart's value and Jacobian at z, updated with every accepted z.
     c, J = chart_value(chart, z), chart_jacobian(chart, z)
     for _ in range(60):
-        if np.max(np.abs(c)) <= 1e-6:
+        if abs(c).max() <= 1e-6:
             break
         try:
-            dz = -J.T @ np.linalg.solve(J @ J.T, c)
+            dz = -J.T @ _gram_solve(J, c)
         except np.linalg.LinAlgError:
             raise NoConvergence("projection: singular constraint Jacobian") from None
         merit0 = float(c @ c)
@@ -117,21 +136,20 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     else:
         raise NoConvergence("projection: feasibility presolve hit its cap")
 
-    mu, *_ = np.linalg.lstsq(J.T, y - z, rcond=None)
+    if len(J) == 1:
+        jj = float(J[0] @ J[0])
+        mu = J @ (y - z) / jj if jj > 0.0 else np.zeros(1)
+    else:
+        mu, *_ = np.linalg.lstsq(J.T, y - z, rcond=None)
     r1 = z - y + J.T @ mu
     for _ in range(PROJECT_ITERS):
-        if np.max(np.abs(c)) <= 1e-12 and np.max(np.abs(r1)) <= 1e-10:
+        if abs(c).max() <= 1e-12 and abs(r1).max() <= 1e-10:
             return z
-        kkt = np.zeros((n + chart.n_rows, n + chart.n_rows))
-        kkt[:n, :n] = np.eye(n)
-        kkt[:n, n:] = J.T
-        kkt[n:, :n] = J
-        rhs = -np.concatenate([r1, c])
         try:
-            delta = np.linalg.solve(kkt, rhs)
+            dmu = _gram_solve(J, c - J @ r1)
         except np.linalg.LinAlgError:
             raise NoConvergence("projection: singular KKT system (degenerate point)") from None
-        dz, dmu = delta[:n], delta[n:]
+        dz = -r1 - J.T @ dmu
         merit0 = float(c @ c + r1 @ r1)
         step = 1.0
         for _ in range(30):

@@ -13,6 +13,7 @@ from modescent.cli import front, main, solve
 from oracles import dist_to_critical_set
 
 OCTANT_FILE = Path(__file__).parent / "data" / "octant3d.json"
+CUBIC_FILE = Path(__file__).parent / "data" / "cubic_chart.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -180,6 +181,14 @@ def test_audit_passes_on_analytic_problem():
 
 def test_audit_fails_on_broken_jacobian():
     assert main(["audit", "--problem", "broken-jacobian"]) == 1
+
+
+def test_audit_fails_a_chart_with_no_samples(capsys):
+    # H = x1^3: the projection stalls from every box point, so the retraction
+    # slope check has no sample to check and must not pass
+    assert main(["audit", "--problem-file", str(CUBIC_FILE)]) == 1
+    out = capsys.readouterr().out
+    assert "retraction slope (project, chart H): 0 samples, residual 0.000e+00: FAIL" in out
 
 
 def test_audit_problem_and_problem_file_is_usage_error():

@@ -69,6 +69,32 @@ def test_tangent_basis_properties(rng):
             assert np.max(np.abs(A @ B)) <= 1e-10
 
 
+@pytest.mark.parametrize("row", [
+    [-2.0, 1.0, 3.0],          # negative leading entry
+    [0.0, 1.0, -2.0],          # zero leading entry
+    [-0.0, 0.5, 0.5],
+    [1e-200, -3e-200, 2e-200],
+    [1e300, -1.5e300, 5e299],
+    [1e300, 1e-200, -2.0],
+    [3.0, -4.0],
+    [-7.0],
+])
+def test_tangent_basis_one_row_householder(row):
+    A = np.array([row])
+    B = md.tangent_basis(A)
+    n = A.shape[1]
+    assert B.shape == (n, n - 1)
+    assert np.max(np.abs(B.T @ B - np.eye(n - 1)), initial=0.0) <= 1e-15
+    a = A[0] / np.max(np.abs(A))
+    assert np.max(np.abs(a @ B), initial=0.0) <= 1e-15
+    assert np.max(np.abs(B @ B.T - (np.eye(n) - np.outer(a, a) / (a @ a)))) <= 1e-15
+
+
+def test_tangent_basis_zero_row_is_rank_deficient():
+    with pytest.raises(md.RankError):
+        md.tangent_basis(np.zeros((1, 3)))
+
+
 def test_tangent_basis_rank_deficiency():
     with pytest.raises(md.RankError):
         md.tangent_basis(np.array([[1.0, 0.0], [2.0, 0.0]]))

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import modescent as md
 from modescent import geometry
 from modescent.geometry import FEAS_TOL, chart_jacobian, chart_retraction, chart_value
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -70,6 +74,27 @@ def test_project_nearest_against_dense_sampling(circle_chart, rng):
         z = md.project(circle_chart, y)
         best = float(np.min(np.linalg.norm(boundary - y, axis=1)))
         assert np.linalg.norm(z - y) <= best + 1e-6
+
+
+def test_project_keeps_a_chart_point_where_the_jacobian_vanishes():
+    # H = x1^3: on the chart x1 = 0 the Jacobian is zero, so the one-row
+    # multiplier start must be 0 (the least-squares answer), not 0 / 0
+    chart = md.ManifoldChart(md.load_problem(DATA / "cubic_chart.json"), ())
+    assert np.array_equal(md.project(chart, (0.0, 0.3)), [0.0, 0.3])
+
+
+def test_project_onto_two_row_chart_is_the_nearest_circle_point(rng):
+    # octant3d with its inequality pinned: the unit sphere cut by x3 = 0.5,
+    # the circle of radius sqrt(0.75) at height 0.5 (a 2 x 2 Schur step)
+    chart = md.ManifoldChart(md.load_problem(DATA / "octant3d.json"), (1,))
+    assert chart.n_rows == 2
+    for _ in range(20):
+        y = rng.uniform(-1.5, 1.5, size=3)
+        radius = float(np.hypot(y[0], y[1]))
+        if radius < 0.3:
+            continue
+        nearest = [np.sqrt(0.75) * y[0] / radius, np.sqrt(0.75) * y[1] / radius, 0.5]
+        assert md.project(chart, y) == pytest.approx(nearest, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
