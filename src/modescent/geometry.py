@@ -63,7 +63,7 @@ def _chart_rows(chart: ManifoldChart, x, h, g, row_shape) -> np.ndarray:
         parts.append(rows[[i - 1 for i in chart.ineq_indices]])
     if not parts:
         return np.zeros((0, *row_shape))
-    return np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def chart_value(chart: ManifoldChart, x) -> np.ndarray:

@@ -5,6 +5,7 @@ preconditions raises ``StepPreconditionError``, which is both a ``NoStep``
 and a ``ValueError``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class StepResult:
 
 
 def _descent_slope(bundle, v):
-    slope = bundle.DF_val @ v
-    if not (slope < 0.0).all():
+    """DF(x) v as Python floats, each required to be < 0 (NaN fails)."""
+    slope = (bundle.DF_val @ v).tolist()
+    if not all(s < 0.0 for s in slope):
         raise StepPreconditionError(
             "line search requires strict componentwise descent: DF(x) v < 0")
     return slope
@@ -52,23 +54,30 @@ def _trials(retract, x, v, beta0, beta, k_max):
 
     The retractions depend only on x and x + t v, so once x + t v rounds to
     x every later trial repeats the last one: the generator stops after
-    such a trial if it failed or returned x itself.
+    such a trial if it failed or returned x itself.  Both tests run in
+    Python floats; a NaN entry fails them, so the generator goes on.
     """
+    xs = x.tolist()
     for k in range(k_max + 1):
         t = beta0 * beta ** k
         w = t * v
         z = _try_retract(retract, x, w)
         yield k, t, z
-        if (z is None or (z == x).all()) and (x + w == x).all():
+        if (z is None or all(zi == xi for zi, xi in zip(z.tolist(), xs))) \
+                and all(xi + wi == xi for xi, wi in zip(xs, w.tolist())):
             return
 
 
 def _armijo(bundle, slope, sigma, t, z):
     """F(z) and whether F(z) < F(x) + sigma t DF(x) v holds (strictly, in
-    every component)."""
+    every component; a NaN in F(z) fails it).  ``slope`` is DF(x) v in
+    Python floats; each right-hand side is the same two roundings as the
+    array expression F(x) + (sigma t) slope."""
     problem = bundle.problem
     lhs = np.asarray(problem.F(z), dtype=float).reshape(problem.m)
-    return lhs, bool((lhs < bundle.F_val + sigma * t * slope).all())
+    st = sigma * t
+    return lhs, all(f < f0 + st * s
+                    for f, f0, s in zip(lhs.tolist(), bundle.F_val.tolist(), slope))
 
 
 def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
@@ -100,20 +109,40 @@ def _try_retract(retract, x, w):
 
 def _outside_g(problem, rows, z):
     """G(z) and its largest entry over ``rows``, the G rows outside the
-    step's chart (an index list, or ``slice(None)`` for every row); without
-    such rows G is not called and the result is (None, -inf).  A failed
-    retraction (z None), a NaN or a -inf entry reads NaN and a +inf entry
-    reads +inf, which no feasibility test passes.  The chart rows need no
+    step's chart (a sequence of 0-based indices); without such rows G is
+    not called and the result is (None, -inf).  A failed retraction
+    (z None), a NaN or a -inf entry reads NaN and a +inf entry reads +inf,
+    which no feasibility test passes.  The chart rows need no
     test: every retraction returns a point within FEAS_TOL of its chart or
     fails."""
     if z is None:
-        return None, np.nan
+        return None, math.nan
     if not rows:
-        return None, -np.inf
+        return None, -math.inf
     g = np.asarray(problem.G(z), dtype=float)
-    out = g[rows]
-    # min > -inf is cheaper than an isfinite pass; NaN fails the comparison
-    return g, (out.max() if out.min() > -np.inf else np.nan)
+    values = g.ravel().tolist()
+    out = [values[i] for i in rows]
+    # NaN and -inf fail the comparison; past it, max is order-independent
+    if not all(gi > -math.inf for gi in out):
+        return g, math.nan
+    return g, max(out)
+
+
+# (problem, kind, retraction) of the chart without pinned inequalities, for
+# the last problem and retraction kind asked for: it depends on nothing else,
+# and a front asks for it once per step with one problem
+_free_chart = (None, None, None)
+
+
+def _free_retraction(problem, kind):
+    """The retraction of ``ManifoldChart(problem, ())``, built once per
+    problem and kind instead of once per step."""
+    global _free_chart
+    cached, cached_kind, retract = _free_chart
+    if cached is not problem or cached_kind != kind:
+        retract = chart_retraction(ManifoldChart(problem, ()), kind)
+        _free_chart = (problem, kind, retract)
+    return retract
 
 
 def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepResult:
@@ -135,8 +164,8 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
-    retract = chart_retraction(ManifoldChart(problem, ()), config.retraction)
-    rows = slice(None) if problem.m_G > 0 else []
+    retract = _free_retraction(problem, config.retraction)
+    rows = range(problem.m_G)
     k_armijo = None
     for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX):
         if z is None:

@@ -146,8 +146,9 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
             at_cap = it == config.max_iters
             bundle = evaluate(problem, x, F_val, G_val)
             d2 = step = None
+            # Python floats; a NaN entry fails the test, as in active_set
             if not at_cap and math.isfinite(config.eta) \
-                    and (bundle.G_val >= -config.epsilon).any():
+                    and any(g >= -config.epsilon for g in bundle.G_val.tolist()):
                 d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
                 # a numerically null boundary direction cannot drive a step, so
                 # it falls through to the boundary-leaving branch as well

@@ -90,6 +90,13 @@ def test_tangent_basis_one_row_householder(row):
     assert np.max(np.abs(B @ B.T - (np.eye(n) - np.outer(a, a) / (a @ a)))) <= 1e-15
 
 
+@pytest.mark.parametrize("rows", [[[1.0, 2.0, np.nan]], [[1.0, 0.0, 0.0], [0.0, 1.0, np.nan]]],
+                         ids=["one-row", "two-rows"])
+def test_tangent_basis_rejects_nan_in_the_last_entry(rows):
+    with pytest.raises(ValueError, match="non-finite"):
+        md.tangent_basis(np.array(rows))
+
+
 def test_tangent_basis_zero_row_is_rank_deficient():
     with pytest.raises(md.RankError):
         md.tangent_basis(np.zeros((1, 3)))
@@ -140,6 +147,14 @@ def test_min_norm_singleton():
     lam, p = md.min_norm_in_hull([(3.0, -4.0)])
     assert lam == pytest.approx([1.0])
     assert p == pytest.approx([3.0, -4.0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_min_norm_rejects_nan_in_the_last_generator(k):
+    G = np.arange(2.0 * k).reshape(k, 2)
+    G[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        md.min_norm_in_hull(G)
 
 
 def test_min_norm_oracle_equivalence(rng):

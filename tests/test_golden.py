@@ -86,6 +86,22 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     assert dict(calls) == {"F": 611, "DF": 131, "G": 1113, "DG": 164}
 
 
+def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypatch):
+    # the chart without pinned inequalities, and its retraction, are built
+    # once per problem, not once per SP1 step; each SP2 step builds the
+    # chart of its own active set (17 of the 24 pin none)
+    built = []
+    post_init = md.ManifoldChart.__post_init__
+
+    def counted(chart):
+        built.append(chart.ineq_indices)
+        post_init(chart)
+    monkeypatch.setattr(md.ManifoldChart, "__post_init__", counted)
+    _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
+    assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
+    assert len(built) <= 24 + 1
+
+
 def test_sphere3d_map_calls_are_pinned(sphere3d):
     # the sphere3d golden solve with counted maps: every trial point is
     # projected onto the sphere, evaluate calls H no more and the step does

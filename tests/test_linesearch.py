@@ -131,6 +131,42 @@ def test_feasible_armijo_rejects_outflow_direction(circle2d):
                              md.SolverConfig())
 
 
+def _nan_slope_bundle():
+    # DF(x) v = (-1, NaN) for v = (-1, 0): the NaN sits in the second component,
+    # where a test through Python's max would miss it (max([-1.0, nan]) is -1.0)
+    p = md.ProblemSpec(name="nan-slope", n=2, m=2, F=lambda x: np.array([x[0], x[0]]),
+                       DF=lambda x: np.eye(2), m_G=1, G=lambda x: np.array([-1.0]),
+                       DG=lambda x: np.array([[0.0, 1.0]]))
+    x = np.zeros(2)
+    return md.EvalBundle(problem=p, x=x, F_val=np.zeros(2), G_val=np.array([-1.0]),
+                         DF_val=np.array([[1.0, 0.0], [np.nan, 0.0]]),
+                         DH_val=np.zeros((0, 2)), DG_val=np.array([[0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("step", ["feasible", "boundary"])
+def test_steps_reject_a_slope_with_nan_in_a_later_component(step):
+    b = _nan_slope_bundle()
+    v = np.array([-1.0, 0.0])
+    assert (b.DF_val @ v)[0] == -1.0
+    with pytest.raises(md.StepPreconditionError, match="strict componentwise descent"):
+        if step == "feasible":
+            feasible_armijo_step(b, v, (), md.SolverConfig())
+        else:
+            boundary_step(b, v, md.ManifoldChart(b.problem, ()), md.SolverConfig())
+
+
+def test_feasible_armijo_never_accepts_nan_in_a_later_g_row():
+    # G is NaN in its second row at every point but the base point; every
+    # trial passes Armijo and the first row, so only the NaN can stop it
+    p = md.ProblemSpec(name="nan-last-g", n=2, m=1, F=lambda x: np.array([-x[0]]),
+                       DF=lambda x: np.array([[-1.0, 0.0]]), m_G=2,
+                       G=lambda x: np.array([-1.0, -1.0 if not x.any() else np.nan]),
+                       DG=lambda x: np.zeros((2, 2)))
+    b = md.evaluate(p, [0.0, 0.0])
+    with pytest.raises(md.NoStep, match="feasible Armijo: no acceptable step"):
+        feasible_armijo_step(b, np.array([1.0, 0.0]), (), md.SolverConfig())
+
+
 # ---------------------------------------------------------------------------
 # boundary_step
 
@@ -244,11 +280,11 @@ def test_boundary_step_requires_point_on_chart(circle2d):
 
 
 @pytest.mark.parametrize("g, rows, expected", [
-    ([-1.0, -2.0], slice(None), -1.0),
+    ([-1.0, -2.0], range(2), -1.0),
     ([-1.0, 5.0], [0], -1.0),
-    ([-1.0, -np.inf], slice(None), np.nan),
-    ([np.nan, -1.0], slice(None), np.nan),
-    ([np.inf, -1.0], slice(None), np.inf),
+    ([-1.0, -np.inf], range(2), np.nan),
+    ([np.nan, -1.0], range(2), np.nan),
+    ([np.inf, -1.0], range(2), np.inf),
 ], ids=["all-rows", "outside-row", "minus-inf", "nan", "plus-inf"])
 def test_outside_g_reads_undefined_rows_as_infeasible(g, rows, expected):
     p = md.ProblemSpec(name="g", n=1, m=1, F=lambda x: x, DF=lambda x: np.eye(1), m_G=2,

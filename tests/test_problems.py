@@ -66,6 +66,30 @@ def test_evaluate_rejects_nonfinite_given_values(circle2d, component, bad):
     assert err.value.component == component
 
 
+def test_evaluate_names_the_first_nonfinite_component():
+    # DH and DG are both non-finite; the error names DH, which comes first
+    # in the order F, G, DF, DH, DG
+    p = md.ProblemSpec(name="bad-jacobians", n=2, m=1, F=lambda x: np.array([x[0]]),
+                       DF=lambda x: np.array([[1.0, 0.0]]),
+                       m_H=1, H=lambda x: np.array([x[1]]), DH=lambda x: np.array([[0.0, np.nan]]),
+                       m_G=1, G=lambda x: np.array([-1.0]), DG=lambda x: np.array([[np.inf, 0.0]]))
+    with pytest.raises(md.EvaluationError) as err:
+        md.evaluate(p, [0.0, 0.0])
+    assert err.value.component == "DH"
+
+
+def test_evaluate_calls_no_map_after_a_nonfinite_component():
+    # F is NaN; DF would raise an ordinary exception, so evaluate must stop
+    # at F and raise EvaluationError before it calls DF
+    def broken(x):
+        raise ZeroDivisionError
+
+    p = md.ProblemSpec(name="nan-objective", n=2, m=1, F=lambda x: np.array([np.nan]), DF=broken)
+    with pytest.raises(md.EvaluationError) as err:
+        md.evaluate(p, [0.0, 0.0])
+    assert err.value.component == "F"
+
+
 def test_evaluate_rejects_wrong_dimension(circle2d):
     with pytest.raises(ValueError):
         md.evaluate(circle2d, [1.0, 2.0, 3.0])
