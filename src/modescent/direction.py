@@ -50,7 +50,7 @@ class SubproblemKind(Enum):
     EQUALITY_ICS = "SP2"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DirectionResult:
     """Solution of one direction subproblem.
 
@@ -284,11 +284,11 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     act = active_set(bundle, epsilon)
     gens, eq_rows = bundle.DF_val, bundle.DH_val
     if act:
-        act_rows = bundle.DG_val[[i - 1 for i in act]]
+        act_rows = bundle.DG_val.take([i - 1 for i in act], axis=0)
         if kind is SubproblemKind.EQUALITY_ICS:
-            eq_rows = np.vstack([eq_rows, act_rows])
+            eq_rows = np.concatenate((eq_rows, act_rows))
         else:
-            gens = np.vstack([gens, act_rows])
+            gens = np.concatenate((gens, act_rows))
 
     if len(eq_rows):
         basis = tangent_basis(eq_rows)

@@ -19,7 +19,7 @@ from .problems import EvalBundle
 K_MAX = 60
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepResult:
     """An accepted step: length t = beta0 * beta^k (possibly shrunk further
     by feasibility repair), the Armijo left-hand side at acceptance, and the

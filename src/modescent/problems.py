@@ -311,41 +311,71 @@ def _poly_list(doc, key):
     return polys
 
 
+def _batched_map(rows, shape):
+    """The map x -> array of ``shape`` whose entries, in row-major order,
+    are ``c @ prod(x ** e, axis=1)`` for the (c, e) pairs of ``rows``.
+
+    Rows are grouped by their monomial count L.  A group of R rows keeps
+    its coefficients as C of shape (R, 1, L) and owns R·L consecutive rows
+    of one stacked exponent table, ordered group by group.  A call takes
+    one ``x ** E`` and one product per table row, then ``C @ mono`` per
+    group: numpy computes each (1, L) @ (L, 1) core with the same vector
+    dot as ``c @ mono`` of one row, so each value is the same sum, in the
+    same order, as one polynomial at a time.  Padding rows to a common L
+    would not be: at 16 and more terms the BLAS dot changes its blocking.
+    """
+    by_count = {}
+    for r, (coefs, _) in enumerate(rows):
+        by_count.setdefault(len(coefs), []).append(r)
+    order, groups, start = [], [], 0
+    for count, members in by_count.items():
+        C = np.array([rows[r][0] for r in members], dtype=float).reshape(len(members), 1, count)
+        stop = start + len(members) * count
+        groups.append((C, start, stop, (len(members), count, 1)))
+        order.extend(members)
+        start = stop
+    E = np.concatenate([rows[r][1] for r in order])
+
+    if len(groups) == 1:
+        ((C, _, _, mono_shape),) = groups
+
+        def one_group(x):
+            mono = np.multiply.reduce(x ** E, axis=1).reshape(mono_shape)
+            return (C @ mono).reshape(shape)
+
+        return one_group
+
+    # position in the group-ordered results of each row, in row order
+    where = np.argsort(order)
+
+    def scattered(x):
+        mono = np.multiply.reduce(x ** E, axis=1)
+        values = np.concatenate([(C @ mono[a:b].reshape(s)).reshape(-1)
+                                 for C, a, b, s in groups])
+        return values.take(where).reshape(shape)
+
+    return scattered
+
+
 def _make_poly_maps(poly_list, n, where):
     """Value and Jacobian maps of a list of polynomials in ``n`` variables.
 
-    Every monomial of every polynomial is one row of a stacked exponent
-    table ``E``; the derivative monomials of every (row, variable) entry
-    are one row each of ``DE``, with the coefficients times the exponent
-    and that exponent lowered by one (floored at 0).  A call takes one
-    ``x ** E`` and one product per table row, then one dot per polynomial
-    (or Jacobian entry) over the slice of the table it owns, so each value
-    is the same sum, in the same order, as one polynomial at a time.
+    Each polynomial is one row of the value map; each (row, variable)
+    entry of the Jacobian is one row of the Jacobian map, with the
+    coefficients times the exponent and that exponent lowered by one
+    (floored at 0).  Zero coefficients are kept, so signed zeros and
+    0 * inf come out as in the full sum.  Both maps group their rows by
+    monomial count and take one batched dot per group (``_batched_map``).
     """
     rows, entries = [], []
-    E, DE = [], []
     for i, poly in enumerate(poly_list):
         coefs, expos = _read_poly(poly, n, f"{where}[{i}]")
-        rows.append((coefs, slice(len(E), len(E) + len(coefs))))
-        E.extend(expos)
+        rows.append((coefs, expos))
         for j in range(n):
             de = expos.copy()
             de[:, j] = np.maximum(de[:, j] - 1.0, 0.0)
-            entries.append((coefs * expos[:, j], slice(len(DE), len(DE) + len(coefs))))
-            DE.extend(de)
-    E = np.asarray(E, dtype=float).reshape(-1, n)
-    DE = np.asarray(DE, dtype=float).reshape(-1, n)
-    shape = (len(rows), n)
-
-    def fun(x):
-        mono = np.multiply.reduce(x ** E, axis=1)
-        return np.array([c @ mono[s] for c, s in rows])
-
-    def jac(x):
-        mono = np.multiply.reduce(x ** DE, axis=1)
-        return np.array([c @ mono[s] for c, s in entries]).reshape(shape)
-
-    return fun, jac
+            entries.append((coefs * expos[:, j], de))
+    return _batched_map(rows, (len(rows),)), _batched_map(entries, (len(rows), n))
 
 
 def load_problem(source) -> ProblemSpec:
