@@ -48,7 +48,9 @@ class ProblemSpec:
         Defaults to [-3, 3]^n.
 
     Instances are immutable; concurrent evaluation is safe as long as the
-    supplied callables are.
+    supplied callables are.  The maps ``load_problem`` compiles are: they
+    share a one-entry memo of the problem's monomials, replaced as one
+    tuple, so threads evaluating different points each read their own.
     """
 
     name: str
@@ -311,18 +313,73 @@ def _poly_list(doc, key):
     return polys
 
 
-def _batched_map(rows, shape):
+def _monomials(x, B):
+    """Every monomial of the exponent table ``B`` at ``x``: prod(x ** B, axis=1)."""
+    return np.multiply.reduce(x ** B, axis=1)
+
+
+class _MonomialBasis:
+    """The distinct exponent rows of every map of one problem file, and a
+    one-entry memo of their monomials at the last point asked for.
+
+    The descent loop evaluates F, G, H and their Jacobians at the same few
+    points (H then DH at each projection trial, F and G at the point it
+    returns, the Jacobians at the accepted iterate), and the six maps of a
+    file draw from the same monomials, so each map takes its table rows
+    from the memo instead of raising x to its own table.  The memo is keyed
+    on the bytes of x, so 0.0 and -0.0 are different points, and holds the
+    key and the monomials as one tuple, replaced whole after the power has
+    succeeded: a thread never reads one point's key with another point's
+    monomials, and an overflow that raises (``np.seterr`` or a warnings
+    filter) stores nothing, so a repeated call raises again.  One caveat:
+    a map can warn about overflow in a monomial that only another map of
+    the problem uses; its own values are not affected.
+    """
+
+    __slots__ = ("n", "B", "_index", "_last")
+
+    def __init__(self, n):
+        self.n = n
+        self._index = {}
+        self.B = np.empty((0, n))
+        self._last = (None, None)
+
+    def indices(self, E):
+        """Positions in B of the rows of exponent table ``E``, adding the
+        rows B does not hold yet.  Load time only: B is rebuilt."""
+        index = self._index
+        idx = [index.setdefault(tuple(row), len(index)) for row in E.tolist()]
+        self.B = np.array(list(index), dtype=float).reshape(len(index), self.n)
+        self._last = (None, None)
+        return np.array(idx, dtype=np.intp)
+
+    def at(self, x):
+        """The monomials of B at the float array ``x`` (read as one point)."""
+        key = x.tobytes()
+        last = self._last
+        if last[0] == key:
+            return last[1]
+        # any array of n floats is the point its bytes name, whatever its shape
+        mono = _monomials(x.reshape(-1), self.B)
+        self._last = (key, mono)
+        return mono
+
+
+def _batched_map(rows, shape, basis):
     """The map x -> array of ``shape`` whose entries, in row-major order,
     are ``c @ prod(x ** e, axis=1)`` for the (c, e) pairs of ``rows``.
 
     Rows are grouped by their monomial count L.  A group of R rows keeps
-    its coefficients as C of shape (R, 1, L) and owns R·L consecutive rows
-    of one stacked exponent table, ordered group by group.  A call takes
-    one ``x ** E`` and one product per table row, then ``C @ mono`` per
-    group: numpy computes each (1, L) @ (L, 1) core with the same vector
-    dot as ``c @ mono`` of one row, so each value is the same sum, in the
-    same order, as one polynomial at a time.  Padding rows to a common L
-    would not be: at 16 and more terms the BLAS dot changes its blocking.
+    its coefficients as C of shape (R, 1, L) and owns R·L consecutive
+    entries of one index into the problem's ``_MonomialBasis``, ordered
+    group by group.  A call reads the monomials at x from the basis (its
+    memo, or one ``x ** B`` and one product per basis row), takes the
+    map's entries, then ``C @ mono`` per group: numpy computes each
+    (1, L) @ (L, 1) core with the same vector dot as ``c @ mono`` of one
+    row, and each monomial is the same power and product as its own, so
+    each value is the same sum, in the same order, as one polynomial at a
+    time.  Padding rows to a common L would not be: at 16 and more terms
+    the BLAS dot changes its blocking.
     """
     by_count = {}
     for r, (coefs, _) in enumerate(rows):
@@ -334,13 +391,14 @@ def _batched_map(rows, shape):
         groups.append((C, start, stop, (len(members), count, 1)))
         order.extend(members)
         start = stop
-    E = np.concatenate([rows[r][1] for r in order])
+    idx = basis.indices(np.concatenate([rows[r][1] for r in order]))
+    at = basis.at
 
     if len(groups) == 1:
         ((C, _, _, mono_shape),) = groups
 
         def one_group(x):
-            mono = np.multiply.reduce(x ** E, axis=1).reshape(mono_shape)
+            mono = at(np.asarray(x, dtype=float)).take(idx).reshape(mono_shape)
             return (C @ mono).reshape(shape)
 
         return one_group
@@ -349,7 +407,7 @@ def _batched_map(rows, shape):
     where = np.argsort(order)
 
     def scattered(x):
-        mono = np.multiply.reduce(x ** E, axis=1)
+        mono = at(np.asarray(x, dtype=float)).take(idx)
         values = np.concatenate([(C @ mono[a:b].reshape(s)).reshape(-1)
                                  for C, a, b, s in groups])
         return values.take(where).reshape(shape)
@@ -357,7 +415,7 @@ def _batched_map(rows, shape):
     return scattered
 
 
-def _make_poly_maps(poly_list, n, where):
+def _make_poly_maps(poly_list, n, where, basis):
     """Value and Jacobian maps of a list of polynomials in ``n`` variables.
 
     Each polynomial is one row of the value map; each (row, variable)
@@ -365,7 +423,9 @@ def _make_poly_maps(poly_list, n, where):
     coefficients times the exponent and that exponent lowered by one
     (floored at 0).  Zero coefficients are kept, so signed zeros and
     0 * inf come out as in the full sum.  Both maps group their rows by
-    monomial count and take one batched dot per group (``_batched_map``).
+    monomial count and take one batched dot per group (``_batched_map``),
+    reading their monomials from ``basis``, which every map of the
+    problem shares.
     """
     rows, entries = [], []
     for i, poly in enumerate(poly_list):
@@ -375,7 +435,8 @@ def _make_poly_maps(poly_list, n, where):
             de = expos.copy()
             de[:, j] = np.maximum(de[:, j] - 1.0, 0.0)
             entries.append((coefs * expos[:, j], de))
-    return _batched_map(rows, (len(rows),)), _batched_map(entries, (len(rows), n))
+    return (_batched_map(rows, (len(rows),), basis),
+            _batched_map(entries, (len(rows), n), basis))
 
 
 def load_problem(source) -> ProblemSpec:
@@ -411,12 +472,13 @@ def load_problem(source) -> ProblemSpec:
     if len(objectives) != m:
         raise ValueError(f"objectives: expected {m} objectives, got {len(objectives)}")
 
-    F, DF = _make_poly_maps(objectives, n, "objectives")
+    basis = _MonomialBasis(n)
+    F, DF = _make_poly_maps(objectives, n, "objectives", basis)
     kwargs = {}
     if len(equalities):
-        kwargs["H"], kwargs["DH"] = _make_poly_maps(equalities, n, "equalities")
+        kwargs["H"], kwargs["DH"] = _make_poly_maps(equalities, n, "equalities", basis)
     if len(inequalities):
-        kwargs["G"], kwargs["DG"] = _make_poly_maps(inequalities, n, "inequalities")
+        kwargs["G"], kwargs["DG"] = _make_poly_maps(inequalities, n, "inequalities", basis)
 
     box = doc.get("box")
     if box is not None:

@@ -128,3 +128,22 @@ def test_octant3d_map_calls_are_pinned():
     assert trace.iterations == 46
     assert trace.branch_counts() == {"SP1-step": 46}
     assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "DG": 47, "H": 133, "DH": 179}
+
+
+def test_octant3d_monomial_powers_are_pinned(monkeypatch):
+    # the same solve: the six maps share one memo of their monomials, so
+    # the 502 map calls raise x to the problem's exponent table only at
+    # the 132 points where the previous call was elsewhere
+    powers = []
+    monomials = md.problems._monomials
+
+    def counted(x, B):
+        powers.append(x)
+        return monomials(x, B)
+
+    monkeypatch.setattr(md.problems, "_monomials", counted)
+    spec, calls = with_counted_maps(md.load_problem(OCTANT_FILE),
+                                    ("F", "DF", "G", "DG", "H", "DH"))
+    md.solve_constrained(spec, (0.5, -0.5, -0.7), md.SolverConfig(beta0=0.1, eta=1.0))
+    assert sum(calls.values()) == 502
+    assert len(powers) == 132

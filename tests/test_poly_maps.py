@@ -1,21 +1,28 @@
 """The maps of a polynomial problem file against the one-polynomial-at-a-time
 evaluator in ``oracles.poly_maps``.
 
-For n >= 2 the values and Jacobians must be the same bytes: the compiled
-maps take the same powers and products from one stacked monomial table,
-group their rows (polynomials or Jacobian entries) by monomial count, and
-take one batched dot per group, which numpy computes row by row with the
-same vector dot as one polynomial at a time.  For n = 1 numpy raises a
-one-monomial polynomial to its 1x1 exponent table through a scalar fast
-path, which can move the last bit, so there the check is 4 ulp of the sum
-of |terms|.
+For n >= 2 the values and Jacobians must be the same bytes: the six maps
+of a problem take the same powers and products from one shared table of
+its distinct monomials, group their rows (polynomials or Jacobian
+entries) by monomial count, and take one batched dot per group, which
+numpy computes row by row with the same vector dot as one polynomial at a
+time.  The shared monomials are memoised for the last point, keyed on its
+bytes; the memo tests walk through repeated, neighbouring, signed-zero and
+NaN points in a drawn map order and pin when the monomials are computed.
+For n = 1 numpy raises a one-monomial polynomial to its 1x1 exponent table
+through a scalar fast path, which can move the last bit, so there the
+check is 4 ulp of the sum of |terms|.
 """
 
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modescent as md
+from modescent import problems
 from oracles import poly_maps
 
 COEF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -145,3 +152,133 @@ def test_overflowing_row_leaves_the_other_rows_finite():
             assert got.tobytes() == reference(x).tobytes()
             assert not np.isfinite(got[0]).any()
             assert np.isfinite(got[1:]).all()
+
+
+MAPS = ("F", "DF", "H", "DH", "G", "DG")
+KEYS = {"F": "objectives", "H": "equalities", "G": "inequalities"}
+
+
+def _reference(doc, name):
+    fun, jac = poly_maps(doc[KEYS[name[-1]]], doc["n"])
+    return jac if name.startswith("D") else fun
+
+
+@st.composite
+def point_walks(draw, n):
+    """Points in visiting order, each a copy: a start, then steps that
+    repeat the last point, revisit an earlier one, move one coordinate to
+    its float neighbour, swap the sign of a zero, set NaN, or jump."""
+    point = np.array(draw(st.lists(COORD, min_size=n, max_size=n)), dtype=float)
+    walk = [point]
+    for _ in range(draw(st.integers(1, 12))):
+        step = draw(st.sampled_from(["same", "back", "next", "zero", "nan", "jump"]))
+        j = draw(st.integers(0, n - 1))
+        point = walk[-1].copy()
+        if step == "back":
+            point = walk[draw(st.integers(0, len(walk) - 1))].copy()
+        elif step == "next":
+            point[j] = np.nextafter(point[j], draw(st.sampled_from([-np.inf, np.inf])))
+        elif step == "zero":
+            point[j] = -0.0 if point[j] == 0.0 and not np.signbit(point[j]) else 0.0
+        elif step == "nan":
+            point[j] = np.nan
+        elif step == "jump":
+            point = np.array(draw(st.lists(COORD, min_size=n, max_size=n)), dtype=float)
+        walk.append(point)
+    return walk
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memoised_monomials_match_reference_bytes(data):
+    # two problems loaded from one document, whose maps are called in a
+    # drawn interleaving: each must read only its own memo, and compute its
+    # monomials exactly when the point differs in its bytes from the last
+    # one that problem was asked about (-0.0 is not 0.0, NaN is NaN).  The
+    # points are written into one buffer, so the array object never changes.
+    doc, _ = data.draw(grouped_problems())
+    specs = (md.load_problem(doc), md.load_problem(doc))
+    walk = data.draw(point_walks(doc["n"]))
+    point = np.empty(doc["n"])
+    calls = st.tuples(st.sampled_from([0, 1]), st.sampled_from(MAPS))
+    computed, expected, last = [], [], [None, None]
+
+    def counted(x, B):
+        computed.append(B)
+        return monomials(x, B)
+
+    monomials = problems._monomials
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problems, "_monomials", counted)
+        for x in walk:
+            point[:] = x
+            for which, name in data.draw(st.lists(calls, min_size=1, max_size=8)):
+                got = getattr(specs[which], name)(point)
+                assert got.tobytes() == _reference(doc, name)(x).tobytes()
+                if last[which] != x.tobytes():
+                    last[which] = x.tobytes()
+                    expected.append(which)
+    # the basis each computation used, named by its problem's first call
+    first = {}
+    assert [first.setdefault(id(B), len(first)) for B in computed] == \
+        [{expected[0]: 0, 1 - expected[0]: 1}[which] for which in expected]
+
+
+OVERFLOW_DOC = {"n": 2, "m": 1,
+                "objectives": [[[1.0, [1, 0]], [-2.0, [0, 1]]]],
+                "inequalities": [[[1.0, [4, 0]], [-1.0, [0, 0]]]]}
+
+
+def test_overflow_raises_again_when_repeated():
+    # under filterwarnings = error an overflowing power raises before the
+    # memo is written, so the same call raises again, and the next finite
+    # point is computed afresh
+    spec = md.load_problem(OVERFLOW_DOC)
+    big, finite = np.array([1e100, 2.0]), np.array([-0.5, 1.5])
+    for _ in range(2):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            spec.G(big)
+    for name in MAPS:
+        if getattr(spec, name) is not None:
+            assert getattr(spec, name)(finite).tobytes() == \
+                _reference(OVERFLOW_DOC, name)(finite).tobytes()
+
+
+def test_overflow_in_another_maps_monomial_warns():
+    # F's monomials are finite at x, but the basis the maps share holds
+    # G's x0^4, which overflows: F warns, with its own values unchanged
+    spec = md.load_problem(OVERFLOW_DOC)
+    x = np.array([1e100, 2.0])
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        spec.F(x)
+    with np.errstate(over="ignore"):
+        assert spec.F(x).tobytes() == _reference(OVERFLOW_DOC, "F")(x).tobytes()
+
+
+def test_a_computation_overtaken_by_another_thread_stores_its_own_pair(monkeypatch):
+    # a worker computes the monomials at a and is held inside the power
+    # while the main thread computes and stores b; the worker's later store
+    # must pair a with a's monomials, so the main thread's next call at b
+    # computes again instead of reading a's monomials under b's key
+    spec = md.load_problem(OVERFLOW_DOC)
+    a, b = np.array([0.5, -1.5]), np.array([2.0, 0.25])
+    inside, release = threading.Event(), threading.Event()
+    monomials = problems._monomials
+
+    def held_at_a(x, B):
+        if x.tobytes() == a.tobytes():
+            inside.set()
+            assert release.wait(10)
+        return monomials(x, B)
+
+    monkeypatch.setattr(problems, "_monomials", held_at_a)
+    worker_result = []
+    worker = threading.Thread(target=lambda: worker_result.append(spec.G(a)))
+    worker.start()
+    assert inside.wait(10)
+    spec.F(b)
+    release.set()
+    worker.join(10)
+    assert worker_result[0].tobytes() == _reference(OVERFLOW_DOC, "G")(a).tobytes()
+    for name in ("G", "DG", "F"):
+        assert getattr(spec, name)(b).tobytes() == _reference(OVERFLOW_DOC, name)(b).tobytes()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,25 @@ def test_evaluate_thread_safe(circle2d):
     for b in bundles:
         assert np.array_equal(b.F_val, expected.F_val)
         assert np.array_equal(b.DF_val, expected.DF_val)
+
+
+def test_evaluate_thread_safe_on_a_problem_file(rng):
+    # the maps of a file share a one-entry memo of their monomials; threads
+    # that evaluate different points must each get their own point's bytes
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec = md.load_problem(Path(__file__).parent / "data" / "octant3d.json")
+    points = rng.uniform(-1.5, 1.5, size=(64, 3))
+    fields = ("F_val", "G_val", "DF_val", "DH_val", "DG_val")
+
+    def digest(x):
+        bundle = md.evaluate(spec, x)
+        return [getattr(bundle, f).tobytes() for f in fields]
+
+    expected = [digest(x) for x in points]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        got = list(pool.map(digest, points))
+    assert got == expected
 
 
 def test_fd_audit_all_registered_at_random_box_points(rng):
