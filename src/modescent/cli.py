@@ -171,16 +171,24 @@ def front(problem_name, problem_file, grid, x0, outdir, **config_kwargs):
         raise click.UsageError(f"--x0 needs a grid of all 1s, got {grid!r}")
 
     archive = multistart(problem, starts, config)
-    front_archive = deduplicate(nondominated_filter(archive))
+    nondominated = nondominated_filter(archive)
+    front_archive = deduplicate(nondominated)
+    # the filter's one dominance pass gives every flag: an entry without F
+    # has none, a kept entry is not dominated, every other one is.  A front
+    # entry is nondominated in the whole archive, so in the front as well.
+    kept = {id(e) for e in nondominated}
+    archive_flags = [None if e.F is None else id(e) not in kept for e in archive]
+    front_flags = [False] * len(front_archive)
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for name, arch in (("archive", archive), ("front", front_archive)):
+    for name, arch, flags in (("archive", archive, archive_flags),
+                              ("front", front_archive, front_flags)):
         csv_path = outdir / f"{name}.csv"
         json_path = outdir / f"{name}.json"
-        write_archive_csv(arch, csv_path, problem.n, problem.m)
-        write_archive_json(arch, json_path)
+        write_archive_csv(arch, flags, csv_path, problem.n, problem.m)
+        write_archive_json(arch, flags, json_path)
         outputs += [csv_path, json_path]
 
     failures = sum(1 for e in archive if e.error is not None)

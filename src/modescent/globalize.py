@@ -1,5 +1,6 @@
 """Multistart driver over a sampling grid plus a nondominance filter."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +72,22 @@ def nondominated_filter(archive: list) -> list:
 
 
 def deduplicate(archive: list) -> list:
-    """Reporting helper: drop entries whose x is within ``DEDUP_TOL`` of a
-    kept one."""
+    """Reporting helper: drop entries without x, and entries whose x is
+    within ``DEDUP_TOL`` (Euclidean) of an entry kept before them.
+
+    The kept entries are returned in archive order.  Distances are taken in
+    Python floats with ``math.dist``, and each candidate stops at the first
+    kept point it is too close to.
+    """
     kept: list = []
+    points: list = []
     for entry in archive:
         if entry.x is None:
             continue
-        if all(np.linalg.norm(entry.x - other.x) >= DEDUP_TOL for other in kept):
+        p = entry.x.tolist()
+        if all(math.dist(p, q) >= DEDUP_TOL for q in points):
             kept.append(entry)
+            points.append(p)
     return kept
 
 
@@ -126,15 +135,18 @@ def multistart(problem: ProblemSpec, starts, config: SolverConfig = SolverConfig
 # archive serialization
 
 
-def write_archive_csv(archive: list, path, n: int, m: int) -> None:
-    """Columns: x..., F..., alpha, converged, dominated."""
-    flags = dominance_flags(archive)
+def write_archive_csv(archive: list, flags: list, path, n: int, m: int) -> None:
+    """Columns: x..., F..., alpha, converged, dominated.
+
+    ``flags`` holds one dominated flag per entry, as ``dominance_flags``
+    returns them (None for an entry without F); the writer computes none.
+    """
     header = ([f"x{i + 1}" for i in range(n)] + [f"F{i + 1}" for i in range(m)]
               + ["alpha", "converged", "dominated"])
     rows = []
-    for entry, flag in zip(archive, flags):
-        row = [fmt(v) for v in entry.x] if entry.x is not None else [""] * n
-        row += [fmt(v) for v in entry.F] if entry.F is not None else [""] * m
+    for entry, flag in zip(archive, flags, strict=True):
+        row = [fmt(v) for v in entry.x.tolist()] if entry.x is not None else [""] * n
+        row += [fmt(v) for v in entry.F.tolist()] if entry.F is not None else [""] * m
         row.append(fmt(entry.alpha) if entry.alpha is not None else "")
         row.append("true" if entry.converged else "false")
         row.append("" if flag is None else ("true" if flag else "false"))
@@ -142,24 +154,25 @@ def write_archive_csv(archive: list, path, n: int, m: int) -> None:
     write_csv(path, header, rows)
 
 
-def archive_to_dict(archive: list) -> dict:
-    flags = dominance_flags(archive)
+def archive_to_dict(archive: list, flags: list) -> dict:
+    """JSON document of ``archive``; ``flags`` as in ``write_archive_csv``."""
     return {
         "entries": [
             {
-                "start": [float(v) for v in e.start],
-                "x": None if e.x is None else [float(v) for v in e.x],
-                "F": None if e.F is None else [float(v) for v in e.F],
+                "start": e.start.tolist(),
+                "x": None if e.x is None else e.x.tolist(),
+                "F": None if e.F is None else e.F.tolist(),
                 "alpha": e.alpha,
                 "converged": e.converged,
                 "iterations": e.iterations,
                 "dominated": flag,
                 "error": e.error,
             }
-            for e, flag in zip(archive, flags)
+            for e, flag in zip(archive, flags, strict=True)
         ]
     }
 
 
-def write_archive_json(archive: list, path) -> None:
-    write_json(path, archive_to_dict(archive))
+def write_archive_json(archive: list, flags: list, path) -> None:
+    """Write ``archive_to_dict(archive, flags)`` to ``path``."""
+    write_json(path, archive_to_dict(archive, flags))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import SubproblemKind, solve_direction
-from .errors import ModescentError
+from .errors import ModescentError, RankError
 from .geometry import EPS_ACT, ManifoldChart, feasible_start
 from .linesearch import boundary_step, feasible_armijo_step
 from .output import config_to_dict, fmt, write_csv, write_json
@@ -123,11 +123,14 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     finite eta, solve the boundary subproblem (active inequalities pinned as
     equalities at tolerance ``EPS_ACT``); follow the boundary while its
     value alpha2 <= -eta and a step is possible, otherwise fall back to the
-    boundary-leaving subproblem (active inequalities as extra objectives)
-    and stop once its value alpha1 >= -TOL_ALPHA, or after ``max_iters``
-    steps (``ITER_CAP`` unless alpha1 at the final point passes the same
-    test).  The next iteration takes F at the accepted point, and G where
-    the step computed it, from the step instead of calling the maps again.
+    boundary-leaving subproblem (active inequalities as extra objectives).
+    A boundary subproblem whose pinned rows are rank deficient (``RankError``)
+    has no direction: that iteration takes the boundary-leaving step and
+    records alpha2 as None.  The loop stops once alpha1 >= -TOL_ALPHA, or
+    after ``max_iters`` steps (``ITER_CAP`` unless alpha1 at the final point
+    passes the same test).  The next iteration takes F at the accepted
+    point, and G where the step computed it, from the step instead of
+    calling the maps again.
     Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised by
     the feasibility solve or inside the loop carries the partial trace as
     ``err.trace``.
@@ -149,10 +152,16 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
             # Python floats; a NaN entry fails the test, as in active_set
             if not at_cap and math.isfinite(config.eta) \
                     and any(g >= -config.epsilon for g in bundle.G_val.tolist()):
-                d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
-                # a numerically null boundary direction cannot drive a step, so
-                # it falls through to the boundary-leaving branch as well
-                if not (d2.alpha > -config.eta or d2.alpha >= -TOL_ALPHA):
+                try:
+                    d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
+                except RankError:
+                    # more pinned rows than the tangent space holds, or
+                    # dependent ones: no boundary direction exists here
+                    d2 = None
+                # a missing or numerically null boundary direction cannot drive
+                # a step, so it falls through to the boundary-leaving branch
+                if d2 is not None and not (d2.alpha > -config.eta
+                                           or d2.alpha >= -TOL_ALPHA):
                     d, branch = d2, "SP2-step"
                     step = boundary_step(bundle, d.v, ManifoldChart(problem, d.active_set),
                                          config)

@@ -192,6 +192,18 @@ def pairwise_dominance_flags(values):
     return flags
 
 
+def deduplicate_by_norm(archive, tol):
+    """Entries with an x that lies at least ``tol`` from every kept x, in
+    archive order, by one ``np.linalg.norm`` per pair."""
+    kept = []
+    for entry in archive:
+        if entry.x is None:
+            continue
+        if all(np.linalg.norm(entry.x - other.x) >= tol for other in kept):
+            kept.append(entry)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # closed-form geometry of the circle test problem
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import subprocess
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import modescent as md
+from modescent import globalize
 from modescent.cli import front, main, solve
 
-from oracles import dist_to_critical_set
+from oracles import dist_to_critical_set, pairwise_dominance_flags
 
 OCTANT_FILE = Path(__file__).parent / "data" / "octant3d.json"
 CUBIC_FILE = Path(__file__).parent / "data" / "cubic_chart.json"
@@ -130,6 +132,33 @@ def test_front_writes_filtered_and_unfiltered(tmp_path):
     front = json.loads((out / "front.json").read_text())
     for entry in front["entries"]:
         assert abs(entry["x"][0] - 2.0) <= 1e-2
+
+
+def test_front_makes_one_dominance_pass(tmp_path, monkeypatch):
+    calls = []
+    original = globalize.dominance_flags
+
+    def counted(archive):
+        calls.append(len(archive))
+        return original(archive)
+
+    monkeypatch.setattr(globalize, "dominance_flags", counted)
+    out = tmp_path / "front"
+    rc = main(["front", "--problem", "circle2d", "--grid", "5x5", "--eta", "1",
+               *CIRCLE_ARGS, "--out", str(out)])
+    assert rc == 0
+    assert calls == [25]
+
+    archive = json.loads((out / "archive.json").read_text())["entries"]
+    with open(out / "archive.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = pairwise_dominance_flags([e["F"] for e in archive])
+    assert [r["dominated"] for r in rows] == [
+        "" if f is None else str(f).lower() for f in expected]
+    assert "true" in {r["dominated"] for r in rows}
+    with open(out / "front.csv", newline="") as fh:
+        front_rows = list(csv.DictReader(fh))
+    assert front_rows and {r["dominated"] for r in front_rows} == {"false"}
 
 
 def test_front_single_cell_grid_uses_anchor(tmp_path):

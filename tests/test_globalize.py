@@ -9,8 +9,8 @@ from modescent import globalize
 from modescent.globalize import ArchiveEntry, dominance_flags
 
 from conftest import CIRCLE_CONFIG, make_infeasible_problem
-from oracles import (dist_to_arc, dist_to_critical_set, dist_to_segment,
-                     pairwise_dominance_flags)
+from oracles import (deduplicate_by_norm, dist_to_arc, dist_to_critical_set,
+                     dist_to_segment, pairwise_dominance_flags)
 
 
 def _archive_from_F(values):
@@ -145,6 +145,39 @@ def test_deduplicate_by_x_distance():
     assert len(out) == 2
 
 
+_TOL = globalize.DEDUP_TOL
+
+
+@st.composite
+def _dedup_archives(draw):
+    """Entries on a coarse lattice, some without x, some exact repeats and
+    some offset along one axis by 0, tol/2, tol or 2 tol."""
+    n = draw(st.integers(2, 4))
+    base = st.lists(st.sampled_from([-1.0, 0.0, 0.25, 2.0]), min_size=n, max_size=n)
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["none", "repeat", "offset", "offset"]))
+        if kind == "none":
+            x = None
+        elif kind == "repeat" and any(e.x is not None for e in entries):
+            x = draw(st.sampled_from([e.x for e in entries if e.x is not None])).copy()
+        else:
+            x = np.array(draw(base))
+            offset = draw(st.sampled_from([0.0, _TOL / 2, _TOL, 2 * _TOL]))
+            x[draw(st.integers(0, n - 1))] += offset
+        entries.append(ArchiveEntry(start=np.zeros(n), x=x, F=None, alpha=None,
+                                    converged=False, iterations=0))
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dedup_archives())
+def test_deduplicate_matches_norm_loop(entries):
+    out = md.deduplicate(entries)
+    ref = deduplicate_by_norm(entries, _TOL)
+    assert [id(e) for e in out] == [id(e) for e in ref]
+
+
 # ---------------------------------------------------------------------------
 # grids and multistart
 
@@ -204,13 +237,13 @@ def test_archive_serialization(circle2d, tmp_path):
     cfg = md.SolverConfig(**CIRCLE_CONFIG, eta=1.0)
     archive = md.multistart(circle2d, md.grid_points(circle2d.box, (2, 2)), cfg)
     csv_path = tmp_path / "archive.csv"
-    write_archive_csv(archive, csv_path, circle2d.n, circle2d.m)
+    write_archive_csv(archive, dominance_flags(archive), csv_path, circle2d.n, circle2d.m)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x1,x2,F1,F2,alpha,converged,dominated"
     assert len(lines) == len(archive) + 1
 
     json_path = tmp_path / "archive.json"
-    write_archive_json(archive, json_path)
+    write_archive_json(archive, dominance_flags(archive), json_path)
     doc = json.loads(json_path.read_text())
     assert len(doc["entries"]) == len(archive)
     assert {"start", "x", "F", "alpha", "converged", "dominated"} <= set(doc["entries"][0])

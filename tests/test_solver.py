@@ -358,6 +358,60 @@ def test_constrained_follows_equator_through_two_row_chart():
             assert rec.active_set == (1,)
 
 
+def _quadrant_corner_problem(name, extra_row, extra_grad):
+    """Two objectives minimised over the quadrant x >= 0 at its corner (0, 0),
+    with a third inequality that is active there as well."""
+    def F(x):
+        base = x[0] ** 2 + 2.0 * x[0] + x[1] ** 2
+        return np.array([base + 2.0 * x[1], base + x[1]])
+
+    return md.ProblemSpec(
+        name=name, n=2, m=2, F=F,
+        DF=lambda x: np.array([[2.0 * x[0] + 2.0, 2.0 * x[1] + 2.0],
+                               [2.0 * x[0] + 2.0, 2.0 * x[1] + 1.0]]),
+        m_G=3,
+        G=lambda x: np.array([-x[0], -x[1], extra_row(x)]),
+        DG=lambda x: np.array([[-1.0, 0.0], [0.0, -1.0], extra_grad(x)]),
+        box=((-1.0, 3.0),) * 2,
+    )
+
+
+# a redundant row, and a disk touching x2 = 0 at the corner: at the corner
+# the boundary subproblem pins three rows in dimension 2
+_DEGENERATE_CORNERS = {
+    "redundant": (_quadrant_corner_problem(
+        "redundant", lambda x: -x[0] - x[1], lambda x: [-1.0, -1.0]), 77),
+    "tangent_disk": (_quadrant_corner_problem(
+        "tangent_disk", lambda x: x[0] ** 2 + x[1] ** 2 - 2.0 * x[1],
+        lambda x: [2.0 * x[0], 2.0 * x[1] - 2.0]), 63),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_CORNERS))
+def test_rank_deficient_boundary_subproblem_takes_the_strategy1_step(name):
+    problem, converged = _DEGENERATE_CORNERS[name]
+    starts = md.grid_points(problem.box, (9, 9))
+    archive = md.multistart(problem, starts, md.SolverConfig(beta0=1.0, eta=1.0))
+    assert not [e.error for e in archive if e.error and e.error.startswith("RankError")]
+    for x0, entry in zip(starts, archive):
+        try:
+            md.feasible_start(problem, x0)
+        except md.NoConvergence:
+            continue
+        assert entry.converged, entry.error
+    assert sum(e.converged for e in archive) == converged
+
+
+def test_rank_deficient_boundary_subproblem_records_no_alpha2():
+    problem, _ = _DEGENERATE_CORNERS["redundant"]
+    x, trace = md.solve_constrained(problem, (0.0, 0.0), md.SolverConfig(eta=1.0))
+    # all three rows are active at the corner, which is critical
+    assert trace.termination == md.TERMINATED_CRITICAL
+    assert trace.iterations == 0
+    assert trace.records[-1].alpha2 is None
+    assert np.array_equal(x, [0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # configuration and serialization
 
