@@ -5,6 +5,7 @@ error, failed audit, or a front in which every start failed, 2 iteration
 cap, 64 usage error.
 """
 
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .direction import min_norm_in_hull, tangent_basis
 from .errors import ModescentError, NoConvergence, UnknownProblemError
 from .geometry import ManifoldChart, chart_jacobian, chart_retraction, project
@@ -96,6 +98,8 @@ def _write_manifest(outdir: Path, command, problem, config, outputs, summary, st
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "summary": summary,
+        "versions": {"modescent": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__},
     }
     path = outdir / "manifest.json"
     write_json(path, manifest)

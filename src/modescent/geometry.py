@@ -273,12 +273,25 @@ def _project_with_retries(chart: ManifoldChart, x):
     raise NoConvergence("feasible start: projection failed from all retry seeds")
 
 
+def _most_violated(g_val, active: set) -> set:
+    """The 1-based index of the row of ``g_val`` above FEAS_TOL by the most,
+    outside ``active``, as a one-element set; empty when there is none.  A
+    tie goes to the first row."""
+    rows = [(v, i) for i, v in enumerate(g_val.tolist(), 1)
+            if v > FEAS_TOL and i not in active]
+    return {max(rows, key=lambda r: r[0])[1]} if rows else set()
+
+
 def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
     """Point of the feasible set nearest to ``x`` (locally).
 
-    Active-set loop around the chart projection: violated inequalities are
-    pinned to zero, projected, and dropped again when their distance
-    multiplier turns negative.  Global minimality is not guaranteed; at
+    Active-set loop around the chart projection: one violated inequality
+    per pass is pinned to zero, the most violated one not pinned yet, and
+    a pinned one is dropped again when its distance multiplier turns
+    negative.  Pinning every violated row at once can ask for a chart that
+    is a single degenerate point, such as where a disk touches a line
+    (Nocedal & Wright, 2nd ed., sec. 16.5: add one constraint per
+    iteration).  Global minimality is not guaranteed; at
     equidistant degenerate targets an arbitrary nearby feasible point is
     returned.  Raises ``EvaluationError`` naming the component when H or G
     is non-finite at ``x``, or G at a projected point: no row could count
@@ -291,13 +304,12 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
             and (g_val.size == 0 or np.max(g_val) <= FEAS_TOL):
         return x.copy()
 
-    active = {int(i) + 1 for i in np.flatnonzero(g_val > FEAS_TOL)}
+    active = _most_violated(g_val, set())
     for _ in range(2 * problem.m_G + 4):
         chart = ManifoldChart(problem, tuple(sorted(active)))
         z = _project_with_retries(chart, x)
         if problem.m_G > 0:
-            gz = _call("G", problem.G, z, (problem.m_G,))
-            newly = {int(i) + 1 for i in np.flatnonzero(gz > FEAS_TOL)} - active
+            newly = _most_violated(_call("G", problem.G, z, (problem.m_G,)), active)
             if newly:
                 active |= newly
                 continue

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModescentError
-from .output import fmt, write_csv, write_json
+from .output import (fmt, json_float, json_floats, json_string, json_template, write_csv,
+                     write_json_list)
 from .problems import ProblemSpec
 from .solver import SolverConfig, TERMINATED_CRITICAL, solve_constrained
 
@@ -154,25 +155,24 @@ def write_archive_csv(archive: list, flags: list, path, n: int, m: int) -> None:
     write_csv(path, header, rows)
 
 
-def archive_to_dict(archive: list, flags: list) -> dict:
-    """JSON document of ``archive``; ``flags`` as in ``write_archive_csv``."""
-    return {
-        "entries": [
-            {
-                "start": e.start.tolist(),
-                "x": None if e.x is None else e.x.tolist(),
-                "F": None if e.F is None else e.F.tolist(),
-                "alpha": e.alpha,
-                "converged": e.converged,
-                "iterations": e.iterations,
-                "dominated": flag,
-                "error": e.error,
-            }
-            for e, flag in zip(archive, flags, strict=True)
-        ]
-    }
+# an archive entry at nesting depth 2 of {"entries": [...]}; its arrays at 3
+_ENTRY_JSON = json_template(
+    ("start", "x", "F", "alpha", "converged", "iterations", "dominated", "error"), 2)
+_JSON_FLAG = {None: "null", False: "false", True: "true"}
 
 
 def write_archive_json(archive: list, flags: list, path) -> None:
-    """Write ``archive_to_dict(archive, flags)`` to ``path``."""
-    write_json(path, archive_to_dict(archive, flags))
+    """Write ``{"entries": [...]}``, one object per entry with its start,
+    x, F, alpha, converged, iterations, dominated flag and error, in the
+    bytes ``write_json`` would give; ``flags`` as in ``write_archive_csv``.
+    Missing x, F, alpha or error are null."""
+    write_json_list(path, "entries", (_ENTRY_JSON % {
+        "start": json_floats(e.start, 3),
+        "x": json_floats(e.x, 3),
+        "F": json_floats(e.F, 3),
+        "alpha": json_float(e.alpha),
+        "converged": _JSON_FLAG[e.converged],
+        "iterations": int.__repr__(e.iterations),
+        "dominated": _JSON_FLAG[flag],
+        "error": "null" if e.error is None else json_string(e.error),
+    } for e, flag in zip(archive, flags, strict=True)))

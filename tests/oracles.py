@@ -204,6 +204,26 @@ def deduplicate_by_norm(archive, tol):
     return kept
 
 
+
+def archive_to_dict(archive, flags):
+    """The JSON document of an archive, for ``json.dump``: one mapping per
+    entry, ``flags`` giving its dominated flag."""
+    return {
+        "entries": [
+            {
+                "start": e.start.tolist(),
+                "x": None if e.x is None else e.x.tolist(),
+                "F": None if e.F is None else e.F.tolist(),
+                "alpha": e.alpha,
+                "converged": e.converged,
+                "iterations": e.iterations,
+                "dominated": flag,
+                "error": e.error,
+            }
+            for e, flag in zip(archive, flags, strict=True)
+        ]
+    }
+
 # ---------------------------------------------------------------------------
 # closed-form geometry of the circle test problem
 

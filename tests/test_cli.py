@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,9 @@ def test_solve_reproduces_boundary_following_trajectory(tmp_path):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["problem"] == "circle2d"
+    assert manifest["versions"] == {"modescent": md.__version__,
+                                    "python": platform.python_version(),
+                                    "numpy": np.__version__}
     for path in manifest["outputs"]:
         assert (tmp_path / "run" / path.split("/")[-1]).exists()
 
@@ -159,6 +163,17 @@ def test_front_makes_one_dominance_pass(tmp_path, monkeypatch):
     with open(out / "front.csv", newline="") as fh:
         front_rows = list(csv.DictReader(fh))
     assert front_rows and {r["dominated"] for r in front_rows} == {"false"}
+
+
+def test_front_json_is_its_own_json_dump(tmp_path):
+    # the golden front5 invocation; its JSON files are byte for byte what
+    # json.dump(indent=2, sort_keys=True) writes for the document they hold
+    out = tmp_path / "front5"
+    assert main(["front", "--problem", "circle2d", "--grid", "5x5", "--beta0", "0.1",
+                 "--eta", "1", "--out", str(out)]) == 0
+    for name in ("archive.json", "front.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_front_single_cell_grid_uses_anchor(tmp_path):

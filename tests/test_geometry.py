@@ -257,13 +257,16 @@ def test_feasible_start_rejects_undefined_constraints(constraints, start, compon
 
 def _lens_problem():
     # min x1 over the lens of the unit disks centred at (0, 0) and (1.8, 0);
-    # the two boundary circles cross at the corners (0.9, +-sqrt(0.19))
+    # the two boundary circles cross at the corners (0.9, +-sqrt(0.19)).
+    # Circle 2's row is scaled by 20.  Unscaled, the most violated row is
+    # always the circle of the farther centre, and feasible_start, pinning
+    # that row first, never pins a row it must drop again.
     return md.load_problem({
         "n": 2, "m": 1,
         "objectives": [[[1.0, [1, 0]]]],
         "inequalities": [
             [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 0]]],
-            [[1.0, [2, 0]], [1.0, [0, 2]], [-3.6, [1, 0]], [2.24, [0, 0]]],
+            [[20.0, [2, 0]], [20.0, [0, 2]], [-72.0, [1, 0]], [44.8, [0, 0]]],
         ],
     })
 
@@ -271,9 +274,10 @@ def _lens_problem():
 @pytest.mark.parametrize("start, charts, nearest", [
     # projecting onto circle 1 crosses circle 2: the active set grows
     ((1.8, 0.95), [(1,), (1, 2)], (0.9, np.sqrt(0.19))),
-    # both violated at the start; circle 2's multiplier is negative at the
+    # both violated at the start, circle 2 the most: projecting onto it
+    # crosses circle 1, and circle 2's multiplier is negative at the
     # corner, so the active set shrinks back to circle 1
-    ((3.0, 0.2), [(1, 2), (1,)], np.array([3.0, 0.2]) / np.hypot(3.0, 0.2)),
+    ((3.0, 0.2), [(2,), (1, 2), (1,)], np.array([3.0, 0.2]) / np.hypot(3.0, 0.2)),
 ])
 def test_feasible_start_active_set_changes(monkeypatch, start, charts, nearest):
     seen = []

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ from modescent import globalize
 from modescent.globalize import ArchiveEntry, dominance_flags
 
 from conftest import CIRCLE_CONFIG, make_infeasible_problem
-from oracles import (deduplicate_by_norm, dist_to_arc, dist_to_critical_set,
-                     dist_to_segment, pairwise_dominance_flags)
+from oracles import (archive_to_dict, deduplicate_by_norm, dist_to_arc,
+                     dist_to_critical_set, dist_to_segment, pairwise_dominance_flags)
 
 
 def _archive_from_F(values):
@@ -232,7 +233,6 @@ def test_multistart_filter_keeps_only_segment(circle2d):
 
 def test_archive_serialization(circle2d, tmp_path):
     from modescent.globalize import write_archive_csv, write_archive_json
-    import json
 
     cfg = md.SolverConfig(**CIRCLE_CONFIG, eta=1.0)
     archive = md.multistart(circle2d, md.grid_points(circle2d.box, (2, 2)), cfg)
@@ -247,3 +247,48 @@ def test_archive_serialization(circle2d, tmp_path):
     doc = json.loads(json_path.read_text())
     assert len(doc["entries"]) == len(archive)
     assert {"start", "x", "F", "alpha", "converged", "dominated"} <= set(doc["entries"][0])
+
+
+# floats json spells apart from their repr, and reprs at the ends of the range
+_EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1e16, 1e-7, -1.2345678901234567e-300]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_errors = st.one_of(st.none(), st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2016\u00e9\U0001f600'), st.characters())))
+
+
+def _vectors(size):
+    return st.lists(_floats, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def _archives_and_flags(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    archive, flags = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        archive.append(ArchiveEntry(
+            start=draw(_vectors(n)), x=draw(st.none() | _vectors(n)),
+            F=draw(st.none() | _vectors(m)), alpha=draw(st.none() | _floats),
+            converged=draw(st.booleans()), iterations=draw(st.integers(0, 10 ** 30)),
+            error=draw(_errors)))
+        flags.append(draw(st.sampled_from([None, True, False])))
+    return archive, flags
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_archives_and_flags())
+def test_write_archive_json_matches_json_dump(tmp_path, archive_and_flags):
+    archive, flags = archive_and_flags
+    path = tmp_path / "archive.json"
+    globalize.write_archive_json(archive, flags, path)
+    want = json.dumps(archive_to_dict(archive, flags), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
+def test_write_archive_json_needs_one_flag_per_entry(tmp_path):
+    archive = _archive_from_F([(1.0, 2.0), (2.0, 1.0)])
+    with pytest.raises(ValueError):
+        globalize.write_archive_json(archive, [False], tmp_path / "archive.json")
+    with pytest.raises(ValueError):
+        globalize.write_archive_json([], [False], tmp_path / "archive.json")

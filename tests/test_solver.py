@@ -379,31 +379,29 @@ def _quadrant_corner_problem(name, extra_row, extra_grad):
 # a redundant row, and a disk touching x2 = 0 at the corner: at the corner
 # the boundary subproblem pins three rows in dimension 2
 _DEGENERATE_CORNERS = {
-    "redundant": (_quadrant_corner_problem(
-        "redundant", lambda x: -x[0] - x[1], lambda x: [-1.0, -1.0]), 77),
-    "tangent_disk": (_quadrant_corner_problem(
+    "redundant": _quadrant_corner_problem(
+        "redundant", lambda x: -x[0] - x[1], lambda x: [-1.0, -1.0]),
+    "tangent_disk": _quadrant_corner_problem(
         "tangent_disk", lambda x: x[0] ** 2 + x[1] ** 2 - 2.0 * x[1],
-        lambda x: [2.0 * x[0], 2.0 * x[1] - 2.0]), 63),
+        lambda x: [2.0 * x[0], 2.0 * x[1] - 2.0]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_DEGENERATE_CORNERS))
 def test_rank_deficient_boundary_subproblem_takes_the_strategy1_step(name):
-    problem, converged = _DEGENERATE_CORNERS[name]
+    problem = _DEGENERATE_CORNERS[name]
     starts = md.grid_points(problem.box, (9, 9))
+    # one row pinned at a time: no start asks for the chart of rows 2 and
+    # 3 together, which on the tangent disk is the single corner point
+    for x0 in starts:
+        assert np.max(problem.G(md.feasible_start(problem, x0))) <= md.geometry.FEAS_TOL
     archive = md.multistart(problem, starts, md.SolverConfig(beta0=1.0, eta=1.0))
-    assert not [e.error for e in archive if e.error and e.error.startswith("RankError")]
-    for x0, entry in zip(starts, archive):
-        try:
-            md.feasible_start(problem, x0)
-        except md.NoConvergence:
-            continue
-        assert entry.converged, entry.error
-    assert sum(e.converged for e in archive) == converged
+    assert [e.error for e in archive if not e.converged] == []
+    assert sum(e.converged for e in archive) == 81
 
 
 def test_rank_deficient_boundary_subproblem_records_no_alpha2():
-    problem, _ = _DEGENERATE_CORNERS["redundant"]
+    problem = _DEGENERATE_CORNERS["redundant"]
     x, trace = md.solve_constrained(problem, (0.0, 0.0), md.SolverConfig(eta=1.0))
     # all three rows are active at the corner, which is critical
     assert trace.termination == md.TERMINATED_CRITICAL
