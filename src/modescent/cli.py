@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .direction import min_norm_in_hull, tangent_basis
+from .direction import KKT_TOL, min_norm_in_hull, tangent_basis
 from .errors import ModescentError, NoConvergence, UnknownProblemError
 from .geometry import ManifoldChart, chart_jacobian, chart_retraction, project
 from .globalize import (deduplicate, grid_points, multistart, nondominated_filter,
@@ -293,7 +293,7 @@ def _audit_min_norm(problem, rng, report):
             float(np.max(np.abs(dots[lam > 1e-8] - p @ p), initial=0.0)),
         )
         worst = max(worst, resid / scale)
-    ok = worst <= 1e-8
+    ok = worst <= KKT_TOL
     report(f"min-norm dual certificate: worst residual {worst:.3e}", ok)
     return ok
 

@@ -9,8 +9,8 @@ form (SPe) are SP1 with no active inequality.
 Each subproblem is solved through its dual: the direction is the negative of
 the minimum-norm point in the convex hull of the (projected) generator
 gradients, with simplex weights as the dual certificate.  Hulls of up to three
-generators have exact closed forms; four or more go through Wolfe's
-min-norm-point iteration (Wolfe 1976, Math. Programming 11:128).
+generators have exact closed forms; four or more recurse over the faces of
+the simplex down to the three-generator form.
 """
 
 import math
@@ -24,7 +24,7 @@ from .problems import EvalBundle, all_finite
 
 # rank cutoff relative to the largest singular value
 RANK_RTOL = 1e-10
-# KKT certificate tolerance for the min-norm iteration (scaled by gradient size)
+# KKT certificate tolerance of the min-norm point (scaled by gradient size)
 KKT_TOL = 1e-12
 # three generators count as affinely dependent when the Gram determinant of
 # the two edges at the widest angle is at most this times the product of
@@ -70,7 +70,8 @@ class DirectionResult:
 
 def active_set(bundle: EvalBundle, epsilon: float) -> tuple:
     """Indices i (1-based) with G_i(x) >= -epsilon at the bundle's point."""
-    if epsilon < 0:
+    # written so that a NaN tolerance fails it
+    if not (epsilon >= 0):
         raise ValueError("active-set tolerance must be >= 0")
     # Python floats; a NaN entry fails the test and is not active
     return tuple(i for i, g in enumerate(bundle.G_val.tolist(), 1) if g >= -epsilon)
@@ -129,19 +130,6 @@ def tangent_basis(eq_rows) -> np.ndarray:
     return vt[k:].T
 
 
-def _affine_weights(S):
-    """Weights summing to 1 that minimize ||w @ S|| over the affine hull."""
-    s = S.shape[0]
-    M = np.zeros((s + 1, s + 1))
-    M[:s, :s] = S @ S.T
-    M[:s, s] = 1.0
-    M[s, :s] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol[:s]
-
-
 def _min_norm_three(G):
     """Simplex weights of the minimum-norm point in the hull of three rows.
 
@@ -192,18 +180,41 @@ def _min_norm_three(G):
     return lam
 
 
+def _min_norm_faces(G):
+    """Simplex weights of the minimum-norm point in the hull of k >= 3 rows.
+
+    Three rows go to ``_min_norm_three``.  More rows take the affine-hull
+    minimiser from the edges g_j - g_0, kept when its weights are >= 0;
+    otherwise the minimum lies on a facet, and of the k facet minimisers
+    the one with the largest certificate gap min_j g_j.p - ||p||^2 is kept,
+    the rule of the edge fallback of ``_min_norm_three``: only the true
+    minimiser meets the certificate at every row, and for affinely
+    dependent rows the hull is the union of its facets.
+    """
+    k = G.shape[0]
+    if k == 3:
+        return _min_norm_three(G)
+    b = np.linalg.lstsq((G[1:] - G[0]).T, -G[0], rcond=None)[0].tolist()
+    lam = [1.0 - math.fsum(b), *b]
+    if min(lam) >= 0.0:
+        return lam
+
+    def gap(lam):
+        p = np.array(lam) @ G
+        return float((G @ p).min() - p @ p)
+
+    faces = (_min_norm_faces(np.delete(G, i, axis=0)) for i in range(k))
+    return max(([*f[:i], 0.0, *f[i:]] for i, f in enumerate(faces)), key=gap)
+
+
 def min_norm_in_hull(generators):
     """Minimum-norm point of the convex hull of the given vectors.
 
     Returns ``(lam, point)`` with simplex weights ``lam`` and
-    ``point = lam @ generators``.  One, two and three generators have closed
-    forms, exact up to rounding, that meet the KKT certificate
-    g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2) for every
-    generator.  Four or more go through Wolfe's min-norm-point iteration,
-    which stops at the certificate or, when the entering generator is
-    already in the support, at the best point it reaches at working
-    precision.  That point can miss the certificate: with two generators
-    1e-9 apart, by up to about 1e-10 * max(1, max_j ||g_j||^2).
+    ``point = lam @ generators``, exact up to rounding: it meets the KKT
+    certificate g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2)
+    for every generator.  One and two generators have closed forms, three
+    or more go through ``_min_norm_faces``.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -214,9 +225,8 @@ def min_norm_in_hull(generators):
     if not all_finite(G):
         raise ValueError("generators contain non-finite entries")
 
-    # kept although Wolfe's first pass returns the same bits: 2 us against
-    # 16 us per call (timeit, one 3-vector, 2-core x86, Python 3.11, numpy
-    # 2.4), a cost every SP1 solve at m = 1 would pay
+    # one generator is its own minimum-norm point; the forms below need
+    # two rows or more
     if k == 1:
         return np.ones(1), G[0].copy()
     if k == 2:
@@ -225,45 +235,8 @@ def min_norm_in_hull(generators):
         theta = 0.0 if den == 0.0 else min(max(-float(G[0] @ diff) / den, 0.0), 1.0)
         lam = np.array([1.0 - theta, theta])
         return lam, lam @ G
-    if k == 3:
-        lam = np.array(_min_norm_three(G))
-        return lam, lam @ G
 
-    sq = np.einsum("ij,ij->i", G, G)
-    tol_eff = KKT_TOL * max(1.0, float(sq.max()))
-
-    support = [int(np.argmin(sq))]
-    w = np.ones(1)
-    for _ in range(50 * (k + 2)):
-        p = w @ G[support]
-        dots = G @ p
-        j = int(np.argmin(dots))
-        if dots[j] >= p @ p - tol_eff:
-            break
-        if j in support:
-            break  # best achievable at working precision
-        support.append(j)
-        w = np.append(w, 0.0)
-        while True:
-            u = _affine_weights(G[support])
-            if np.all(u > 1e-14):
-                w = u / u.sum()
-                break
-            diff = w - u
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(diff > 1e-14, w / diff, np.inf)
-            ratios[u > 1e-14] = np.inf
-            theta = min(1.0, float(ratios.min()))
-            w = (1.0 - theta) * w + theta * u
-            keep = w > 1e-14
-            if keep.all():
-                keep[int(np.argmin(w))] = False
-            support = [s for s, kp in zip(support, keep) if kp]
-            w = w[keep]
-            w = w / w.sum()
-
-    lam = np.zeros(k)
-    lam[support] = w
+    lam = np.array(_min_norm_faces(G))
     return lam, lam @ G
 
 

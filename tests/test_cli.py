@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import json
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 
 import modescent as md
-from modescent import globalize
+from modescent import direction, globalize
 from modescent.cli import front, main, solve
 
 from oracles import dist_to_critical_set, pairwise_dominance_flags
 
 OCTANT_FILE = Path(__file__).parent / "data" / "octant3d.json"
 CUBIC_FILE = Path(__file__).parent / "data" / "cubic_chart.json"
+EQUATOR_FILE = Path(__file__).parent / "data" / "equator3d.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -165,6 +167,38 @@ def test_front_makes_one_dominance_pass(tmp_path, monkeypatch):
     assert front_rows and {r["dominated"] for r in front_rows} == {"false"}
 
 
+def test_equator_front_runs_four_generator_hulls(tmp_path, monkeypatch):
+    # three objectives and the equator's cap x3 <= 0: every SP1 solve with
+    # the cap active takes the min-norm point of four projected gradients,
+    # which must meet its certificate at KKT_TOL as the docstring states
+    counts = collections.Counter()
+    original = direction.min_norm_in_hull
+
+    def checked(generators):
+        lam, p = original(generators)
+        G = np.asarray(generators)
+        counts[len(G)] += 1
+        scale = max(1.0, float(np.max(np.einsum("ij,ij->i", G, G))))
+        assert float((G @ p).min()) >= float(p @ p) - direction.KKT_TOL * scale
+        return lam, p
+
+    monkeypatch.setattr(direction, "min_norm_in_hull", checked)
+    out = tmp_path / "equator"
+    assert main(["front", "--problem-file", str(EQUATOR_FILE), "--grid", "2x2x2",
+                 "--beta0", "0.1", "--eta", "1", "--out", str(out)]) == 0
+    assert counts[4] > 0
+    with open(out / "archive.csv", newline="") as fh:
+        assert [r["converged"] for r in csv.DictReader(fh)] == ["true"] * 8
+    with open(out / "front.csv", newline="") as fh:
+        front_rows = list(csv.DictReader(fh))
+    assert front_rows
+    # the Pareto set is the quarter of the equator with x1, x2 >= 0
+    for r in front_rows:
+        x = np.array([float(r["x1"]), float(r["x2"]), float(r["x3"])])
+        theta = np.clip(np.arctan2(x[1], x[0]), 0.0, np.pi / 2)
+        assert np.linalg.norm(x - (np.cos(theta), np.sin(theta), 0.0)) <= 1e-3
+
+
 def test_front_json_is_its_own_json_dump(tmp_path):
     # the golden front5 invocation; its JSON files are byte for byte what
     # json.dump(indent=2, sort_keys=True) writes for the document they hold
@@ -233,6 +267,12 @@ def test_audit_fails_a_chart_with_no_samples(capsys):
     assert main(["audit", "--problem-file", str(CUBIC_FILE)]) == 1
     out = capsys.readouterr().out
     assert "retraction slope (project, chart H): 0 samples, residual 0.000e+00: FAIL" in out
+
+
+def test_audit_passes_on_four_generator_hulls():
+    # equator3d has three objectives and one inequality, so the dual
+    # certificate is checked, at KKT_TOL, on hulls of four generators
+    assert main(["audit", "--problem-file", str(EQUATOR_FILE)]) == 0
 
 
 def test_audit_problem_and_problem_file_is_usage_error():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
-import modescent.direction as direction
 from modescent.direction import KKT_TOL, SubproblemKind
 
 from conftest import make_vertex_problem
@@ -33,8 +32,9 @@ def test_active_set_threshold():
     b = md.evaluate(p, [-5e-5])
     assert md.active_set(b, 1e-4) == (1,)
     assert md.active_set(b, 1e-6) == ()
-    with pytest.raises(ValueError):
-        md.active_set(b, -1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            md.active_set(b, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,10 @@ def test_min_norm_kkt_certificate_property(gens):
 
 
 @st.composite
-def _three_generators(draw):
-    # the hulls on which a closed form can lose digits, at dim 1..4 and
-    # scales 1e-3..1e3: a repeated row, collinear rows, two rows 1e-9
-    # apart, and a small triangle far from the origin
+def _close_generators(draw, k):
+    # the hulls on which a closed form or an affine solve can lose digits,
+    # at dim 1..4 and scales 1e-3..1e3: a repeated row, collinear rows, two
+    # rows 1e-9 apart, and a small simplex far from the origin
     d = draw(st.integers(1, 4))
 
     def row():
@@ -207,21 +207,21 @@ def _three_generators(draw):
     family = draw(st.sampled_from(["duplicate", "collinear", "close", "far"]))
     a, b = row(), row()
     if family == "duplicate":
-        G = [a, a, b]
+        G = [a, a, b] + [row() for _ in range(k - 3)]
     elif family == "collinear":
-        G = [a + t * b for t in draw(st.lists(st.floats(-2, 2), min_size=3, max_size=3))]
+        G = [a + t * b for t in draw(st.lists(st.floats(-2, 2), min_size=k, max_size=k))]
     elif family == "close":
-        G = [a, a + 1e-9 * row(), b]
+        G = [a, a + 1e-9 * row(), b] + [row() for _ in range(k - 3)]
     else:
-        G = [a + 1e-3 * row() for _ in range(3)]
-    order = draw(st.permutations(range(3)))
+        G = [a + 1e-3 * row() for _ in range(k)]
+    order = draw(st.permutations(range(k)))
     return 10.0 ** draw(st.floats(-3, 3)) * np.array(G)[order]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_three_generators())
-# two rows 1e-9 apart: Wolfe stops at working precision 1.8e-10 short of
-# the certificate, whose bound here is 1.06e-11
+@settings(max_examples=500, deadline=None)
+@given(st.integers(3, 5).flatmap(_close_generators))
+# two rows 1e-9 apart: Wolfe's iteration stopped at working precision
+# 1.8e-10 short of the certificate, whose bound here is 1.06e-11
 @example(np.array([[2.041, -2.556], [2.041 + 1e-9, -2.556 - 2e-9], [-0.453, -0.216]]))
 # two edges whose best points agree to 1e-18 in ||p||^2, below its rounding
 # error, while one of them misses the certificate by 1e-9
@@ -230,7 +230,12 @@ def _three_generators(draw):
 # rule misses the certificate by 4e-5 of its scale
 @example(np.array([[2.25, 2.25], [2.2500000022500064, 2.25000000225],
                    [-0.562500000006, -0.562500000004]]))
-def test_min_norm_three_generators_matches_support_oracle(G):
+# four rows, two of them 3e-9 apart: Wolfe's iteration, with its affine
+# step from lstsq on the bordered Gram matrix, stopped 1.2e-9 short of the
+# certificate, whose bound here is 2.9e-12
+@example(np.array([[0.851, 0.817], [0.851 - 3e-9, 0.817 + 3e-9],
+                   [-1.649, 0.479], [-1.625, 0.488]]))
+def test_min_norm_matches_support_oracle(G):
     lam, p = md.min_norm_in_hull(G)
     scale = max(1.0, float(np.max(np.einsum("ij,ij->i", G, G))))
     assert lam.min() >= 0.0 and abs(float(lam.sum()) - 1.0) <= 1e-15
@@ -241,17 +246,17 @@ def test_min_norm_three_generators_matches_support_oracle(G):
     assert abs(float(p @ p) - float(p_oracle @ p_oracle)) <= KKT_TOL * scale
 
 
-def test_min_norm_three_generators_bypass_wolfe(monkeypatch, rng):
-    def wolfe_step(S):
-        raise AssertionError("entered Wolfe's iteration")
+def test_min_norm_affine_solve_only_from_four_generators(monkeypatch, rng):
+    def lstsq(*args, **kwargs):
+        raise AssertionError("solved for affine weights")
 
-    monkeypatch.setattr(direction, "_affine_weights", wolfe_step)
-    hulls = [rng.standard_normal((3, d)) for d in (1, 2, 3)]
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    hulls = [rng.standard_normal((k, d)) for k in (1, 2, 3) for d in (1, 2, 3)]
     hulls += [np.ones((3, 2)), np.zeros((3, 0)), np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])]
     for G in hulls:
         md.min_norm_in_hull(G)
-    # four generators still go through Wolfe
-    with pytest.raises(AssertionError, match="Wolfe"):
+    # four generators take the affine-hull minimiser of _min_norm_faces
+    with pytest.raises(AssertionError, match="affine"):
         md.min_norm_in_hull(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
 
 
