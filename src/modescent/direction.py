@@ -189,22 +189,32 @@ def _min_norm_faces(G):
     the one with the largest certificate gap min_j g_j.p - ||p||^2 is kept,
     the rule of the edge fallback of ``_min_norm_three``: only the true
     minimiser meets the certificate at every row, and for affinely
-    dependent rows the hull is the union of its facets.
+    dependent rows the hull is the union of its facets.  Facets share
+    faces, so each face, keyed on its tuple of row indices into ``G``, is
+    solved once per call: at most 2^k faces instead of k!/6 paths.
     """
-    k = G.shape[0]
-    if k == 3:
-        return _min_norm_three(G)
-    b = np.linalg.lstsq((G[1:] - G[0]).T, -G[0], rcond=None)[0].tolist()
-    lam = [1.0 - math.fsum(b), *b]
-    if min(lam) >= 0.0:
+    memo = {}
+
+    def face(rows):
+        if rows in memo:
+            return memo[rows]
+        F = G[list(rows)]
+        if len(rows) == 3:
+            lam = _min_norm_three(F)
+        else:
+            b = np.linalg.lstsq((F[1:] - F[0]).T, -F[0], rcond=None)[0].tolist()
+            lam = [1.0 - math.fsum(b), *b]
+            if not min(lam) >= 0.0:
+                def gap(lam):
+                    p = np.array(lam) @ F
+                    return float((F @ p).min() - p @ p)
+
+                facets = (face(rows[:i] + rows[i + 1:]) for i in range(len(rows)))
+                lam = max(([*f[:i], 0.0, *f[i:]] for i, f in enumerate(facets)), key=gap)
+        memo[rows] = lam
         return lam
 
-    def gap(lam):
-        p = np.array(lam) @ G
-        return float((G @ p).min() - p @ p)
-
-    faces = (_min_norm_faces(np.delete(G, i, axis=0)) for i in range(k))
-    return max(([*f[:i], 0.0, *f[i:]] for i, f in enumerate(faces)), key=gap)
+    return face(tuple(range(G.shape[0])))
 
 
 def min_norm_in_hull(generators):

@@ -6,8 +6,10 @@ held at zero.  Projection is a Lagrange-Newton iteration on the stationarity
 system of min ||z - y||^2 subject to the chart equalities.  Its Newton matrix
 [I J^T; J 0] has an identity block, so each step is solved through the Schur
 complement J J^T (range-space method, Nocedal & Wright, Numerical
-Optimization, 2nd ed., sec. 16.2): a k x k solve for k chart rows, and for one
-row a division by ||J||^2.
+Optimization, 2nd ed., sec. 16.2).  On a chart with one row (one equality,
+or one pinned inequality) J J^T is the scalar ||J||^2, and the iteration
+runs in Python floats; a chart with k >= 2 rows solves the k x k system
+with numpy.
 """
 
 from dataclasses import dataclass
@@ -77,14 +79,19 @@ def chart_jacobian(chart: ManifoldChart, x) -> np.ndarray:
 
 
 def _gram_solve(J, rhs):
-    """(J J^T)^-1 rhs; a division for one row.  Raises LinAlgError when
+    """(J J^T)^-1 rhs for a chart of k >= 2 rows.  Raises LinAlgError when
     J J^T is singular."""
-    if len(J) == 1:
-        jj = float(J[0] @ J[0])
-        if jj == 0.0:
-            raise np.linalg.LinAlgError("zero constraint row")
-        return rhs / jj
     return np.linalg.solve(J @ J.T, rhs)
+
+
+def _dot(a, b):
+    """a.b of two lists of Python floats, summed left to right.  Products
+    only, no ``**``: an entry near 1e200 overflows to inf instead of raising
+    ``OverflowError``."""
+    s = 0.0
+    for ai, bi in zip(a, b):
+        s += ai * bi
+    return s
 
 
 def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
@@ -96,10 +103,9 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
 
     initialized at ``y``, with damped steps on a merit-function increase.
     Each Newton step solves [I J^T; J 0][dz; dmu] = -[r1; c] as
-    (J J^T) dmu = c - J r1, dz = -r1 - J^T dmu; for one chart row J J^T is
-    the scalar ||J||^2.  The multiplier starts at the least-squares solution
-    of J^T mu = y - z, which for one row is J (y - z) / ||J||^2, and 0 where
-    J vanishes.
+    (J J^T) dmu = c - J r1, dz = -r1 - J^T dmu.  The multiplier starts at
+    the least-squares solution of J^T mu = y - z.  A one-row chart takes
+    ``_project_one_row``, the same iteration in Python floats.
     Raises ``NoConvergence`` when the iteration stalls (``y`` too far from
     the manifold, or a degenerate configuration such as an equidistant
     center point) or takes more than PROJECT_ITERS Newton steps.
@@ -110,6 +116,8 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
         return y.copy()
 
     z = as_point(_init, p.n).copy() if _init is not None else y.copy()
+    if chart.n_rows == 1:
+        return _project_one_row(chart, y, z)
 
     # damped Gauss-Newton feasibility presolve when far from the manifold;
     # plain Newton on the stationarity system diverges there.  c and J are
@@ -136,11 +144,7 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     else:
         raise NoConvergence("projection: feasibility presolve hit its cap")
 
-    if len(J) == 1:
-        jj = float(J[0] @ J[0])
-        mu = J @ (y - z) / jj if jj > 0.0 else np.zeros(1)
-    else:
-        mu, *_ = np.linalg.lstsq(J.T, y - z, rcond=None)
+    mu, *_ = np.linalg.lstsq(J.T, y - z, rcond=None)
     r1 = z - y + J.T @ mu
     for _ in range(PROJECT_ITERS):
         if abs(c).max() <= 1e-12 and abs(r1).max() <= 1e-10:
@@ -160,6 +164,76 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
             r1_try = z_try - y + J_try.T @ mu_try
             if float(c_try @ c_try + r1_try @ r1_try) < merit0:
                 z, mu, c, J, r1 = z_try, mu_try, c_try, J_try, r1_try
+                break
+            step *= 0.5
+        else:
+            raise NoConvergence("projection: damped Newton made no progress")
+    raise NoConvergence(f"projection did not converge within {PROJECT_ITERS} iterations")
+
+
+def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
+    """``project`` from ``z`` onto a chart with one row, in Python floats.
+
+    The chart value c, the multiplier mu and jj = ||J||^2 are scalars; z, J
+    and r1 are lists, read once per point through ``tolist()``, and the
+    array of a trial point is built only to call the maps.  Tolerances,
+    damping, caps, messages and the order of the map calls are those of
+    the k-row iteration.  A Newton step is a division by jj, and
+    ``NoConvergence`` where jj is zero; the multiplier starts at
+    J (y - z) / jj, or at 0 where jj is not positive.  Every test is
+    written so that NaN fails it.
+    """
+    ys = y.tolist()
+    zs = z.tolist()
+    c = chart_value(chart, z).tolist()[0]
+    J = chart_jacobian(chart, z)[0].tolist()
+    jj = _dot(J, J)
+
+    for _ in range(60):
+        if abs(c) <= 1e-6:
+            break
+        if jj == 0.0:
+            raise NoConvergence("projection: singular constraint Jacobian")
+        q = c / jj
+        dz = [-Ji * q for Ji in J]
+        merit0 = c * c
+        step = 1.0
+        for _ in range(40):
+            z_try = [zi + step * di for zi, di in zip(zs, dz)]
+            z_arr = np.array(z_try)
+            c_try = chart_value(chart, z_arr).tolist()[0]
+            if c_try * c_try < merit0:
+                z, zs, c = z_arr, z_try, c_try
+                J = chart_jacobian(chart, z_arr)[0].tolist()
+                jj = _dot(J, J)
+                break
+            step *= 0.5
+        else:
+            raise NoConvergence("projection: feasibility presolve stalled")
+    else:
+        raise NoConvergence("projection: feasibility presolve hit its cap")
+
+    mu = _dot(J, [yi - zi for yi, zi in zip(ys, zs)]) / jj if jj > 0.0 else 0.0
+    r1 = [zi - yi + Ji * mu for zi, yi, Ji in zip(zs, ys, J)]
+    for _ in range(PROJECT_ITERS):
+        if abs(c) <= 1e-12 and all(abs(ri) <= 1e-10 for ri in r1):
+            return z
+        if jj == 0.0:
+            raise NoConvergence("projection: singular KKT system (degenerate point)")
+        dmu = (c - _dot(J, r1)) / jj
+        dz = [-ri - Ji * dmu for ri, Ji in zip(r1, J)]
+        merit0 = c * c + _dot(r1, r1)
+        step = 1.0
+        for _ in range(30):
+            z_try = [zi + step * di for zi, di in zip(zs, dz)]
+            mu_try = mu + step * dmu
+            z_arr = np.array(z_try)
+            c_try = chart_value(chart, z_arr).tolist()[0]
+            J_try = chart_jacobian(chart, z_arr)[0].tolist()
+            r1_try = [zi - yi + Ji * mu_try for zi, yi, Ji in zip(z_try, ys, J_try)]
+            if c_try * c_try + _dot(r1_try, r1_try) < merit0:
+                z, zs, mu, c, J, r1 = z_arr, z_try, mu_try, c_try, J_try, r1_try
+                jj = _dot(J, J)
                 break
             step *= 0.5
         else:
@@ -199,11 +273,12 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
     x = as_point(x, p.n)
     w = as_point(w, p.n)
     c0 = float(chart_value(chart, x)[0])
-    if abs(c0) > CHART_TOL:
+    # both tests are written so that NaN fails them
+    if not abs(c0) <= CHART_TOL:
         raise StepPreconditionError("retract_psi: base point is not on the chart manifold")
     g = chart_jacobian(chart, x)[0]
     gnorm = float(np.linalg.norm(g))
-    if abs(g @ w) > 1e-8 * max(1.0, gnorm * float(np.linalg.norm(w))):
+    if not abs(g @ w) <= 1e-8 * max(1.0, gnorm * float(np.linalg.norm(w))):
         raise StepPreconditionError("retract_psi: step is not tangent to the chart")
 
     base = x + w

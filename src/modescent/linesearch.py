@@ -196,7 +196,9 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
-    if active_chart.n_rows > 0 and np.abs(chart_value(active_chart, bundle.x)).max() > CHART_TOL:
+    # Python floats; a NaN chart row fails the test
+    if active_chart.n_rows > 0 and not all(
+            abs(c) <= CHART_TOL for c in chart_value(active_chart, bundle.x).tolist()):
         raise StepPreconditionError("boundary step requires the base point on the active chart")
     outside = [i for i in range(problem.m_G) if i + 1 not in active_chart.ineq_indices]
     max_lo = bundle.G_val[outside].max() if outside else -np.inf

@@ -121,4 +121,17 @@ def make_infeasible_problem():
     )
 
 
+
+def make_nan_equality_problem():
+    """F = (x1, x1) on an equality whose H is NaN everywhere (DH = 2x), so
+    no point is on its chart."""
+    return md.ProblemSpec(
+        name="nan-H", n=2, m=2,
+        F=lambda x: np.array([x[0], x[0]]),
+        DF=lambda x: np.array([[1.0, 0.0], [1.0, 0.0]]),
+        m_H=1,
+        H=lambda x: np.array([np.nan]),
+        DH=lambda x: 2.0 * x.reshape(1, 2),
+    )
+
 CIRCLE_CONFIG = dict(beta0=0.1, beta=0.5, sigma=1e-4, epsilon=1e-4)

@@ -176,6 +176,86 @@ def poly_maps(polys, n):
     return fun, jac
 
 
+def _row_value(chart, z):
+    p = chart.problem
+    if p.m_H:
+        return np.asarray(p.H(z), dtype=float).reshape(1)
+    i = chart.ineq_indices[0] - 1
+    return np.asarray(p.G(z), dtype=float).reshape(p.m_G)[i:i + 1]
+
+
+def _row_jacobian(chart, z):
+    p = chart.problem
+    if p.m_H:
+        return np.asarray(p.DH(z), dtype=float).reshape(1, p.n)
+    i = chart.ineq_indices[0] - 1
+    return np.asarray(p.DG(z), dtype=float).reshape(p.m_G, p.n)[i:i + 1]
+
+
+def project_one_row(chart, y, init=None):
+    """Nearest-point projection onto a chart with one row (one equality, or
+    one pinned inequality), as numpy arrays of shape (1,) and (1, n).
+
+    The damped Gauss-Newton presolve and the Lagrange-Newton iteration of
+    ``modescent.geometry.project``, with each Newton step a division by
+    ||J||^2 and the multiplier started at J (y - z) / ||J||^2 (0 where that
+    is not positive); the same tolerances, caps, damping and map calls.
+    Raises ``NoConvergence`` where the production kernel must.
+    """
+    from modescent.errors import NoConvergence
+
+    y = np.asarray(y, dtype=float)
+    z = (y if init is None else np.asarray(init, dtype=float)).copy()
+    c, J = _row_value(chart, z), _row_jacobian(chart, z)
+    for _ in range(60):
+        if abs(c).max() <= 1e-6:
+            break
+        jj = float(J[0] @ J[0])
+        if jj == 0.0:
+            raise NoConvergence("projection: singular constraint Jacobian")
+        dz = -J.T @ (c / jj)
+        merit0 = float(c @ c)
+        step = 1.0
+        for _ in range(40):
+            z_try = z + step * dz
+            c_try = _row_value(chart, z_try)
+            if float(c_try @ c_try) < merit0:
+                z, c, J = z_try, c_try, _row_jacobian(chart, z_try)
+                break
+            step *= 0.5
+        else:
+            raise NoConvergence("projection: feasibility presolve stalled")
+    else:
+        raise NoConvergence("projection: feasibility presolve hit its cap")
+
+    jj = float(J[0] @ J[0])
+    mu = J @ (y - z) / jj if jj > 0.0 else np.zeros(1)
+    r1 = z - y + J.T @ mu
+    for _ in range(100):
+        if abs(c).max() <= 1e-12 and abs(r1).max() <= 1e-10:
+            return z
+        jj = float(J[0] @ J[0])
+        if jj == 0.0:
+            raise NoConvergence("projection: singular KKT system (degenerate point)")
+        dmu = (c - J @ r1) / jj
+        dz = -r1 - J.T @ dmu
+        merit0 = float(c @ c + r1 @ r1)
+        step = 1.0
+        for _ in range(30):
+            z_try = z + step * dz
+            mu_try = mu + step * dmu
+            c_try = _row_value(chart, z_try)
+            J_try = _row_jacobian(chart, z_try)
+            r1_try = z_try - y + J_try.T @ mu_try
+            if float(c_try @ c_try + r1_try @ r1_try) < merit0:
+                z, mu, c, J, r1 = z_try, mu_try, c_try, J_try, r1_try
+                break
+            step *= 0.5
+        else:
+            raise NoConvergence("projection: damped Newton made no progress")
+    raise NoConvergence("projection did not converge within 100 iterations")
+
+
 def pairwise_dominance_flags(values):
     """Dominated flag per F-vector (None stays None) by comparing every
     ordered pair: v dominates w iff v <= w componentwise with some strict

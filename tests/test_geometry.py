@@ -2,10 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modescent as md
 from modescent import geometry
 from modescent.geometry import FEAS_TOL, chart_jacobian, chart_retraction, chart_value
+
+from conftest import make_nan_equality_problem
+from oracles import project_one_row
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +101,126 @@ def test_project_onto_two_row_chart_is_the_nearest_circle_point(rng):
         assert md.project(chart, y) == pytest.approx(nearest, abs=1e-12)
 
 
+def _line_problem(H, DH):
+    """A one-equality problem in the plane with the given maps, F = (x_1)."""
+    return md.ProblemSpec(name="one-row", n=2, m=1, F=lambda x: np.array([x[0]]),
+                          DF=lambda x: np.array([[1.0, 0.0]]), m_H=1, H=H, DH=DH)
+
+
+def _disk_problem(cx, cy, r):
+    # the disk of centre (cx, cy) and radius r as the problem's one inequality
+    return md.ProblemSpec(
+        name="disk", n=2, m=1, F=lambda x: np.array([x[0]]),
+        DF=lambda x: np.array([[1.0, 0.0]]), m_G=1,
+        G=lambda x: np.array([(x[0] - cx) ** 2 + (x[1] - cy) ** 2 - r * r]),
+        DG=lambda x: np.array([[2.0 * (x[0] - cx), 2.0 * (x[1] - cy)]]))
+
+
+# (chart, centre, radius): the sphere as an equality (m_H = 1), a disk as a
+# pinned inequality (m_H = 0) and the sphere of the octant3d problem file
+_ONE_ROW_CHARTS = {
+    "sphere": (md.ManifoldChart(md.registry_get("sphere3d"), ()), np.zeros(3), 1.0),
+    "disk": (md.ManifoldChart(_disk_problem(0.75, -0.5, 1.2), (1,)),
+             np.array([0.75, -0.5]), 1.2),
+    "octant3d": (md.ManifoldChart(md.load_problem(DATA / "octant3d.json"), ()),
+                 np.zeros(3), 1.0),
+}
+
+
+@st.composite
+def _one_row_targets(draw):
+    # a target 0.2 to 3 radii from the centre: away from the focal point,
+    # and short of the distance where the damped Newton iteration stalls
+    name = draw(st.sampled_from(sorted(_ONE_ROW_CHARTS)))
+    chart, centre, r = _ONE_ROW_CHARTS[name]
+    u = np.array(draw(st.lists(st.floats(-1, 1), min_size=chart.problem.n,
+                               max_size=chart.problem.n)))
+    norm = float(np.linalg.norm(u))
+    if norm < 0.1:
+        u, norm = np.eye(chart.problem.n)[0], 1.0
+    return chart, centre + draw(st.floats(0.2, 3.0)) * r * u / norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_row_targets())
+def test_one_row_projection_matches_the_numpy_reference(case):
+    # the kernel sums its dot products in Python floats, the reference in
+    # numpy (a fused multiply-add chain on some BLAS builds), so the two
+    # may differ in the last bits, not in the point they converge to
+    chart, y = case
+    expected = project_one_row(chart, y)
+    z = md.project(chart, y)
+    assert np.max(np.abs(z - expected)) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
+
+
+def test_one_row_projection_restarts_from_init(circle_chart):
+    # the restart path of feasible_start: the centre itself stalls, a
+    # nudged start converges to a point of the circle
+    y, init = np.zeros(2), np.array([1e-3, 0.0])
+    with pytest.raises(md.NoConvergence):
+        md.project(circle_chart, y)
+    z = md.project(circle_chart, y, _init=init)
+    assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
+    assert z == pytest.approx(project_one_row(circle_chart, y, init), abs=1e-12)
+    # _init is only the start: elsewhere the nearest point does not move
+    chart = _ONE_ROW_CHARTS["sphere"][0]
+    y = np.array([2.0, 0.5, 0.0])
+    init = y + [2e-3, 0.0, 0.0]
+    z = md.project(chart, y, _init=init)
+    assert z == pytest.approx(y / np.linalg.norm(y), abs=1e-9)
+    assert z == pytest.approx(project_one_row(chart, y, init), abs=1e-12)
+
+
+def test_one_row_projection_fails_where_the_map_is_nan():
+    chart = md.ManifoldChart(_line_problem(
+        H=lambda x: np.array([np.nan if x[0] > 1.5 else x @ x - 1.0]),
+        DH=lambda x: 2.0 * x.reshape(1, 2)), ())
+    with pytest.raises(md.NoConvergence, match="presolve stalled"):
+        md.project(chart, (2.0, 0.0))
+
+
+def test_one_row_projection_never_returns_a_nan_residual_entry():
+    # c = 0 at the target and r1 = (0, NaN): Python's max([0.0, nan]) is
+    # 0.0, so a convergence test through max would return the target
+    chart = md.ManifoldChart(_line_problem(
+        H=lambda x: np.array([x[0] - 1.0]),
+        DH=lambda x: np.array([[1.0, np.nan]])), ())
+    assert max([0.0, np.nan]) == 0.0
+    with pytest.raises(md.NoConvergence, match="no progress"):
+        md.project(chart, (1.0, 0.5))
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.0, "singular constraint Jacobian"),  # in the feasibility presolve
+    (1e-8, "singular KKT system"),  # below the presolve's 1e-6, in Newton
+])
+def test_one_row_projection_with_a_zero_jacobian_row(value, message):
+    chart = md.ManifoldChart(_line_problem(
+        H=lambda x: np.array([value]), DH=lambda x: np.zeros((1, 2))), ())
+    with pytest.raises(md.NoConvergence, match=message):
+        md.project(chart, (0.5, 0.5))
+
+
+def test_one_row_projection_of_a_huge_target():
+    # c = 1e200, so c * c overflows to inf: a square through ** would raise
+    # OverflowError on Python floats
+    chart = md.ManifoldChart(_line_problem(
+        H=lambda x: np.array([x[0] + x[1]]), DH=lambda x: np.array([[1.0, 1.0]])), ())
+    assert md.project(chart, (1e200, 0.0)).tolist() == [5e199, -5e199]
+
+
+def test_multirow_charts_take_the_numpy_path(monkeypatch):
+    calls = []
+    one_row = geometry._project_one_row
+    monkeypatch.setattr(geometry, "_project_one_row",
+                        lambda chart, y, z: calls.append(chart) or one_row(chart, y, z))
+    octant = md.load_problem(DATA / "octant3d.json")
+    md.project(md.ManifoldChart(octant, (1,)), (0.5, 0.5, 1.0))
+    assert calls == []
+    md.project(md.ManifoldChart(octant, ()), (0.5, 0.5, 1.0))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # retract_psi
 
@@ -119,6 +243,20 @@ def test_psi_preconditions(circle_chart):
         md.retract_psi(circle_chart, (0.5, 0.0), (0.0, 0.1))  # off manifold
     with pytest.raises(ValueError):
         md.retract_psi(circle_chart, (1.0, 0.0), (0.5, 0.0))  # not tangent
+
+
+def test_psi_rejects_a_nan_base_point():
+    # abs(nan) > CHART_TOL is False, so a test written that way let the
+    # base point through to 60 bracket doublings
+    chart = md.ManifoldChart(make_nan_equality_problem(), ())
+    with pytest.raises(md.StepPreconditionError, match="not on the chart"):
+        md.retract_psi(chart, (0.6, 0.8), (-0.08, 0.06))
+
+
+def test_psi_rejects_a_nan_step(circle_chart):
+    # the same for the tangency test: g.w is NaN
+    with pytest.raises(md.StepPreconditionError, match="not tangent"):
+        md.retract_psi(circle_chart, (1.0, 0.0), (0.0, np.nan))
 
 
 def test_psi_requires_single_row_chart(circle2d):

@@ -5,7 +5,7 @@ import modescent as md
 from modescent.geometry import EPS_ACT
 from modescent.linesearch import _outside_g, armijo_step, boundary_step, feasible_armijo_step
 
-from conftest import make_box_problem
+from conftest import make_box_problem, make_nan_equality_problem
 from oracles import grid_min_norm
 
 IDENTITY = lambda x, w: x + w
@@ -277,6 +277,15 @@ def test_boundary_step_requires_point_on_chart(circle2d):
     chart = md.ManifoldChart(circle2d, (1,))
     with pytest.raises(ValueError):
         boundary_step(b, np.array([1.0, 0.0]), chart, md.SolverConfig())
+
+
+def test_boundary_step_rejects_a_nan_base_point():
+    # a test through abs(...).max() > CHART_TOL reads NaN as on the chart,
+    # and 61 projection trials failed before NoStep
+    p = make_nan_equality_problem()
+    b = md.evaluate(p, [0.6, 0.8])
+    with pytest.raises(md.StepPreconditionError, match="on the active chart"):
+        boundary_step(b, np.array([-0.8, 0.6]), md.ManifoldChart(p, ()), md.SolverConfig())
 
 
 @pytest.mark.parametrize("g, rows, expected", [
