@@ -215,11 +215,14 @@ def _box_point(problem, rng):
     return lo + rng.random(problem.n) * (hi - lo)
 
 
+def _worst(values):
+    """The largest of ``values`` and 0.0, or NaN if any value is NaN, so
+    that the check reading it fails; ``max(0.0, nan)`` is 0.0."""
+    return float(np.max(values, initial=0.0))
+
+
 def _audit_fd(problem, rng, report):
-    worst = 0.0
-    for _ in range(100):
-        x = _box_point(problem, rng)
-        worst = max(worst, fd_audit(problem, x, 1e-6))
+    worst = _worst([fd_audit(problem, _box_point(problem, rng), 1e-6) for _ in range(100)])
     ok = worst <= 1e-6
     report(f"derivative audit: worst rel err {worst:.3e}", ok)
     return ok
@@ -264,10 +267,8 @@ def _audit_retraction(problem, rng, report):
         samples = _chart_samples(chart, rng, 20)
         for kind in kinds:
             retract = chart_retraction(chart, kind)
-            worst = 0.0
-            for x, v in samples:
-                z = retract(x, t * v)
-                worst = max(worst, float(np.linalg.norm((z - x) / t - v)))
+            worst = _worst([float(np.linalg.norm((retract(x, t * v) - x) / t - v))
+                            for x, v in samples])
             # a chart where no box point projects has checked nothing
             good = bool(samples) and worst <= 1e-2
             ok = ok and good
@@ -277,7 +278,7 @@ def _audit_retraction(problem, rng, report):
 
 
 def _audit_min_norm(problem, rng, report):
-    worst = 0.0
+    resids = []
     for _ in range(50):
         x = _box_point(problem, rng)
         bundle = evaluate(problem, x)
@@ -285,14 +286,15 @@ def _audit_min_norm(problem, rng, report):
         lam, p = min_norm_in_hull(gens)
         scale = max(1.0, float(np.max(np.einsum("ij,ij->i", gens, gens))))
         dots = gens @ p
-        resid = max(
+        resid = _worst([
             float(p @ p - dots.min()),
             abs(float(lam.sum()) - 1.0),
             float(np.max(np.abs(lam @ gens - p))),
             -float(lam.min()),
             float(np.max(np.abs(dots[lam > 1e-8] - p @ p), initial=0.0)),
-        )
-        worst = max(worst, resid / scale)
+        ])
+        resids.append(resid / scale)
+    worst = _worst(resids)
     ok = worst <= KKT_TOL
     report(f"min-norm dual certificate: worst residual {worst:.3e}", ok)
     return ok

@@ -56,7 +56,8 @@ class DirectionResult:
 
     ``v`` is the descent direction, ``alpha`` the optimal value
     max_i g_i.v + 0.5*||v||^2 (always <= 0, and 0 exactly at critical
-    points).  ``lam`` are simplex weights over the generators (the
+    points; NaN where the arithmetic overflowed, which no criticality test
+    passes).  ``lam`` are simplex weights over the generators (the
     objective gradients, then for SP1 the active inequality gradients) with
     v = -sum lam_i (projected gradient)_i.  ``active_set`` is the tuple of
     1-based inequality indices the subproblem was built with.
@@ -286,5 +287,9 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     top = max(slopes)
     if not all(s <= top for s in slopes):
         top = math.nan
-    alpha = min(0.0, top + 0.5 * float(v @ v))
+    # clamp at 0 so that a NaN value stays NaN and fails the criticality
+    # test; min(0.0, nan) would read 0.0, a critical point
+    alpha = top + 0.5 * float(v @ v)
+    if alpha > 0.0:
+        alpha = 0.0
     return DirectionResult(v=v, alpha=alpha, lam=lam, active_set=act)

@@ -12,6 +12,7 @@ runs in Python floats; a chart with k >= 2 rows solves the k x k system
 with numpy.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ class ManifoldChart:
     ineq_indices: tuple = ()
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.ineq_indices))
+        # operator.index refuses 1.5 and "1", which int() would read as row 1
+        idx = tuple(sorted(operator.index(i) for i in self.ineq_indices))
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate inequality indices in chart")
         if any(i < 1 or i > self.problem.m_G for i in idx):

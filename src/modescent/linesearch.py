@@ -1,5 +1,11 @@
 """Armijo backtracking t = beta0 * beta^k and its feasibility-aware variants.
 
+One search, ``_armijo_points``, backtracks for all three step routines: it
+yields the trial points whose retraction succeeds and that pass the Armijo
+test.  ``armijo_step`` takes the first of them, ``feasible_armijo_step`` the
+first whose inequalities outside the chart hold, and ``boundary_step`` the
+first, which it shortens onto a newly crossed boundary where needed.
+
 A step routine handed a direction or base point that violates its
 preconditions raises ``StepPreconditionError``, which is both a ``NoStep``
 and a ``ValueError``.
@@ -47,27 +53,6 @@ def _descent_slope(bundle, v):
     return slope
 
 
-def _trials(retract, x, v, beta0, beta, k_max):
-    """Yield ``(k, t, z)`` for t = beta0 * beta^k, k = 0..k_max, where
-    z is the retracted point of the step t v, or None where the retraction
-    fails.
-
-    The retractions depend only on x and x + t v, so once x + t v rounds to
-    x every later trial repeats the last one: the generator stops after
-    such a trial if it failed or returned x itself.  Both tests run in
-    Python floats; a NaN entry fails them, so the generator goes on.
-    """
-    xs = x.tolist()
-    for k in range(k_max + 1):
-        t = beta0 * beta ** k
-        w = t * v
-        z = _try_retract(retract, x, w)
-        yield k, t, z
-        if (z is None or all(zi == xi for zi, xi in zip(z.tolist(), xs))) \
-                and all(xi + wi == xi for xi, wi in zip(xs, w.tolist())):
-            return
-
-
 def _armijo(bundle, slope, sigma, t, z):
     """F(z) and whether F(z) < F(x) + sigma t DF(x) v holds (strictly, in
     every component; a NaN in F(z) fails it).  ``slope`` is DF(x) v in
@@ -80,6 +65,31 @@ def _armijo(bundle, slope, sigma, t, z):
                     for f, f0, s in zip(lhs.tolist(), bundle.F_val.tolist(), slope))
 
 
+def _armijo_points(bundle, slope, retract, v, beta0, beta, sigma, k_max):
+    """Yield ``(k, t, z, F(z))`` for the trials t = beta0 * beta^k,
+    k = 0..k_max, whose retracted point z of the step t v exists and
+    passes the Armijo test: the one backtracking search of all three step
+    routines.
+
+    The retractions depend only on x and x + t v, so once x + t v rounds to
+    x every later trial repeats the last one: the search stops after such a
+    trial if its retraction failed or returned x itself.  Both tests run in
+    Python floats; a NaN entry fails them, so the search goes on.
+    """
+    x, xs = bundle.x, bundle.x.tolist()
+    for k in range(k_max + 1):
+        t = beta0 * beta ** k
+        w = t * v
+        z = _try_retract(retract, x, w)
+        if z is not None:
+            lhs, ok = _armijo(bundle, slope, sigma, t, z)
+            if ok:
+                yield k, t, z, lhs
+        if (z is None or all(zi == xi for zi, xi in zip(z.tolist(), xs))) \
+                and all(xi + wi == xi for xi, wi in zip(xs, w.tolist())):
+            return
+
+
 def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
                 sigma: float, k_max: int = K_MAX) -> StepResult:
     """Smallest k with F(retract(x, t v)) < F(x) + sigma t DF(x) v, t = beta0 beta^k.
@@ -88,13 +98,9 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
     k <= k_max satisfies it (numerically degenerate tolerances).
     """
     slope = _descent_slope(bundle, v)
-    for k, t, z in _trials(retract, bundle.x, v, beta0, beta, k_max):
-        if z is None:
-            continue
-        lhs, ok = _armijo(bundle, slope, sigma, t, z)
-        if ok:
-            return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
-                              new_point=z)
+    for k, t, z, lhs in _armijo_points(bundle, slope, retract, v, beta0, beta, sigma, k_max):
+        return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
+                          new_point=z)
     raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
 
 
@@ -167,12 +173,8 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     retract = _free_retraction(problem, config.retraction)
     rows = range(problem.m_G)
     k_armijo = None
-    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX):
-        if z is None:
-            continue
-        lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
-        if not ok:
-            continue
+    for k, t, z, lhs in _armijo_points(bundle, slope, retract, v, config.beta0,
+                                       config.beta, config.sigma, K_MAX):
         if k_armijo is None:
             k_armijo = k
         g, g_max = _outside_g(problem, rows, z)
@@ -207,13 +209,11 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
             "boundary step requires every inequality outside the chart below -EPS_ACT")
 
     retract = chart_retraction(active_chart, config.retraction)
-    for k, t, z in _trials(retract, bundle.x, v, config.beta0, config.beta, K_MAX):
-        if z is not None:
-            lhs, ok = _armijo(bundle, slope, config.sigma, t, z)
-            if ok:
-                break
-    else:
+    point = next(_armijo_points(bundle, slope, retract, v, config.beta0, config.beta,
+                                config.sigma, K_MAX), None)
+    if point is None:
         raise NoStep(f"boundary step: Armijo failed for all k <= {K_MAX}")
+    k, t, z, lhs = point
 
     g, g_max = _outside_g(problem, outside, z)
     if g_max <= FEAS_TOL:

@@ -162,7 +162,7 @@ def fd_audit(problem: ProblemSpec, x, h: float = 1e-6) -> float:
     if h <= 0:
         raise ValueError("fd_audit requires h > 0")
     x = as_point(x, problem.n)
-    worst = 0.0
+    errs = []
     triples = [("F", problem.F, problem.DF, problem.m)]
     if problem.m_H > 0:
         triples.append(("H", problem.H, problem.DH, problem.m_H))
@@ -177,8 +177,9 @@ def fd_audit(problem: ProblemSpec, x, h: float = 1e-6) -> float:
             lo = _call(component, fun, x - step, (rows,))
             fd = (hi - lo) / (2.0 * h)
             denom = np.maximum(1.0, np.maximum(np.abs(J[:, j]), np.abs(fd)))
-            worst = max(worst, float(np.max(np.abs(fd - J[:, j]) / denom)))
-    return worst
+            errs.append(np.max(np.abs(fd - J[:, j]) / denom))
+    # np.max keeps a NaN (an overflowed difference) where max would drop it
+    return float(np.max(errs, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ between boundary-following and boundary-leaving steps, and
 ``solve_equality``, its entry point for problems without inequalities."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # each float test is written so that NaN fails it
-        if not (self.beta0 > 0):
-            raise ValueError("beta0 must be > 0")
+        if not (0.0 < self.beta0 < math.inf):
+            raise ValueError("beta0 must be finite and > 0")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
         if not (0.0 < self.sigma < 1.0):
@@ -50,8 +51,9 @@ class SolverConfig:
             raise ValueError("epsilon must be >= 0")
         if not (self.eta >= 0):
             raise ValueError("eta must be >= 0 (inf selects the pure boundary-leaving strategy)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        # ints and numpy integers; not 2.5, 3.0 or "3"
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
         if self.retraction not in ("project", "psi"):
             raise ValueError("retraction must be 'project' or 'psi'")
 

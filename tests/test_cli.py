@@ -12,13 +12,15 @@ import pytest
 
 import modescent as md
 from modescent import direction, globalize
-from modescent.cli import front, main, solve
+from modescent.cli import _worst, front, main, solve
 
 from oracles import dist_to_critical_set, pairwise_dominance_flags
 
 OCTANT_FILE = Path(__file__).parent / "data" / "octant3d.json"
 CUBIC_FILE = Path(__file__).parent / "data" / "cubic_chart.json"
 EQUATOR_FILE = Path(__file__).parent / "data" / "equator3d.json"
+# F = 1e160 (x1, x2): the two-generator min-norm form overflows to NaN
+STEEP_FILE = Path(__file__).parent / "data" / "steep2d.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -267,6 +269,39 @@ def test_audit_fails_a_chart_with_no_samples(capsys):
     assert main(["audit", "--problem-file", str(CUBIC_FILE)]) == 1
     out = capsys.readouterr().out
     assert "retraction slope (project, chart H): 0 samples, residual 0.000e+00: FAIL" in out
+
+
+def test_audit_fails_on_a_nan_residual(capsys):
+    # max(0.0, nan) is 0.0: an audit accumulating through max passed here
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["audit", "--problem-file", str(STEEP_FILE)]) == 1
+    assert "min-norm dual certificate: worst residual nan: FAIL" in capsys.readouterr().out
+
+
+def test_audit_worst_keeps_nan_wherever_it_comes():
+    assert _worst([]) == 0.0
+    assert _worst([1e-3, -1.0]) == 1e-3
+    for values in ([np.nan, 1.0], [1.0, np.nan], [1.0, np.nan, 2.0]):
+        assert np.isnan(_worst(values))
+
+
+def test_front_of_the_steep_problem_records_every_start_failed(tmp_path):
+    out = tmp_path / "front"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2",
+                   "--out", str(out)])
+    assert rc == 1
+    entries = json.loads((out / "archive.json").read_text())["entries"]
+    assert len(entries) == 4
+    assert not any(entry["converged"] for entry in entries)
+    assert all(entry["error"] for entry in entries)
+
+
+def test_infinite_beta0_is_usage_error(tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "circle2d", "--x0=-2,0.5", "--beta0", "inf",
+                 "--out", str(out)]) == 64
+    assert not out.exists()
 
 
 def test_audit_passes_on_four_generator_hulls():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,8 @@ from modescent.direction import KKT_TOL, SubproblemKind
 
 from conftest import make_vertex_problem
 from oracles import grid_min_norm, origin_in_hull, support_min_norm
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +366,17 @@ def test_direction_sp2_at_a_vertex_is_zero():
     assert np.array_equal(d.v, np.zeros(2))
     assert d.alpha == 0.0
     assert d.lam.min() >= 0.0 and d.lam.sum() == pytest.approx(1.0)
+
+
+def test_direction_alpha_is_nan_where_the_hull_overflows():
+    # DF = 1e160 I: diff . diff overflows in the two-generator form, the
+    # weights and v come out NaN, and min(0.0, nan) would read 0.0, a
+    # critical point
+    b = md.evaluate(md.load_problem(DATA / "steep2d.json"), [0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = md.solve_direction(b, SubproblemKind.OBJECTIVE_ICS)
+    assert np.isnan(d.alpha)
+    assert not d.alpha >= -1e-8
 
 
 def _sample_feasible_circle_points(rng, count):

@@ -209,6 +209,55 @@ def test_one_row_projection_of_a_huge_target():
     assert md.project(chart, (1e200, 0.0)).tolist() == [5e199, -5e199]
 
 
+def _two_row_chart(H, DH, G, DG):
+    """The chart of one equality and one pinned inequality in 3-space,
+    F = (x_1): two rows, so projection takes the numpy path."""
+    problem = md.ProblemSpec(name="two-row", n=3, m=1, F=lambda x: np.array([x[0]]),
+                             DF=lambda x: np.array([[1.0, 0.0, 0.0]]),
+                             m_H=1, H=H, DH=DH, m_G=1, G=G, DG=DG)
+    return md.ManifoldChart(problem, (1,))
+
+
+def _sphere_rows():
+    return (lambda x: np.array([x @ x - 1.0]), lambda x: 2.0 * x.reshape(1, 3))
+
+
+def test_two_row_projection_with_parallel_rows():
+    # G = 2H: the rows are parallel everywhere and J J^T is singular
+    H, DH = _sphere_rows()
+    chart = _two_row_chart(H, DH, lambda x: 2.0 * H(x), lambda x: 2.0 * DH(x))
+    with pytest.raises(md.NoConvergence, match="singular constraint Jacobian"):
+        md.project(chart, (2.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("G, DG", [
+    (lambda x: np.array([np.nan]), lambda x: np.array([[0.0, 0.0, 1.0]])),  # pinned value
+    (lambda x: np.array([x[2]]), lambda x: np.array([[0.0, np.nan, 1.0]])),  # Jacobian entry
+], ids=["nan-value", "nan-jacobian"])
+def test_two_row_projection_fails_on_nan(G, DG):
+    chart = _two_row_chart(*_sphere_rows(), G, DG)
+    with pytest.raises(md.NoConvergence):
+        md.project(chart, (2.0, 0.0, 0.5))
+
+
+def test_two_row_projection_with_zero_jacobian_rows():
+    chart = _two_row_chart(lambda x: np.array([1.0]), lambda x: np.zeros((1, 3)),
+                           lambda x: np.array([1.0]), lambda x: np.zeros((1, 3)))
+    with pytest.raises(md.NoConvergence):
+        md.project(chart, (0.5, 0.5, 0.5))
+
+
+def test_two_row_projection_of_a_huge_target():
+    # the line x1 + x2 = 0, x3 = 0; the chart value reaches 1e200, and the
+    # numpy path's merit c.c overflows to inf (a warning numpy raises), yet
+    # the presolve's first step lands on the line
+    chart = _two_row_chart(lambda x: np.array([x[0] + x[1]]), lambda x: np.array([[1.0, 1.0, 0.0]]),
+                           lambda x: np.array([x[2]]), lambda x: np.array([[0.0, 0.0, 1.0]]))
+    with np.errstate(over="ignore"):
+        z = md.project(chart, (1e200, 0.0, 0.0))
+    assert z.tolist() == [5e199, -5e199, 0.0]
+
+
 def test_multirow_charts_take_the_numpy_path(monkeypatch):
     calls = []
     one_row = geometry._project_one_row
@@ -436,3 +485,11 @@ def test_chart_validation(circle2d):
         md.ManifoldChart(circle2d, (2,))
     with pytest.raises(ValueError):
         md.ManifoldChart(circle2d, (1, 1))
+
+
+@pytest.mark.parametrize("index", [1.5, "1", 1.0])
+def test_chart_indices_must_be_integers(circle2d, index):
+    # int() would read 1.5 and "1" as row 1
+    with pytest.raises(TypeError):
+        md.ManifoldChart(circle2d, (index,))
+    assert md.ManifoldChart(circle2d, (np.int64(1),)).ineq_indices == (1,)

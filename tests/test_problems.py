@@ -116,6 +116,19 @@ def test_fd_audit_flags_wrong_jacobian():
     assert md.fd_audit(broken, (-2.0, 0.5), 1e-6) >= 1e-1
 
 
+def test_fd_audit_keeps_a_nan_error():
+    # F jumps from -1.7e308 to 1.7e308 across x1 = 0: the central difference
+    # overflows to inf and its relative error is inf / inf = NaN, which
+    # max(0.0, nan) would read as 0.0
+    jump = md.ProblemSpec(
+        name="jump", n=2, m=1,
+        F=lambda x: np.array([1.7e308 if x[0] > 0 else -1.7e308]),
+        DF=lambda x: np.zeros((1, 2)),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(md.fd_audit(jump, (0.0, 0.0), 1e-6))
+
+
 def test_fd_audit_rejects_bad_step(circle2d):
     with pytest.raises(ValueError):
         md.fd_audit(circle2d, (0.0, 0.0), 0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from modescent.solver import TOL_ALPHA, write_trace_csv, write_trace_json
 from conftest import (CIRCLE_CONFIG, hemisphere_critical_distance,
                       make_hemisphere_problem, make_infeasible_problem, make_vertex_problem)
 from oracles import dist_to_critical_set, dist_to_segment
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +433,31 @@ def test_config_validation():
 def test_config_rejects_nan(field):
     with pytest.raises(ValueError, match=field):
         md.SolverConfig(**{field: np.nan})
+
+
+def test_config_rejects_an_infinite_beta0():
+    # every trial step t = beta0 * beta^k would be infinite
+    with pytest.raises(ValueError, match="beta0"):
+        md.SolverConfig(beta0=np.inf)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, "3", 0])
+def test_config_requires_an_integral_max_iters(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        md.SolverConfig(max_iters=max_iters)
+    assert md.SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+def test_overflowed_direction_fails_the_run_not_reads_critical():
+    # DF = 1e160 I: the two-generator min-norm form overflows, so alpha is
+    # NaN; it must not read as 0 (critical) at a point where F is
+    # unbounded below
+    steep = md.load_problem(DATA / "steep2d.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ModescentError) as err:
+            md.solve_constrained(steep, (0.0, 0.0))
+    assert err.value.trace.termination.startswith("FAILED:")
+    assert err.value.trace.final_x.tolist() == [0.0, 0.0]
 
 
 def test_trace_csv_columns_and_determinism(circle2d, tmp_path):
