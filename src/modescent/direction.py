@@ -184,15 +184,17 @@ def _min_norm_three(G):
 def _min_norm_faces(G):
     """Simplex weights of the minimum-norm point in the hull of k >= 3 rows.
 
-    Three rows go to ``_min_norm_three``.  More rows take the affine-hull
-    minimiser from the edges g_j - g_0, kept when its weights are >= 0;
-    otherwise the minimum lies on a facet, and of the k facet minimisers
-    the one with the largest certificate gap min_j g_j.p - ||p||^2 is kept,
-    the rule of the edge fallback of ``_min_norm_three``: only the true
-    minimiser meets the certificate at every row, and for affinely
-    dependent rows the hull is the union of its facets.  Facets share
-    faces, so each face, keyed on its tuple of row indices into ``G``, is
-    solved once per call: at most 2^k faces instead of k!/6 paths.
+    ``min_norm_in_hull`` sends it only k >= 4 and three rows straight to
+    ``_min_norm_three``, which is also what a three-row face here takes.
+    More rows take the affine-hull minimiser from the edges g_j - g_0, kept
+    when its weights are >= 0; otherwise the minimum lies on a facet, and
+    of the k facet minimisers the one with the largest certificate gap
+    min_j g_j.p - ||p||^2 is kept, the rule of the edge fallback of
+    ``_min_norm_three``: only the true minimiser meets the certificate at
+    every row, and for affinely dependent rows the hull is the union of
+    its facets.  Facets share faces, so each face, keyed on its tuple of
+    row indices into ``G``, is solved once per call: at most 2^k faces
+    instead of k!/6 paths.
     """
     memo = {}
 
@@ -225,7 +227,7 @@ def min_norm_in_hull(generators):
     ``point = lam @ generators``, exact up to rounding: it meets the KKT
     certificate g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2)
     for every generator.  One and two generators have closed forms, three
-    or more go through ``_min_norm_faces``.
+    go to ``_min_norm_three`` and four or more through ``_min_norm_faces``.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -247,7 +249,7 @@ def min_norm_in_hull(generators):
         lam = np.array([1.0 - theta, theta])
         return lam, lam @ G
 
-    lam = np.array(_min_norm_faces(G))
+    lam = np.array(_min_norm_three(G) if k == 3 else _min_norm_faces(G))
     return lam, lam @ G
 
 

@@ -8,8 +8,9 @@ system of min ||z - y||^2 subject to the chart equalities.  Its Newton matrix
 complement J J^T (range-space method, Nocedal & Wright, Numerical
 Optimization, 2nd ed., sec. 16.2).  On a chart with one row (one equality,
 or one pinned inequality) J J^T is the scalar ||J||^2, and the iteration
-runs in Python floats; a chart with k >= 2 rows solves the k x k system
-with numpy.
+runs in Python floats, through the row maps it picks once per call (H and
+DH, or G and DG read at the pinned row); a chart with k >= 2 rows solves
+the k x k system with numpy.
 """
 
 import operator
@@ -120,7 +121,15 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     z = as_point(_init, p.n).copy() if _init is not None else y.copy()
     if chart.n_rows == 1:
         return _project_one_row(chart, y, z)
+    # on a far target the merit c.c overflows to inf; the damping tests
+    # still order it right (a finite trial merit beats it), so the
+    # overflow needs no warning
+    with np.errstate(over="ignore"):
+        return _project_rows(chart, y, z)
 
+
+def _project_rows(chart: ManifoldChart, y, z) -> np.ndarray:
+    """``project`` from ``z`` onto a chart with k >= 2 rows, in numpy."""
     # damped Gauss-Newton feasibility presolve when far from the manifold;
     # plain Newton on the stationarity system diverges there.  c and J are
     # the chart's value and Jacobian at z, updated with every accepted z.
@@ -176,19 +185,35 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
 def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
     """``project`` from ``z`` onto a chart with one row, in Python floats.
 
-    The chart value c, the multiplier mu and jj = ||J||^2 are scalars; z, J
-    and r1 are lists, read once per point through ``tolist()``, and the
-    array of a trial point is built only to call the maps.  Tolerances,
-    damping, caps, messages and the order of the map calls are those of
-    the k-row iteration.  A Newton step is a division by jj, and
+    The row's maps are picked once per call: H and DH when the chart holds
+    the equality, else G and DG read at the pinned row, through the same
+    size checks as ``chart_value`` and ``chart_jacobian``.  The chart value
+    c, the multiplier mu and jj = ||J||^2 are scalars; z, J and r1 are
+    lists, read once per point through ``tolist()``, and the array of a
+    trial point is built only to call the maps.  Tolerances, damping, caps,
+    messages and the order of the map calls are those of the k-row
+    iteration.  A Newton step is a division by jj, and
     ``NoConvergence`` where jj is zero; the multiplier starts at
     J (y - z) / jj, or at 0 where jj is not positive.  Every test is
     written so that NaN fails it.
     """
+    p = chart.problem
+    if p.m_H == 1:
+        value, jacobian, m, row = p.H, p.DH, 1, 0
+    else:
+        value, jacobian, m, row = p.G, p.DG, p.m_G, chart.ineq_indices[0] - 1
+    n = p.n
+
+    def c_at(x):
+        return np.asarray(value(x), dtype=float).reshape(m).tolist()[row]
+
+    def J_at(x):
+        return np.asarray(jacobian(x), dtype=float).reshape(m, n)[row].tolist()
+
     ys = y.tolist()
     zs = z.tolist()
-    c = chart_value(chart, z).tolist()[0]
-    J = chart_jacobian(chart, z)[0].tolist()
+    c = c_at(z)
+    J = J_at(z)
     jj = _dot(J, J)
 
     for _ in range(60):
@@ -203,10 +228,10 @@ def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
         for _ in range(40):
             z_try = [zi + step * di for zi, di in zip(zs, dz)]
             z_arr = np.array(z_try)
-            c_try = chart_value(chart, z_arr).tolist()[0]
+            c_try = c_at(z_arr)
             if c_try * c_try < merit0:
                 z, zs, c = z_arr, z_try, c_try
-                J = chart_jacobian(chart, z_arr)[0].tolist()
+                J = J_at(z_arr)
                 jj = _dot(J, J)
                 break
             step *= 0.5
@@ -230,8 +255,8 @@ def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
             z_try = [zi + step * di for zi, di in zip(zs, dz)]
             mu_try = mu + step * dmu
             z_arr = np.array(z_try)
-            c_try = chart_value(chart, z_arr).tolist()[0]
-            J_try = chart_jacobian(chart, z_arr)[0].tolist()
+            c_try = c_at(z_arr)
+            J_try = J_at(z_arr)
             r1_try = [zi - yi + Ji * mu_try for zi, yi, Ji in zip(z_try, ys, J_try)]
             if c_try * c_try + _dot(r1_try, r1_try) < merit0:
                 z, zs, mu, c, J, r1 = z_arr, z_try, mu_try, c_try, J_try, r1_try

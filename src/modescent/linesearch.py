@@ -53,16 +53,14 @@ def _descent_slope(bundle, v):
     return slope
 
 
-def _armijo(bundle, slope, sigma, t, z):
+def _armijo(problem, f0, slope, sigma, t, z):
     """F(z) and whether F(z) < F(x) + sigma t DF(x) v holds (strictly, in
-    every component; a NaN in F(z) fails it).  ``slope`` is DF(x) v in
-    Python floats; each right-hand side is the same two roundings as the
-    array expression F(x) + (sigma t) slope."""
-    problem = bundle.problem
+    every component; a NaN in F(z) fails it).  ``f0`` is F(x) and ``slope``
+    DF(x) v, both in Python floats; each right-hand side is the same two
+    roundings as the array expression F(x) + (sigma t) slope."""
     lhs = np.asarray(problem.F(z), dtype=float).reshape(problem.m)
     st = sigma * t
-    return lhs, all(f < f0 + st * s
-                    for f, f0, s in zip(lhs.tolist(), bundle.F_val.tolist(), slope))
+    return lhs, all(f < fi + st * s for f, fi, s in zip(lhs.tolist(), f0, slope))
 
 
 def _armijo_points(bundle, slope, retract, v, beta0, beta, sigma, k_max):
@@ -76,16 +74,17 @@ def _armijo_points(bundle, slope, retract, v, beta0, beta, sigma, k_max):
     trial if its retraction failed or returned x itself.  Both tests run in
     Python floats; a NaN entry fails them, so the search goes on.
     """
-    x, xs = bundle.x, bundle.x.tolist()
+    problem, x, xs = bundle.problem, bundle.x, bundle.x.tolist()
+    f0 = bundle.F_val.tolist()
     for k in range(k_max + 1):
         t = beta0 * beta ** k
         w = t * v
         z = _try_retract(retract, x, w)
         if z is not None:
-            lhs, ok = _armijo(bundle, slope, sigma, t, z)
+            lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
             if ok:
                 yield k, t, z, lhs
-        if (z is None or all(zi == xi for zi, xi in zip(z.tolist(), xs))) \
+        if (z is None or z.tolist() == xs) \
                 and all(xi + wi == xi for xi, wi in zip(xs, w.tolist())):
             return
 
@@ -238,7 +237,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     if max_lo < -EPS_ACT:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 
-    lhs, ok = _armijo(bundle, slope, config.sigma, t_lo, z_lo)
+    lhs, ok = _armijo(problem, bundle.F_val.tolist(), slope, config.sigma, t_lo, z_lo)
     if not ok:
         raise NoStep("boundary step: Armijo fails at the boundary-activating step")
     return StepResult(t=t_lo, k=k, armijo_lhs=lhs, feasibility_repaired=True,

@@ -58,7 +58,7 @@ class SolverConfig:
             raise ValueError("retraction must be 'project' or 'psi'")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateRecord:
     """One visited iterate; step fields are None on the terminal record."""
 
@@ -98,6 +98,13 @@ class IterateTrace:
         return counts
 
 
+def _overflowed(kind, alpha):
+    # a non-finite value is NaN (or -inf) from arithmetic that overflowed
+    # in the direction; no line search can step along it
+    return ModescentError(f"direction subproblem {kind} overflowed: its value alpha is "
+                          f"{alpha}, not finite")
+
+
 def _attach_trace(err, trace, x):
     trace.termination = f"FAILED:{type(err).__name__}"
     trace.final_x = np.asarray(x, dtype=float)
@@ -133,6 +140,8 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     passes the same test).  The next iteration takes F at the accepted
     point, and G where the step computed it, from the step instead of
     calling the maps again.
+    A direction whose value alpha is not finite (its arithmetic
+    overflowed) raises ``ModescentError`` before it drives a step.
     Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised by
     the feasibility solve or inside the loop carries the partial trace as
     ``err.trace``.
@@ -165,6 +174,8 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                 if d2 is not None and not (d2.alpha > -config.eta
                                            or d2.alpha >= -TOL_ALPHA):
                     d, branch = d2, "SP2-step"
+                    if not math.isfinite(d.alpha):
+                        raise _overflowed("SP2", d.alpha)
                     step = boundary_step(bundle, d.v, ManifoldChart(problem, d.active_set),
                                          config)
             alpha2 = d2.alpha if d2 is not None else None
@@ -177,6 +188,8 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                         alpha=d.alpha, active_set=d.active_set, alpha2=alpha2))
                     trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
                     break
+                if not math.isfinite(d.alpha):
+                    raise _overflowed("SP1", d.alpha)
                 branch = "SP1-step"
                 step = feasible_armijo_step(bundle, d.v, d.active_set, config)
             trace.records.append(IterateRecord(

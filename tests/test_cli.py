@@ -297,6 +297,18 @@ def test_front_of_the_steep_problem_records_every_start_failed(tmp_path):
     assert all(entry["error"] for entry in entries)
 
 
+def test_front_of_the_steep_problem_names_the_overflow(tmp_path):
+    out = tmp_path / "front"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2",
+                   "--out", str(out)])
+    assert rc == 1
+    entries = json.loads((out / "archive.json").read_text())["entries"]
+    assert [entry["error"] for entry in entries] == [
+        "ModescentError: direction subproblem SP1 overflowed: its value alpha is nan, "
+        "not finite"] * 4
+
+
 def test_infinite_beta0_is_usage_error(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--problem", "circle2d", "--x0=-2,0.5", "--beta0", "inf",

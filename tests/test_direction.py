@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
-from modescent.direction import KKT_TOL, SubproblemKind
+from modescent.direction import KKT_TOL, SubproblemKind, _min_norm_faces
 
 from conftest import make_vertex_problem
 from oracles import grid_min_norm, origin_in_hull, support_min_norm
@@ -248,6 +248,25 @@ def test_min_norm_matches_support_oracle(G):
     assert float((G @ p).min()) >= float(p @ p) - KKT_TOL * scale
     _, p_oracle = support_min_norm(G)
     assert abs(float(p @ p) - float(p_oracle @ p_oracle)) <= KKT_TOL * scale
+
+
+@st.composite
+def _three_rows(draw):
+    # three rows at d = 1..4; small-integer entries make collinear and
+    # repeated rows common
+    d = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([st.floats(-10, 10), st.integers(-3, 3).map(float)]))
+    return np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                  min_size=3, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_three_rows(), _close_generators(3)))
+def test_three_generators_match_the_facet_recursion_bit_for_bit(G):
+    # min_norm_in_hull hands three rows to _min_norm_three itself, past the
+    # face memo of _min_norm_faces; the two paths must not drift apart
+    lam, _ = md.min_norm_in_hull(G)
+    assert lam.tobytes() == np.array(_min_norm_faces(G)).tobytes()
 
 
 def test_min_norm_affine_solve_only_from_four_generators(monkeypatch, rng):

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,33 @@ def test_one_row_projection_matches_the_numpy_reference(case):
     assert np.max(np.abs(z - expected)) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
 
 
+_TWO_DISKS = (((0.0, 0.0), 1.0), ((1.5, 0.5), 0.8))
+
+
+def _two_disk_problem():
+    # two disks as the problem's inequalities and no equality: a one-row
+    # chart reads its row of G at the pinned index
+    return md.ProblemSpec(
+        name="two-disks", n=2, m=1, F=lambda x: np.array([x[0]]),
+        DF=lambda x: np.array([[1.0, 0.0]]), m_G=2,
+        G=lambda x: np.array([(x[0] - cx) ** 2 + (x[1] - cy) ** 2 - r * r
+                              for (cx, cy), r in _TWO_DISKS]),
+        DG=lambda x: np.array([[2.0 * (x[0] - cx), 2.0 * (x[1] - cy)]
+                               for (cx, cy), _ in _TWO_DISKS]))
+
+
+@pytest.mark.parametrize("pinned", [1, 2])
+def test_one_row_projection_reads_the_pinned_row(pinned):
+    problem = _two_disk_problem()
+    chart = md.ManifoldChart(problem, (pinned,))
+    for y in ((2.5, 1.5), (-1.0, -1.0), (0.5, 0.3), (3.0, -1.0), (1.2, 0.4)):
+        y = np.array(y)
+        z = md.project(chart, y)
+        expected = project_one_row(chart, y)
+        assert np.max(np.abs(z - expected)) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
+        assert abs(problem.G(z)[pinned - 1]) <= 1e-12
+
+
 def test_one_row_projection_restarts_from_init(circle_chart):
     # the restart path of feasible_start: the centre itself stalls, a
     # nudged start converges to a point of the circle
@@ -254,6 +282,17 @@ def test_two_row_projection_of_a_huge_target():
     chart = _two_row_chart(lambda x: np.array([x[0] + x[1]]), lambda x: np.array([[1.0, 1.0, 0.0]]),
                            lambda x: np.array([x[2]]), lambda x: np.array([[0.0, 0.0, 1.0]]))
     with np.errstate(over="ignore"):
+        z = md.project(chart, (1e200, 0.0, 0.0))
+    assert z.tolist() == [5e199, -5e199, 0.0]
+
+
+def test_two_row_projection_of_a_huge_target_does_not_warn():
+    # the merit c.c overflows to inf inside project, which runs the k-row
+    # iteration with numpy's overflow warning off
+    chart = _two_row_chart(lambda x: np.array([x[0] + x[1]]), lambda x: np.array([[1.0, 1.0, 0.0]]),
+                           lambda x: np.array([x[2]]), lambda x: np.array([[0.0, 0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         z = md.project(chart, (1e200, 0.0, 0.0))
     assert z.tolist() == [5e199, -5e199, 0.0]
 

@@ -460,6 +460,36 @@ def test_overflowed_direction_fails_the_run_not_reads_critical():
     assert err.value.trace.final_x.tolist() == [0.0, 0.0]
 
 
+def test_overflowed_direction_names_the_overflow():
+    # the NaN alpha stops the run before any line search, as an overflow
+    # of the direction, not as a failed descent test in the step
+    steep = md.load_problem(DATA / "steep2d.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ModescentError, match="direction subproblem SP1 overflowed") as err:
+            md.solve_constrained(steep, (0.0, 0.0))
+    assert type(err.value) is md.ModescentError
+    assert err.value.trace.termination == "FAILED:ModescentError"
+    assert err.value.trace.records == []
+    assert err.value.trace.final_x.tolist() == [0.0, 0.0]
+
+
+def test_overflowed_boundary_direction_names_the_overflow():
+    # F = 1e160 (x1 + x2, x1 - x2) on the boundary x1 = 0 of G = x1 <= 0:
+    # in the tangent x2 the generators are -1e160 and 1e160, the
+    # two-generator form overflows, and the NaN alpha2 would drive a
+    # boundary step, since no comparison with -eta rejects it
+    steep = md.ProblemSpec(
+        name="steep-boundary", n=2, m=2,
+        F=lambda x: 1e160 * np.array([x[0] + x[1], x[0] - x[1]]),
+        DF=lambda x: 1e160 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+        m_G=1, G=lambda x: np.array([x[0]]), DG=lambda x: np.array([[1.0, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ModescentError, match="direction subproblem SP2 overflowed") as err:
+            md.solve_constrained(steep, (0.0, 0.0), md.SolverConfig(eta=1.0))
+    assert err.value.trace.termination == "FAILED:ModescentError"
+    assert err.value.trace.final_x.tolist() == [0.0, 0.0]
+
+
 def test_trace_csv_columns_and_determinism(circle2d, tmp_path):
     cfg = md.SolverConfig(**CIRCLE_CONFIG, eta=1.0)
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), cfg)
