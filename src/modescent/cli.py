@@ -94,7 +94,9 @@ def _write_manifest(outdir: Path, command, problem, config, outputs, summary, st
         "command": command,
         "problem": problem.name,
         "config": config_to_dict(config),
-        "outputs": [str(p) for p in outputs],
+        # relative to the manifest's own directory, so that the manifest's
+        # bytes do not depend on where the run was started or written
+        "outputs": [p.relative_to(outdir).as_posix() for p in outputs],
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "summary": summary,

@@ -11,6 +11,12 @@ the minimum-norm point in the convex hull of the (projected) generator
 gradients, with simplex weights as the dual certificate.  Hulls of up to three
 generators have exact closed forms; four or more recurse over the faces of
 the simplex down to the three-generator form.
+
+Finiteness is checked once per array: ``min_norm_in_hull`` checks what its
+caller hands it, and ``solve_direction`` passes the gradient rows, which
+``evaluate`` has checked, straight to the unchecked kernel ``_min_norm``;
+only their projection onto the tangent space, a new array that can
+overflow, goes through ``min_norm_in_hull``.
 """
 
 import math
@@ -19,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RankError
+from .errors import ModescentError, RankError
 from .problems import EvalBundle, all_finite
 
 # rank cutoff relative to the largest singular value
@@ -139,8 +145,8 @@ def _min_norm_three(G):
     taken from Gram entries of the rows (k11 - 2 k01 + k00) cancel on
     collinear or far-offset hulls.
     """
-    X = _EDGES @ G
-    K = (X @ X.T).tolist()
+    X = _EDGES.dot(G)
+    K = X.dot(X.T).tolist()
     # the affine-hull minimiser, from the 2x2 normal equations at the vertex
     # opposite the longest edge (the widest angle, best conditioned)
     i, j, k, ru, su, rw, sw = _VERTICES[max(range(3), key=lambda v: K[5 - v][5 - v])]
@@ -209,8 +215,8 @@ def _min_norm_faces(G):
             lam = [1.0 - math.fsum(b), *b]
             if not min(lam) >= 0.0:
                 def gap(lam):
-                    p = np.array(lam) @ F
-                    return float((F @ p).min() - p @ p)
+                    p = np.array(lam).dot(F)
+                    return float(F.dot(p).min() - p.dot(p))
 
                 facets = (face(rows[:i] + rows[i + 1:]) for i in range(len(rows)))
                 lam = max(([*f[:i], 0.0, *f[i:]] for i, f in enumerate(facets)), key=gap)
@@ -218,6 +224,25 @@ def _min_norm_faces(G):
         return lam
 
     return face(tuple(range(G.shape[0])))
+
+
+def _min_norm(G):
+    """``min_norm_in_hull`` of a finite (k, d) array ``G``, k >= 1, without
+    checking it."""
+    k = G.shape[0]
+    # one generator is its own minimum-norm point; the forms below need
+    # two rows or more
+    if k == 1:
+        return np.ones(1), G[0].copy()
+    if k == 2:
+        diff = G[1] - G[0]
+        den = float(diff.dot(diff))
+        theta = 0.0 if den == 0.0 else min(max(-float(G[0].dot(diff)) / den, 0.0), 1.0)
+        lam = np.array([1.0 - theta, theta])
+        return lam, lam.dot(G)
+
+    lam = np.array(_min_norm_three(G) if k == 3 else _min_norm_faces(G))
+    return lam, lam.dot(G)
 
 
 def min_norm_in_hull(generators):
@@ -228,29 +253,18 @@ def min_norm_in_hull(generators):
     certificate g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2)
     for every generator.  One and two generators have closed forms, three
     go to ``_min_norm_three`` and four or more through ``_min_norm_faces``.
+    Raises ``ValueError`` on no generator or a non-finite entry; the
+    kernel behind it, ``_min_norm``, checks nothing, and ``solve_direction``
+    calls it directly on the rows ``evaluate`` has checked.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
         G = G.reshape(1, -1)
-    k = G.shape[0]
-    if k < 1:
+    if G.shape[0] < 1:
         raise ValueError("need at least one generator")
     if not all_finite(G):
         raise ValueError("generators contain non-finite entries")
-
-    # one generator is its own minimum-norm point; the forms below need
-    # two rows or more
-    if k == 1:
-        return np.ones(1), G[0].copy()
-    if k == 2:
-        diff = G[1] - G[0]
-        den = float(diff @ diff)
-        theta = 0.0 if den == 0.0 else min(max(-float(G[0] @ diff) / den, 0.0), 1.0)
-        lam = np.array([1.0 - theta, theta])
-        return lam, lam @ G
-
-    lam = np.array(_min_norm_three(G) if k == 3 else _min_norm_faces(G))
-    return lam, lam @ G
+    return _min_norm(G)
 
 
 def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
@@ -265,7 +279,9 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     basis of the equality rows, project the generators into kernel
     coordinates, take the min-norm point of their hull, and map back:
     v = -(basis @ point).  Without equality rows the kernel is the whole
-    space and the generators are used as they are.
+    space and the generators are used as they are.  Raises
+    ``ModescentError`` naming the subproblem when the projected generators
+    overflow.
     """
     act = active_set(bundle, epsilon)
     gens, eq_rows = bundle.DF_val, bundle.DH_val
@@ -276,22 +292,28 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
         else:
             gens = np.concatenate((gens, act_rows))
 
+    # the projection can overflow, and the checked entry's only ValueError
+    # here is a non-finite entry: there are m >= 1 generators
     if len(eq_rows):
         basis = tangent_basis(eq_rows)
-        lam, point = min_norm_in_hull(gens @ basis)
-        v = -(basis @ point)
+        try:
+            lam, point = min_norm_in_hull(gens.dot(basis))
+        except ValueError:
+            raise ModescentError(f"direction subproblem {kind.value} overflowed: its "
+                                 "projected generators are not finite") from None
+        v = -basis.dot(point)
     else:
-        lam, point = min_norm_in_hull(gens)
+        lam, point = _min_norm(gens)
         v = -point
     # max_i g_i.v in Python floats; a NaN anywhere fails the test and makes
     # it NaN, as numpy's max does
-    slopes = (gens @ v).tolist()
+    slopes = gens.dot(v).tolist()
     top = max(slopes)
     if not all(s <= top for s in slopes):
         top = math.nan
     # clamp at 0 so that a NaN value stays NaN and fails the criticality
     # test; min(0.0, nan) would read 0.0, a critical point
-    alpha = top + 0.5 * float(v @ v)
+    alpha = top + 0.5 * float(v.dot(v))
     if alpha > 0.0:
         alpha = 0.0
     return DirectionResult(v=v, alpha=alpha, lam=lam, active_set=act)

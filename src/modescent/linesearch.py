@@ -46,7 +46,7 @@ class StepResult:
 
 def _descent_slope(bundle, v):
     """DF(x) v as Python floats, each required to be < 0 (NaN fails)."""
-    slope = (bundle.DF_val @ v).tolist()
+    slope = bundle.DF_val.dot(v).tolist()
     if not all(s < 0.0 for s in slope):
         raise StepPreconditionError(
             "line search requires strict componentwise descent: DF(x) v < 0")
@@ -164,7 +164,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
     for i in active:
-        if bundle.DG_val[i - 1] @ v >= 0.0:
+        if bundle.DG_val[i - 1].dot(v) >= 0.0:
             raise StepPreconditionError(
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )

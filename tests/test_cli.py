@@ -21,6 +21,9 @@ CUBIC_FILE = Path(__file__).parent / "data" / "cubic_chart.json"
 EQUATOR_FILE = Path(__file__).parent / "data" / "equator3d.json"
 # F = 1e160 (x1, x2): the two-generator min-norm form overflows to NaN
 STEEP_FILE = Path(__file__).parent / "data" / "steep2d.json"
+# F1 = 1.5e308 (x1 + x2) on the unit sphere: projected onto the tangent
+# plane the gradient overflows where the plane holds (1, 1, 0) / sqrt(2)
+STEEP_SPHERE_FILE = Path(__file__).parent / "data" / "steep_sphere3d.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -307,6 +310,34 @@ def test_front_of_the_steep_problem_names_the_overflow(tmp_path):
     assert [entry["error"] for entry in entries] == [
         "ModescentError: direction subproblem SP1 overflowed: its value alpha is nan, "
         "not finite"] * 4
+
+
+def test_front_of_the_steep_sphere_names_the_overflow(tmp_path):
+    # half the starts overflow in the projected generators, the others in
+    # the two-generator form; neither escapes the multistart as a traceback
+    out = tmp_path / "front"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["front", "--problem-file", str(STEEP_SPHERE_FILE), "--grid", "2x2x2",
+                   "--out", str(out)])
+    assert rc == 1
+    errors = [entry["error"] for entry in
+              json.loads((out / "archive.json").read_text())["entries"]]
+    assert sorted(errors) == [
+        "ModescentError: direction subproblem SP1 overflowed: its projected "
+        "generators are not finite"] * 4 + [
+        "ModescentError: direction subproblem SP1 overflowed: its value alpha is nan, "
+        "not finite"] * 4
+
+
+def test_manifest_outputs_do_not_depend_on_the_out_path(tmp_path):
+    shallow, deep = tmp_path / "a", tmp_path / "b" / "c" / "d"
+    for out in (shallow, deep):
+        assert main(["front", "--problem", "circle2d", "--grid", "2x2",
+                     "--out", str(out)]) == 0
+    outputs = [json.loads((out / "manifest.json").read_text())["outputs"]
+               for out in (shallow, deep)]
+    assert outputs[0] == outputs[1] == ["archive.csv", "archive.json",
+                                        "front.csv", "front.json"]
 
 
 def test_infinite_beta0_is_usage_error(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,21 @@ def test_direction_alpha_is_nan_where_the_hull_overflows():
         d = md.solve_direction(b, SubproblemKind.OBJECTIVE_ICS)
     assert np.isnan(d.alpha)
     assert not d.alpha >= -1e-8
+
+
+def test_direction_names_the_overflow_of_projected_generators():
+    # on the sphere at (1, -1, 0) / sqrt(2) the tangent plane holds
+    # (1, 1, 0) / sqrt(2), along which DF1 = 1.5e308 (1, 1, 0) projects to
+    # 2.1e308: the subproblem fails with the solver's error, not the
+    # ValueError that min_norm_in_hull keeps for its direct callers
+    s = math.sqrt(0.5)
+    b = md.evaluate(md.load_problem(DATA / "steep_sphere3d.json"), [s, -s, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(
+            md.ModescentError, match="direction subproblem SP1 overflowed"):
+        md.solve_direction(b, SubproblemKind.OBJECTIVE_ICS)
+    with np.errstate(over="ignore"), pytest.raises(
+            md.ModescentError, match="direction subproblem SP2 overflowed"):
+        md.solve_direction(b, SubproblemKind.EQUALITY_ICS)
 
 
 def _sample_feasible_circle_points(rng, count):

@@ -86,6 +86,26 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     assert dict(calls) == {"F": 611, "DF": 131, "G": 1113, "DG": 164}
 
 
+def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
+    # the same solve: evaluate checks each map value it computes or is
+    # handed (525), tangent_basis the pinned rows of each SP2 solve (24),
+    # and min_norm_in_hull the projected generators of each SP2 solve (24);
+    # the SP1 generators are the checked DF and DG rows and reach the
+    # min-norm kernel without a second check
+    checks = []
+    all_finite = md.problems.all_finite
+
+    def counted(a):
+        checks.append(a.shape)
+        return all_finite(a)
+
+    monkeypatch.setattr(md.problems, "all_finite", counted)
+    monkeypatch.setattr(md.direction, "all_finite", counted)
+    _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
+    assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
+    assert len(checks) == 573
+
+
 def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypatch):
     # the chart without pinned inequalities, and its retraction, are built
     # once per problem, not once per SP1 step; each SP2 step builds the

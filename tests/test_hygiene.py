@@ -1,8 +1,8 @@
 """Static hygiene of the package, checked with the standard library's ``ast``:
 no module imports a name it never uses, no private module-level function
 or class outlives its last caller, no private module-level function takes
-a parameter it never reads, and the public name list holds only names the
-package defines."""
+a parameter it never reads, the public name list holds only names the
+package defines, and the descent iteration spells no product ``@``."""
 
 import ast
 from pathlib import Path
@@ -85,3 +85,13 @@ def test_every_private_function_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {node.name}({name})"
                        for name in params if name not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+@pytest.mark.parametrize("name", ["direction.py", "linesearch.py"])
+def test_iteration_products_are_spelled_dot(name):
+    # ndarray.dot makes the same BLAS call as @ on 1-D and 2-D operands
+    # (tests/test_products.py) at about half the dispatch cost
+    tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+    assert not lines, f"{name}: products spelled @ on lines {lines}"
