@@ -12,11 +12,13 @@ gradients, with simplex weights as the dual certificate.  Hulls of up to three
 generators have exact closed forms; four or more recurse over the faces of
 the simplex down to the three-generator form.
 
-Finiteness is checked once per array: ``min_norm_in_hull`` checks what its
-caller hands it, and ``solve_direction`` passes the gradient rows, which
-``evaluate`` has checked, straight to the unchecked kernel ``_min_norm``;
-only their projection onto the tangent space, a new array that can
-overflow, goes through ``min_norm_in_hull``.
+Finiteness is checked once per array: ``tangent_basis`` and
+``min_norm_in_hull`` check what their caller hands them, and
+``solve_direction`` passes the gradient and constraint rows, which
+``evaluate`` has checked, straight to the unchecked kernels
+``_tangent_basis`` and ``_min_norm``; only the projection of the
+generators onto the tangent space, a new array that can overflow, goes
+through ``min_norm_in_hull``.
 """
 
 import math
@@ -109,6 +111,20 @@ def _householder_kernel(row) -> np.ndarray:
     return np.array(cols)
 
 
+def _tangent_basis(A) -> np.ndarray:
+    """``tangent_basis`` of a finite (k, n) array ``A``, k >= 1, without
+    checking it."""
+    k, n = A.shape
+    if k > n:
+        raise RankError(f"{k} constraint rows cannot be independent in dimension {n}")
+    if k == 1:
+        return _householder_kernel(A[0])
+    _, s, vt = np.linalg.svd(A)
+    if s[0] == 0.0 or (s <= RANK_RTOL * s[0]).any():
+        raise RankError("equality constraint rows are numerically rank deficient")
+    return vt[k:].T
+
+
 def tangent_basis(eq_rows) -> np.ndarray:
     """Orthonormal basis of the kernel of ``eq_rows`` as an (n, n-k) matrix.
 
@@ -118,6 +134,9 @@ def tangent_basis(eq_rows) -> np.ndarray:
     zero row is rank deficient there.  Two or more rows take the trailing
     right singular vectors of an SVD, and raise ``RankError`` if the rows
     are rank deficient at the cutoff RANK_RTOL * largest singular value.
+    Raises ``ValueError`` on a non-finite entry; the kernel behind it,
+    ``_tangent_basis``, checks nothing, and ``solve_direction`` calls it
+    directly on the DH and DG rows ``evaluate`` has checked.
     """
     A = np.asarray(eq_rows, dtype=float)
     if A.ndim != 2:
@@ -127,14 +146,7 @@ def tangent_basis(eq_rows) -> np.ndarray:
         return np.eye(n)
     if not all_finite(A):
         raise ValueError("eq_rows contains non-finite entries")
-    if k > n:
-        raise RankError(f"{k} constraint rows cannot be independent in dimension {n}")
-    if k == 1:
-        return _householder_kernel(A[0])
-    _, s, vt = np.linalg.svd(A)
-    if s[0] == 0.0 or (s <= RANK_RTOL * s[0]).any():
-        raise RankError("equality constraint rows are numerically rank deficient")
-    return vt[k:].T
+    return _tangent_basis(A)
 
 
 def _min_norm_three(G):
@@ -295,7 +307,7 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     # the projection can overflow, and the checked entry's only ValueError
     # here is a non-finite entry: there are m >= 1 generators
     if len(eq_rows):
-        basis = tangent_basis(eq_rows)
+        basis = _tangent_basis(eq_rows)
         try:
             lam, point = min_norm_in_hull(gens.dot(basis))
         except ValueError:

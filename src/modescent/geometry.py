@@ -402,8 +402,10 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
     x = as_point(x, problem.n)
     h_val = _call("H", problem.H, x, (problem.m_H,))
     g_val = _call("G", problem.G, x, (problem.m_G,))
-    if (h_val.size == 0 or np.max(np.abs(h_val)) <= FEAS_TOL) \
-            and (g_val.size == 0 or np.max(g_val) <= FEAS_TOL):
+    # Python floats: H and G have few entries, and _call has checked them
+    # finite, so no NaN reaches these tests
+    if all(abs(h) <= FEAS_TOL for h in h_val.tolist()) \
+            and all(g <= FEAS_TOL for g in g_val.tolist()):
         return x.copy()
 
     active = _most_violated(g_val, set())

@@ -33,7 +33,9 @@ class StepResult:
 
     ``armijo_lhs`` is F(new_point); ``G_val`` is G(new_point) where the step
     computed it for its feasibility test, else None.  The descent loop hands
-    both to the next ``evaluate`` instead of calling the maps again.
+    both to its next evaluation instead of calling the maps again; that
+    G passed the feasibility test, so it is finite in every row and is
+    not checked again.
     """
 
     t: float
@@ -114,40 +116,42 @@ def _try_retract(retract, x, w):
 
 def _outside_g(problem, rows, z):
     """G(z) and its largest entry over ``rows``, the G rows outside the
-    step's chart (a sequence of 0-based indices); without such rows G is
-    not called and the result is (None, -inf).  A failed retraction
-    (z None), a NaN or a -inf entry reads NaN and a +inf entry reads +inf,
-    which no feasibility test passes.  The chart rows need no
-    test: every retraction returns a point within FEAS_TOL of its chart or
-    fails."""
+    step's chart: a sequence of 0-based indices, or None for every row.
+    Without such rows (an empty sequence) G is not called and the result is
+    (None, -inf).  A failed retraction (z None), a NaN or a -inf entry
+    reads NaN and a +inf entry reads +inf, which no feasibility test
+    passes.  The chart rows need no test: every retraction returns a point
+    within FEAS_TOL of its chart or fails.  So a G that passes a
+    feasibility test is finite in every row."""
     if z is None:
         return None, math.nan
-    if not rows:
+    if rows is not None and not rows:
         return None, -math.inf
     g = np.asarray(problem.G(z), dtype=float)
-    values = g.ravel().tolist()
-    out = [values[i] for i in rows]
+    out = g.ravel().tolist()
+    if rows is not None:
+        out = [out[i] for i in rows]
     # NaN and -inf fail the comparison; past it, max is order-independent
     if not all(gi > -math.inf for gi in out):
         return g, math.nan
     return g, max(out)
 
 
-# (problem, kind, retraction) of the chart without pinned inequalities, for
-# the last problem and retraction kind asked for: it depends on nothing else,
-# and a front asks for it once per step with one problem
-_free_chart = (None, None, None)
+# (problem, kind, chart, retraction) of the chart without pinned
+# inequalities, for the last problem and retraction kind asked for: it
+# depends on nothing else, and a front asks for it once per step with one
+# problem
+_free = (None, None, None, None)
 
 
-def _free_retraction(problem, kind):
-    """The retraction of ``ManifoldChart(problem, ())``, built once per
-    problem and kind instead of once per step."""
-    global _free_chart
-    cached, cached_kind, retract = _free_chart
-    if cached is not problem or cached_kind != kind:
-        retract = chart_retraction(ManifoldChart(problem, ()), kind)
-        _free_chart = (problem, kind, retract)
-    return retract
+def _free_chart(problem, kind):
+    """``ManifoldChart(problem, ())`` and its retraction of ``kind``, built
+    once per problem and kind instead of once per step."""
+    global _free
+    if _free[0] is not problem or _free[1] != kind:
+        chart = ManifoldChart(problem, ())
+        _free = (problem, kind, chart, chart_retraction(chart, kind))
+    return _free[2], _free[3]
 
 
 def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepResult:
@@ -169,8 +173,9 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
-    retract = _free_retraction(problem, config.retraction)
-    rows = range(problem.m_G)
+    _, retract = _free_chart(problem, config.retraction)
+    # every G row lies outside the chart
+    rows = None if problem.m_G else ()
     k_armijo = None
     for k, t, z, lhs in _armijo_points(bundle, slope, retract, v, config.beta0,
                                        config.beta, config.sigma, K_MAX):
@@ -193,7 +198,10 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     Armijo-accepted point at step t violates an outside inequality, [0, t]
     is bisected, keeping a feasible lower end (at first the base point),
     until that end lies within ``EPS_ACT`` of a crossed boundary; the
-    Armijo inequality is re-verified at the landing step.
+    Armijo inequality is re-verified at the landing step.  A chart that
+    pins no inequality retracts through the problem's cached free
+    retraction, the one ``feasible_armijo_step`` uses, instead of a new
+    one per step; the preconditions are the same for every chart.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
@@ -207,7 +215,10 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         raise StepPreconditionError(
             "boundary step requires every inequality outside the chart below -EPS_ACT")
 
-    retract = chart_retraction(active_chart, config.retraction)
+    if active_chart.ineq_indices:
+        retract = chart_retraction(active_chart, config.retraction)
+    else:
+        _, retract = _free_chart(active_chart.problem, config.retraction)
     point = next(_armijo_points(bundle, slope, retract, v, config.beta0, config.beta,
                                 config.sigma, K_MAX), None)
     if point is None:

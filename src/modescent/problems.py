@@ -88,11 +88,13 @@ class ProblemSpec:
 class EvalBundle:
     """F and G values and all Jacobians of a problem at one point.
 
-    H is not kept, since nothing reads it: the solver's iterates lie on
-    H = 0 by construction (feasible start, and a retraction that returns
-    only points within FEAS_TOL of its chart).  Not frozen: the descent
-    loop builds one per iteration, and a frozen dataclass pays one
-    ``object.__setattr__`` per field.
+    ``evaluate`` and its kernel ``_evaluate`` build it.  The value of a map
+    the problem does not have (DH when m_H = 0, G and DG when m_G = 0) is
+    one shared read-only array with no rows.  H is not kept, since nothing
+    reads it: the solver's iterates lie on H = 0 by construction (feasible
+    start, and a retraction that returns only points within FEAS_TOL of its
+    chart).  Not frozen: the descent loop builds one per iteration, and a
+    frozen dataclass pays one ``object.__setattr__`` per field.
     """
 
     problem: ProblemSpec
@@ -118,37 +120,70 @@ def all_finite(a) -> bool:
     return True
 
 
+# the value of a map the problem does not have, one shared read-only array
+# per shape: (0,) or (0, n)
+_NO_ROWS: dict = {}
+
+
+def _no_rows(shape):
+    rows = _NO_ROWS.get(shape)
+    if rows is None:
+        rows = _NO_ROWS[shape] = np.zeros(shape)
+        rows.flags.writeable = False
+    return rows
+
+
 def _call(component, fun, x, shape, value=None):
     """``fun(x)`` (or the given ``value`` of it) as a float array of
-    ``shape``, checked to be finite."""
+    ``shape``, checked to be finite; a map the problem does not have gives
+    a shared read-only array with no rows."""
     if fun is None:
-        return np.zeros(shape)
+        return _no_rows(shape)
     out = np.asarray(fun(x) if value is None else value, dtype=float).reshape(shape)
     if not all_finite(out):
         raise EvaluationError(component, x)
     return out
 
 
-def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
-    """Evaluate F, G and all Jacobians of ``problem`` at ``x`` in one bundle.
+def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
+    """``evaluate`` at a float vector ``x`` of length n, which it does not
+    check: the kernel behind ``evaluate``, and what the descent loop calls
+    at each iterate.
 
-    ``F_val`` and ``G_val``, when given, are taken as F(x) and G(x) in place
-    of calling the maps; the descent loop passes the values the line search
-    already computed at its accepted point.  Given values go through the
-    same reshape and finiteness check as computed ones.  Raises
-    ``EvaluationError`` naming the first component that is non-finite.
+    A handed-over ``F_val`` is checked like a computed one, since the Armijo
+    test lets a -inf through.  A handed-over ``G_val`` is only reshaped: the
+    loop hands over only a G that its step found finite in every row, those
+    outside the step's chart by test and the chart rows because the
+    retraction holds them within FEAS_TOL, read through the same map at the
+    same point.
     """
-    x = as_point(x, problem.n)
     n, m, mh, mg = problem.n, problem.m, problem.m_H, problem.m_G
     return EvalBundle(
         problem=problem,
         x=x,
         F_val=_call("F", problem.F, x, (m,), F_val),
-        G_val=_call("G", problem.G, x, (mg,), G_val),
+        G_val=_call("G", problem.G, x, (mg,)) if G_val is None else G_val.reshape(mg),
         DF_val=_call("DF", problem.DF, x, (m, n)),
         DH_val=_call("DH", problem.DH, x, (mh, n)),
         DG_val=_call("DG", problem.DG, x, (mg, n)),
     )
+
+
+def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
+    """Evaluate F, G and all Jacobians of ``problem`` at ``x`` in one bundle.
+
+    ``F_val`` and ``G_val``, when given, are taken as F(x) and G(x) in place
+    of calling the maps.  Given values go through the same reshape and
+    finiteness check as computed ones.  Raises ``EvaluationError`` naming
+    the first component that is non-finite, in the order F, G, DF, DH, DG.
+    This is the checked entry in front of the kernel ``_evaluate``: it
+    coerces ``x`` and takes F and G through the checks here, in that order,
+    before the kernel computes the Jacobians (and checks F once more).
+    """
+    x = as_point(x, problem.n)
+    F_val = _call("F", problem.F, x, (problem.m,), F_val)
+    G_val = _call("G", problem.G, x, (problem.m_G,), G_val)
+    return _evaluate(problem, x, F_val, G_val)
 
 
 def fd_audit(problem: ProblemSpec, x, h: float = 1e-6) -> float:

@@ -11,9 +11,9 @@ import numpy as np
 from .direction import SubproblemKind, solve_direction
 from .errors import ModescentError, RankError
 from .geometry import EPS_ACT, ManifoldChart, feasible_start
-from .linesearch import boundary_step, feasible_armijo_step
+from .linesearch import _free_chart, boundary_step, feasible_armijo_step
 from .output import config_to_dict, fmt, write_csv, write_json
-from .problems import ProblemSpec, as_point, evaluate
+from .problems import ProblemSpec, _evaluate, as_point
 
 TERMINATED_CRITICAL = "TERMINATED_CRITICAL"
 ITER_CAP = "ITER_CAP"
@@ -60,7 +60,12 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class IterateRecord:
-    """One visited iterate; step fields are None on the terminal record."""
+    """One visited iterate; step fields are None on the terminal record.
+
+    ``x`` is the descent loop's own iterate, held without a copy: the loop
+    builds a new array for each iterate and never writes to one.  ``F`` is
+    a copy, since the value can be the objective map's own buffer.
+    """
 
     iteration: int
     x: np.ndarray
@@ -107,7 +112,8 @@ def _overflowed(kind, alpha):
 
 def _attach_trace(err, trace, x):
     trace.termination = f"FAILED:{type(err).__name__}"
-    trace.final_x = np.asarray(x, dtype=float)
+    # a copy: x can be the caller's start, or a view of it
+    trace.final_x = np.array(x, dtype=float)
     err.trace = trace
     return err
 
@@ -137,14 +143,22 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     has no direction: that iteration takes the boundary-leaving step and
     records alpha2 as None.  The loop stops once alpha1 >= -TOL_ALPHA, or
     after ``max_iters`` steps (``ITER_CAP`` unless alpha1 at the final point
-    passes the same test).  The next iteration takes F at the accepted
-    point, and G where the step computed it, from the step instead of
-    calling the maps again.
+    passes the same test).
     A direction whose value alpha is not finite (its arithmetic
     overflowed) raises ``ModescentError`` before it drives a step.
     Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised by
     the feasibility solve or inside the loop carries the partial trace as
     ``err.trace``.
+
+    Each iterate is evaluated once, through the unchecked kernel
+    ``problems._evaluate``: the iterate is the array the feasible start or
+    the step's retraction built, so it is not coerced again.  The next
+    iteration takes F at the accepted point, and G where the step computed
+    it, from the step instead of calling the maps again; F is checked
+    again there (the Armijo test lets -inf through), and G is not, since
+    the step's feasibility test has found it finite.  Records hold the
+    iterate arrays themselves; the returned point and ``trace.final_x``
+    are copies of their own.
     """
     trace = IterateTrace(problem_name=problem.name, config=config)
     try:
@@ -158,7 +172,7 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
         for it in range(config.max_iters + 1):
             # the pass after the last allowed step only records alpha1
             at_cap = it == config.max_iters
-            bundle = evaluate(problem, x, F_val, G_val)
+            bundle = _evaluate(problem, x, F_val, G_val)
             d2 = step = None
             # Python floats; a NaN entry fails the test, as in active_set
             if not at_cap and math.isfinite(config.eta) \
@@ -176,15 +190,17 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                     d, branch = d2, "SP2-step"
                     if not math.isfinite(d.alpha):
                         raise _overflowed("SP2", d.alpha)
-                    step = boundary_step(bundle, d.v, ManifoldChart(problem, d.active_set),
-                                         config)
+                    # a chart that pins nothing is the problem's cached one
+                    chart = ManifoldChart(problem, d.active_set) if d.active_set \
+                        else _free_chart(problem, config.retraction)[0]
+                    step = boundary_step(bundle, d.v, chart, config)
             alpha2 = d2.alpha if d2 is not None else None
             if step is None:
                 d = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, config.epsilon)
                 critical = d.alpha >= -TOL_ALPHA
                 if at_cap or critical:
                     trace.records.append(IterateRecord(
-                        iteration=it, x=x.copy(), F=bundle.F_val.copy(),
+                        iteration=it, x=x, F=bundle.F_val.copy(),
                         alpha=d.alpha, active_set=d.active_set, alpha2=alpha2))
                     trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
                     break
@@ -193,16 +209,18 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                 branch = "SP1-step"
                 step = feasible_armijo_step(bundle, d.v, d.active_set, config)
             trace.records.append(IterateRecord(
-                iteration=it, x=x.copy(), F=bundle.F_val.copy(), alpha=d.alpha,
+                iteration=it, x=x, F=bundle.F_val.copy(), alpha=d.alpha,
                 active_set=d.active_set, branch=branch, t=step.t, k=step.k, alpha2=alpha2))
             x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
     except ModescentError as err:
         raise _attach_trace(err, trace, x)
 
+    # the terminal record holds x; the trace and the caller get copies of
+    # their own
     trace.final_x = x.copy()
     # the terminal record holds the stopping value alpha1 at the final point
     trace.final_alpha = trace.records[-1].alpha
-    return x, trace
+    return x.copy(), trace
 
 
 # ---------------------------------------------------------------------------

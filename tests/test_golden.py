@@ -87,11 +87,15 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
 
 
 def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
-    # the same solve: evaluate checks each map value it computes or is
-    # handed (525), tangent_basis the pinned rows of each SP2 solve (24),
-    # and min_norm_in_hull the projected generators of each SP2 solve (24);
-    # the SP1 generators are the checked DF and DG rows and reach the
-    # min-norm kernel without a second check
+    # the same solve: feasible_start checks G at the start (1), each of the
+    # 131 evaluations checks F, DF and DG (393), and G where it calls the
+    # map (8); min_norm_in_hull checks the projected generators of each SP2
+    # solve (24).  Not checked again: the G a step hands over (123: every
+    # SP1 step and the 17 SP2 steps that pin none), which its feasibility
+    # test found finite, and the pinned rows of each SP2 solve, which are
+    # checked DG rows and reach the tangent-basis kernel directly (24); the
+    # SP1 generators are the checked DF and DG rows and reach the min-norm
+    # kernel without a second check
     checks = []
     all_finite = md.problems.all_finite
 
@@ -103,13 +107,15 @@ def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
     monkeypatch.setattr(md.direction, "all_finite", counted)
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert len(checks) == 573
+    assert len(checks) == 426
 
 
 def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypatch):
     # the chart without pinned inequalities, and its retraction, are built
-    # once per problem, not once per SP1 step; each SP2 step builds the
-    # chart of its own active set (17 of the 24 pin none)
+    # once per problem, not once per step: the SP1 steps and the 17 of the
+    # 24 SP2 steps that pin none share them.  Each of the other 7 SP2 steps
+    # builds the chart of its own active set.  The cache starts empty here,
+    # so the free chart is built once.
     built = []
     post_init = md.ManifoldChart.__post_init__
 
@@ -117,9 +123,27 @@ def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypat
         built.append(chart.ineq_indices)
         post_init(chart)
     monkeypatch.setattr(md.ManifoldChart, "__post_init__", counted)
+    monkeypatch.setattr(md.linesearch, "_free", (None, None, None, None))
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert len(built) <= 24 + 1
+    assert sorted(built) == [()] + [(1,)] * 7
+
+
+def test_circle2d_eta1_builds_a_retraction_per_pinned_chart_only(circle2d, monkeypatch):
+    # the same solve: the free chart's retraction is built once and serves
+    # every SP1 step and the 17 SP2 steps that pin none; each of the 7 SP2
+    # steps that pin the circle builds the retraction of its own chart
+    built = []
+    chart_retraction = md.linesearch.chart_retraction
+
+    def counted(chart, kind="project"):
+        built.append(chart.ineq_indices)
+        return chart_retraction(chart, kind)
+    monkeypatch.setattr(md.linesearch, "chart_retraction", counted)
+    monkeypatch.setattr(md.linesearch, "_free", (None, None, None, None))
+    _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
+    assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
+    assert sorted(built) == [()] + [(1,)] * 7
 
 
 def test_sphere3d_map_calls_are_pinned(sphere3d):

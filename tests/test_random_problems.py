@@ -5,10 +5,14 @@ grid starts under both strategies.
 
 Every run that stops as critical must be feasible and pass an independent
 criticality check; every other run must end at the iteration cap or as a
-``ModescentError`` that carries its trace.
+``ModescentError`` that carries its trace.  On the same problems, and on
+the equator3d front, every G a step hands to the loop's next evaluation,
+which takes it unchecked, must be finite and equal to G at that point.
 """
 
 import math
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -82,3 +86,51 @@ def test_critical_points_of_random_problems_are_certified(problem, eta, beta0):
             _assert_certified(problem, x, cfg)
         else:
             assert trace.termination == md.ITER_CAP
+
+
+@contextmanager
+def handed_over_g():
+    """Spy on the descent loop's evaluation kernel: yields the list of
+    ``(problem, x, G)`` for every G a step hands over, which the kernel
+    takes without a finiteness check."""
+    seen = []
+    kernel = md.solver._evaluate
+
+    def spy(problem, x, F_val=None, G_val=None):
+        if G_val is not None:
+            seen.append((problem, x.copy(), np.array(G_val, dtype=float)))
+        return kernel(problem, x, F_val, G_val)
+
+    md.solver._evaluate = spy
+    try:
+        yield seen
+    finally:
+        md.solver._evaluate = kernel
+
+
+def _assert_handed_over_g_is_g(seen):
+    for problem, x, g in seen:
+        assert all(math.isfinite(v) for v in g.ravel().tolist())
+        want = np.asarray(problem.G(x), dtype=float).reshape(problem.m_G)
+        assert g.reshape(problem.m_G).tobytes() == want.tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(problem=problems(), eta=st.sampled_from([1.0, math.inf]),
+       beta0=st.sampled_from([0.1, 1.0]))
+def test_handed_over_g_is_finite_and_equals_g(problem, eta, beta0):
+    cfg = md.SolverConfig(beta0=beta0, eta=eta, max_iters=300)
+    with handed_over_g() as seen:
+        md.multistart(problem, STARTS, cfg)
+    _assert_handed_over_g_is_g(seen)
+
+
+def test_handed_over_g_on_the_equator_front():
+    # an equality and an inequality: SP1 steps hand over G through the
+    # sphere's projection, SP2 steps that pin nothing as well
+    problem = md.load_problem(Path(__file__).parent / "data" / "equator3d.json")
+    starts = md.grid_points(problem.box, (2, 2, 2))
+    with handed_over_g() as seen:
+        md.multistart(problem, starts, md.SolverConfig(beta0=0.1, eta=1.0))
+    assert seen
+    _assert_handed_over_g_is_g(seen)

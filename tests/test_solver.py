@@ -262,6 +262,28 @@ def test_ascent_direction_fails_the_run_not_the_front(circle2d, monkeypatch):
     assert critical.converged
 
 
+@pytest.mark.parametrize("case", ["circle2d_eta1", "sphere3d_psi"])
+def test_returned_point_and_trace_hold_distinct_arrays(case, circle2d, sphere3d):
+    # records hold the loop's iterates without a copy; the returned point
+    # and trace.final_x are copies of their own, so writing to the returned
+    # point changes nothing the trace holds
+    if case == "circle2d_eta1":
+        x, trace = md.solve_constrained(circle2d, (-2.0, 0.5),
+                                        md.SolverConfig(beta0=0.1, eta=1.0))
+    else:
+        x, trace = md.solve_constrained(sphere3d, (1.0, 0.0, 0.0),
+                                        md.SolverConfig(retraction="psi"))
+    held = [trace.final_x, *(rec.x for rec in trace.records)]
+    arrays = [x, *held]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    assert np.array_equal(x, trace.final_x)
+    assert np.array_equal(x, trace.records[-1].x)
+    before = [a.copy() for a in held]
+    x[:] = np.nan
+    assert all(np.array_equal(a, b) for a, b in zip(held, before))
+
+
 def test_psi_follows_the_boundary_after_a_boundary_landing(circle2d):
     # a boundary-landing step leaves the iterate up to eps_act off the newly
     # active inequality, which the next SP2 step pins; the psi retraction
@@ -280,6 +302,18 @@ def test_constrained_infeasible_problem_attaches_trace():
         md.solve_constrained(bad, (1.0, 1.0))
     assert hasattr(err.value, "trace")
     assert err.value.trace.termination.startswith("FAILED")
+
+
+def test_failed_start_trace_holds_a_copy_of_the_start():
+    # the failed trace's final_x is the start, as a copy: writing to the
+    # caller's array afterwards leaves the trace as it was
+    start = np.array([1.0, 1.0])
+    with pytest.raises(md.NoConvergence) as err:
+        md.solve_constrained(make_infeasible_problem(), start)
+    final_x = err.value.trace.final_x
+    assert np.array_equal(final_x, start)
+    start[:] = 0.0
+    assert np.array_equal(final_x, [1.0, 1.0])
 
 
 def test_constrained_no_step_attaches_partial_trace():
