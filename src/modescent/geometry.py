@@ -359,6 +359,29 @@ def chart_retraction(chart: ManifoldChart, kind: str = "project"):
     raise ValueError(f"unknown retraction kind {kind!r}")
 
 
+# (problem, kind, chart, retraction) of the chart without pinned
+# inequalities, for the last problem and retraction kind asked for: it
+# depends on nothing else, and a front asks for it once per step with one
+# problem
+_free = (None, None, None, None)
+
+
+def free_chart(problem: ProblemSpec, kind: str = "project"):
+    """``ManifoldChart(problem, ())`` and its ``chart_retraction`` of
+    ``kind``, built once per problem and kind instead of once per step.
+
+    The cache is read once per call, so a thread that meets another
+    thread's problem there builds its own pair instead of returning the
+    other's.
+    """
+    global _free
+    cached = _free
+    if cached[0] is not problem or cached[1] != kind:
+        chart = ManifoldChart(problem, ())
+        cached = _free = (problem, kind, chart, chart_retraction(chart, kind))
+    return cached[2], cached[3]
+
+
 def _project_with_retries(chart: ManifoldChart, x):
     try:
         return project(chart, x)

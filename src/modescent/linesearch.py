@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoConvergence, NoStep, StepPreconditionError
 from .geometry import (CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, chart_retraction,
-                       chart_value)
+                       chart_value, free_chart)
 from .problems import EvalBundle
 
 # largest backtracking exponent k of a step t = beta0 * beta^k
@@ -137,23 +137,6 @@ def _outside_g(problem, rows, z):
     return g, max(out)
 
 
-# (problem, kind, chart, retraction) of the chart without pinned
-# inequalities, for the last problem and retraction kind asked for: it
-# depends on nothing else, and a front asks for it once per step with one
-# problem
-_free = (None, None, None, None)
-
-
-def _free_chart(problem, kind):
-    """``ManifoldChart(problem, ())`` and its retraction of ``kind``, built
-    once per problem and kind instead of once per step."""
-    global _free
-    if _free[0] is not problem or _free[1] != kind:
-        chart = ManifoldChart(problem, ())
-        _free = (problem, kind, chart, chart_retraction(chart, kind))
-    return _free[2], _free[3]
-
-
 def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepResult:
     """Armijo step through the equality-manifold retraction that also keeps
     all inequalities satisfied (strategy with active inequalities treated as
@@ -173,7 +156,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
-    _, retract = _free_chart(problem, config.retraction)
+    _, retract = free_chart(problem, config.retraction)
     # every G row lies outside the chart
     rows = None if problem.m_G else ()
     k_armijo = None
@@ -198,10 +181,10 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     Armijo-accepted point at step t violates an outside inequality, [0, t]
     is bisected, keeping a feasible lower end (at first the base point),
     until that end lies within ``EPS_ACT`` of a crossed boundary; the
-    Armijo inequality is re-verified at the landing step.  A chart that
-    pins no inequality retracts through the problem's cached free
-    retraction, the one ``feasible_armijo_step`` uses, instead of a new
-    one per step; the preconditions are the same for every chart.
+    Armijo inequality is re-verified at the landing step.  Given the chart
+    ``geometry.free_chart`` returns, the step reuses the retraction cached
+    with it, the one ``feasible_armijo_step`` uses, instead of building
+    one; the preconditions are the same for every chart.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
@@ -215,10 +198,9 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         raise StepPreconditionError(
             "boundary step requires every inequality outside the chart below -EPS_ACT")
 
-    if active_chart.ineq_indices:
+    free, retract = free_chart(problem, config.retraction)
+    if active_chart is not free:
         retract = chart_retraction(active_chart, config.retraction)
-    else:
-        _, retract = _free_chart(active_chart.problem, config.retraction)
     point = next(_armijo_points(bundle, slope, retract, v, config.beta0, config.beta,
                                 config.sigma, K_MAX), None)
     if point is None:

@@ -176,13 +176,21 @@ def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
     of calling the maps.  Given values go through the same reshape and
     finiteness check as computed ones.  Raises ``EvaluationError`` naming
     the first component that is non-finite, in the order F, G, DF, DH, DG.
+    The value of a map the problem does not have is a shared read-only
+    array with no rows.
+
     This is the checked entry in front of the kernel ``_evaluate``: it
-    coerces ``x`` and takes F and G through the checks here, in that order,
-    before the kernel computes the Jacobians (and checks F once more).
+    coerces ``x`` and checks a given G, which the kernel would take
+    unchecked; the kernel checks everything else once.
     """
     x = as_point(x, problem.n)
-    F_val = _call("F", problem.F, x, (problem.m,), F_val)
-    G_val = _call("G", problem.G, x, (problem.m_G,), G_val)
+    if G_val is not None:
+        G_val = np.asarray(G_val, dtype=float)
+        if not all_finite(G_val):
+            # the kernel's order: F, then the shape of G, then G
+            _call("F", problem.F, x, (problem.m,), F_val)
+            G_val.reshape(problem.m_G)
+            raise EvaluationError("G", x)
     return _evaluate(problem, x, F_val, G_val)
 
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from .direction import SubproblemKind, solve_direction
 from .errors import ModescentError, RankError
-from .geometry import EPS_ACT, ManifoldChart, feasible_start
-from .linesearch import _free_chart, boundary_step, feasible_armijo_step
+from .geometry import EPS_ACT, ManifoldChart, feasible_start, free_chart
+from .linesearch import boundary_step, feasible_armijo_step
 from .output import config_to_dict, fmt, write_csv, write_json
 from .problems import ProblemSpec, _evaluate, as_point
 
@@ -192,7 +192,7 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                         raise _overflowed("SP2", d.alpha)
                     # a chart that pins nothing is the problem's cached one
                     chart = ManifoldChart(problem, d.active_set) if d.active_set \
-                        else _free_chart(problem, config.retraction)[0]
+                        else free_chart(problem, config.retraction)[0]
                     step = boundary_step(bundle, d.v, chart, config)
             alpha2 = d2.alpha if d2 is not None else None
             if step is None:

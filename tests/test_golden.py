@@ -123,7 +123,7 @@ def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypat
         built.append(chart.ineq_indices)
         post_init(chart)
     monkeypatch.setattr(md.ManifoldChart, "__post_init__", counted)
-    monkeypatch.setattr(md.linesearch, "_free", (None, None, None, None))
+    monkeypatch.setattr(md.geometry, "_free", (None, None, None, None))
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
     assert sorted(built) == [()] + [(1,)] * 7
@@ -134,13 +134,15 @@ def test_circle2d_eta1_builds_a_retraction_per_pinned_chart_only(circle2d, monke
     # every SP1 step and the 17 SP2 steps that pin none; each of the 7 SP2
     # steps that pin the circle builds the retraction of its own chart
     built = []
-    chart_retraction = md.linesearch.chart_retraction
+    chart_retraction = md.geometry.chart_retraction
 
     def counted(chart, kind="project"):
         built.append(chart.ineq_indices)
         return chart_retraction(chart, kind)
+    # geometry.free_chart builds the free one, boundary_step the others
+    monkeypatch.setattr(md.geometry, "chart_retraction", counted)
     monkeypatch.setattr(md.linesearch, "chart_retraction", counted)
-    monkeypatch.setattr(md.linesearch, "_free", (None, None, None, None))
+    monkeypatch.setattr(md.geometry, "_free", (None, None, None, None))
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
     assert sorted(built) == [()] + [(1,)] * 7

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +284,33 @@ def test_returned_point_and_trace_hold_distinct_arrays(case, circle2d, sphere3d)
     before = [a.copy() for a in held]
     x[:] = np.nan
     assert all(np.array_equal(a, b) for a, b in zip(held, before))
+
+
+def test_concurrent_solves_of_two_problems_match_serial(circle2d, sphere3d):
+    # problems may be shared across threads: two threads that solve
+    # circle2d (free chart without rows) and sphere3d (free chart on the
+    # sphere) at once keep replacing each other's cached free chart, and
+    # each must still retract through its own problem's chart.  A short
+    # switch interval lets the threads interleave inside the loop.
+    cases = [(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0)),
+             (sphere3d, (1.0, 0.0, 0.0), md.SolverConfig())]
+
+    def run(case):
+        problem, x0, cfg = case
+        x, trace = md.solve_constrained(problem, x0, cfg)
+        return x.tobytes(), [rec.x.tobytes() for rec in trace.records], trace.termination
+
+    serial = [run(case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # the two problems alternate in the queue, so each worker's next
+        # solve is often of the problem the other worker is solving
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(run, cases * 10))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial * 10
 
 
 def test_psi_follows_the_boundary_after_a_boundary_landing(circle2d):
