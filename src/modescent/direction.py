@@ -18,7 +18,9 @@ Finiteness is checked once per array: ``tangent_basis`` and
 ``evaluate`` has checked, straight to the unchecked kernels
 ``_tangent_basis`` and ``_min_norm``; only the projection of the
 generators onto the tangent space, a new array that can overflow, goes
-through ``min_norm_in_hull``.
+through ``min_norm_in_hull``.  The min-norm kernels never raise on finite
+generators: where their arithmetic overflows the weights come out NaN, and
+``solve_direction`` names the overflow once, from the value alpha.
 """
 
 import math
@@ -63,10 +65,11 @@ class DirectionResult:
     """Solution of one direction subproblem.
 
     ``v`` is the descent direction, ``alpha`` the optimal value
-    max_i g_i.v + 0.5*||v||^2 (always <= 0, and 0 exactly at critical
-    points; NaN where the arithmetic overflowed, which no criticality test
-    passes).  ``lam`` are simplex weights over the generators (the
-    objective gradients, then for SP1 the active inequality gradients) with
+    max_i g_i.v + 0.5*||v||^2, finite and <= 0 (0 exactly at critical
+    points): ``solve_direction`` raises where the arithmetic overflowed
+    instead of returning a value no criticality test may read.  ``lam`` are
+    simplex weights over the generators (the objective gradients, then for
+    SP1 the active inequality gradients) with
     v = -sum lam_i (projected gradient)_i.  ``active_set`` is the tuple of
     1-based inequality indices the subproblem was built with.
     """
@@ -155,13 +158,17 @@ def _min_norm_three(G):
     One 6x6 Gram matrix of the rows and their edge differences, then Python
     floats.  The edges are differenced before any dot product: edge lengths
     taken from Gram entries of the rows (k11 - 2 k01 + k00) cancel on
-    collinear or far-offset hulls.
+    collinear or far-offset hulls.  Where the longest edge or its squared
+    length overflows the weights are NaN.
     """
     X = _EDGES.dot(G)
     K = X.dot(X.T).tolist()
     # the affine-hull minimiser, from the 2x2 normal equations at the vertex
     # opposite the longest edge (the widest angle, best conditioned)
     i, j, k, ru, su, rw, sw = _VERTICES[max(range(3), key=lambda v: K[5 - v][5 - v])]
+    if not K[5 - i][5 - i] < math.inf:
+        # the longest edge overflowed, or its square: NaN weights
+        return [math.nan] * 3
     uu, ww, uw = K[ru][ru], K[rw][rw], su * sw * K[ru][rw]
     bu, bw = su * K[i][ru], sw * K[i][rw]
     det = uu * ww - uw * uw
@@ -210,9 +217,10 @@ def _min_norm_faces(G):
     min_j g_j.p - ||p||^2 is kept, the rule of the edge fallback of
     ``_min_norm_three``: only the true minimiser meets the certificate at
     every row, and for affinely dependent rows the hull is the union of
-    its facets.  Facets share faces, so each face, keyed on its tuple of
-    row indices into ``G``, is solved once per call: at most 2^k faces
-    instead of k!/6 paths.
+    its facets.  A face whose edges overflow gets NaN weights instead of
+    reaching lstsq, which would raise ``LinAlgError``.  Facets share faces,
+    so each face, keyed on its tuple of row indices into ``G``, is solved
+    once per call: at most 2^k faces instead of k!/6 paths.
     """
     memo = {}
 
@@ -222,8 +230,12 @@ def _min_norm_faces(G):
         F = G[list(rows)]
         if len(rows) == 3:
             lam = _min_norm_three(F)
+        elif not all_finite(D := F[1:] - F[0]):
+            # the edges overflowed: NaN weights, which the caller's value
+            # alpha names, where lstsq would raise LinAlgError
+            lam = [math.nan] * len(rows)
         else:
-            b = np.linalg.lstsq((F[1:] - F[0]).T, -F[0], rcond=None)[0].tolist()
+            b = np.linalg.lstsq(D.T, -F[0], rcond=None)[0].tolist()
             lam = [1.0 - math.fsum(b), *b]
             if not min(lam) >= 0.0:
                 def gap(lam):
@@ -265,9 +277,12 @@ def min_norm_in_hull(generators):
     certificate g_j.point >= ||point||^2 - KKT_TOL * max(1, max_j ||g_j||^2)
     for every generator.  One and two generators have closed forms, three
     go to ``_min_norm_three`` and four or more through ``_min_norm_faces``.
-    Raises ``ValueError`` on no generator or a non-finite entry; the
-    kernel behind it, ``_min_norm``, checks nothing, and ``solve_direction``
-    calls it directly on the rows ``evaluate`` has checked.
+    Where the differences of the generators (or, for three, the squared
+    length of an edge) overflow, the weights and the point are NaN: no form
+    raises on finite generators.  Raises ``ValueError`` on no generator or
+    a non-finite entry; the kernel behind it, ``_min_norm``, checks nothing,
+    and ``solve_direction`` calls it directly on the rows ``evaluate`` has
+    checked.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -291,9 +306,12 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     basis of the equality rows, project the generators into kernel
     coordinates, take the min-norm point of their hull, and map back:
     v = -(basis @ point).  Without equality rows the kernel is the whole
-    space and the generators are used as they are.  Raises
+    space and the generators are used as they are.
+
+    This is the one place that decides a direction overflowed: it raises
     ``ModescentError`` naming the subproblem when the projected generators
-    overflow.
+    are not finite, or when the value alpha is not (a NaN slope that
+    ``max`` would drop counts), so every returned alpha is finite.
     """
     act = active_set(bundle, epsilon)
     gens, eq_rows = bundle.DF_val, bundle.DH_val
@@ -323,9 +341,13 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     top = max(slopes)
     if not all(s <= top for s in slopes):
         top = math.nan
-    # clamp at 0 so that a NaN value stays NaN and fails the criticality
-    # test; min(0.0, nan) would read 0.0, a critical point
+    # a value that is not finite (NaN, or +-inf before the clamp at 0)
+    # comes from arithmetic that overflowed; no criticality test may read it
+    # and no line search can step along it
     alpha = top + 0.5 * float(v.dot(v))
+    if not math.isfinite(alpha):
+        raise ModescentError(f"direction subproblem {kind.value} overflowed: its value "
+                             f"alpha is {alpha}, not finite")
     if alpha > 0.0:
         alpha = 0.0
     return DirectionResult(v=v, alpha=alpha, lam=lam, active_set=act)

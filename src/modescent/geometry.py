@@ -43,7 +43,10 @@ class ManifoldChart:
     ineq_indices: tuple = ()
 
     def __post_init__(self):
-        # operator.index refuses 1.5 and "1", which int() would read as row 1
+        # operator.index refuses 1.5 and "1", which int() would read as row
+        # 1, and numpy bools; a Python bool it would read as row 1 or 0
+        if any(type(i) is bool for i in self.ineq_indices):
+            raise TypeError("'bool' object cannot be interpreted as an integer")
         idx = tuple(sorted(operator.index(i) for i in self.ineq_indices))
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate inequality indices in chart")

@@ -118,11 +118,10 @@ def multistart(problem: ProblemSpec, starts, config: SolverConfig = SolverConfig
         try:
             x, trace = solve_constrained(problem, x0, config)
         except ModescentError as err:
-            part = getattr(err, "trace", None)
+            # solve_constrained attaches its partial trace to every error
             archive.append(ArchiveEntry(
                 start=x0.copy(), x=None, F=None, alpha=None, converged=False,
-                iterations=part.iterations if part is not None else 0,
-                error=f"{type(err).__name__}: {err}"))
+                iterations=err.trace.iterations, error=f"{type(err).__name__}: {err}"))
             continue
         archive.append(ArchiveEntry(
             start=x0.copy(), x=x, F=trace.records[-1].F.copy(),

@@ -169,29 +169,18 @@ def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
     )
 
 
-def evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
+def evaluate(problem: ProblemSpec, x) -> EvalBundle:
     """Evaluate F, G and all Jacobians of ``problem`` at ``x`` in one bundle.
 
-    ``F_val`` and ``G_val``, when given, are taken as F(x) and G(x) in place
-    of calling the maps.  Given values go through the same reshape and
-    finiteness check as computed ones.  Raises ``EvaluationError`` naming
-    the first component that is non-finite, in the order F, G, DF, DH, DG.
-    The value of a map the problem does not have is a shared read-only
-    array with no rows.
+    Raises ``EvaluationError`` naming the first component that is
+    non-finite, in the order F, G, DF, DH, DG.  The value of a map the
+    problem does not have is a shared read-only array with no rows.
 
     This is the checked entry in front of the kernel ``_evaluate``: it
-    coerces ``x`` and checks a given G, which the kernel would take
-    unchecked; the kernel checks everything else once.
+    coerces ``x`` to a float vector of length n, and the kernel checks every
+    value once.
     """
-    x = as_point(x, problem.n)
-    if G_val is not None:
-        G_val = np.asarray(G_val, dtype=float)
-        if not all_finite(G_val):
-            # the kernel's order: F, then the shape of G, then G
-            _call("F", problem.F, x, (problem.m,), F_val)
-            G_val.reshape(problem.m_G)
-            raise EvaluationError("G", x)
-    return _evaluate(problem, x, F_val, G_val)
+    return _evaluate(problem, as_point(x, problem.n))
 
 
 def fd_audit(problem: ProblemSpec, x, h: float = 1e-6) -> float:

@@ -40,6 +40,11 @@ class SolverConfig:
     retraction: str = "project"
 
     def __post_init__(self):
+        # a bool would pass the tests below as 1 or 0, and reach the
+        # manifest as true or false
+        for name in ("beta0", "beta", "sigma", "epsilon", "eta", "max_iters"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         # each float test is written so that NaN fails it
         if not (0.0 < self.beta0 < math.inf):
             raise ValueError("beta0 must be finite and > 0")
@@ -103,13 +108,6 @@ class IterateTrace:
         return counts
 
 
-def _overflowed(kind, alpha):
-    # a non-finite value is NaN (or -inf) from arithmetic that overflowed
-    # in the direction; no line search can step along it
-    return ModescentError(f"direction subproblem {kind} overflowed: its value alpha is "
-                          f"{alpha}, not finite")
-
-
 def _attach_trace(err, trace, x):
     trace.termination = f"FAILED:{type(err).__name__}"
     # a copy: x can be the caller's start, or a view of it
@@ -144,8 +142,9 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     records alpha2 as None.  The loop stops once alpha1 >= -TOL_ALPHA, or
     after ``max_iters`` steps (``ITER_CAP`` unless alpha1 at the final point
     passes the same test).
-    A direction whose value alpha is not finite (its arithmetic
-    overflowed) raises ``ModescentError`` before it drives a step.
+    A direction whose arithmetic overflowed fails the run: ``solve_direction``
+    raises ``ModescentError`` naming the subproblem, so every alpha the loop
+    reads, the one at the cap included, is finite.
     Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised by
     the feasibility solve or inside the loop carries the partial trace as
     ``err.trace``.
@@ -185,11 +184,8 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                     d2 = None
                 # a missing or numerically null boundary direction cannot drive
                 # a step, so it falls through to the boundary-leaving branch
-                if d2 is not None and not (d2.alpha > -config.eta
-                                           or d2.alpha >= -TOL_ALPHA):
+                if d2 is not None and d2.alpha <= -config.eta and d2.alpha < -TOL_ALPHA:
                     d, branch = d2, "SP2-step"
-                    if not math.isfinite(d.alpha):
-                        raise _overflowed("SP2", d.alpha)
                     # a chart that pins nothing is the problem's cached one
                     chart = ManifoldChart(problem, d.active_set) if d.active_set \
                         else free_chart(problem, config.retraction)[0]
@@ -204,8 +200,6 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                         alpha=d.alpha, active_set=d.active_set, alpha2=alpha2))
                     trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
                     break
-                if not math.isfinite(d.alpha):
-                    raise _overflowed("SP1", d.alpha)
                 branch = "SP1-step"
                 step = feasible_armijo_step(bundle, d.v, d.active_set, config)
             trace.records.append(IterateRecord(

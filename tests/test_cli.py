@@ -24,6 +24,9 @@ STEEP_FILE = Path(__file__).parent / "data" / "steep2d.json"
 # F1 = 1.5e308 (x1 + x2) on the unit sphere: projected onto the tangent
 # plane the gradient overflows where the plane holds (1, 1, 0) / sqrt(2)
 STEEP_SPHERE_FILE = Path(__file__).parent / "data" / "steep_sphere3d.json"
+# four objectives with gradients near 1.5e308: the edge differences of the
+# four-generator hull overflow
+STEEP4_FILE = Path(__file__).parent / "data" / "steep4.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -327,6 +330,22 @@ def test_front_of_the_steep_sphere_names_the_overflow(tmp_path):
         "generators are not finite"] * 4 + [
         "ModescentError: direction subproblem SP1 overflowed: its value alpha is nan, "
         "not finite"] * 4
+
+
+def test_front_and_audit_of_four_steep_objectives_name_the_overflow(tmp_path, capsys):
+    # the hull's edges overflow: its face gets NaN weights, where lstsq
+    # raised LinAlgError out of the multistart and the audit
+    out = tmp_path / "front"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["front", "--problem-file", str(STEEP4_FILE), "--grid", "2x2",
+                   "--out", str(out)])
+        assert main(["audit", "--problem-file", str(STEEP4_FILE)]) == 1
+    assert rc == 1
+    errors = [entry["error"] for entry in
+              json.loads((out / "archive.json").read_text())["entries"]]
+    assert errors == ["ModescentError: direction subproblem SP1 overflowed: its value alpha "
+                      "is nan, not finite"] * 4
+    assert "min-norm dual certificate: worst residual nan: FAIL" in capsys.readouterr().out
 
 
 def test_manifest_outputs_do_not_depend_on_the_out_path(tmp_path):

@@ -388,15 +388,35 @@ def test_direction_sp2_at_a_vertex_is_zero():
     assert d.lam.min() >= 0.0 and d.lam.sum() == pytest.approx(1.0)
 
 
-def test_direction_alpha_is_nan_where_the_hull_overflows():
+def test_direction_names_the_overflow_of_the_hull():
     # DF = 1e160 I: diff . diff overflows in the two-generator form, the
     # weights and v come out NaN, and min(0.0, nan) would read 0.0, a
-    # critical point
+    # critical point: the subproblem fails instead, naming its value
     b = md.evaluate(md.load_problem(DATA / "steep2d.json"), [0.0, 0.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = md.solve_direction(b, SubproblemKind.OBJECTIVE_ICS)
-    assert np.isnan(d.alpha)
-    assert not d.alpha >= -1e-8
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            md.ModescentError, match="SP1 overflowed: its value alpha is nan, not finite"):
+        md.solve_direction(b, SubproblemKind.OBJECTIVE_ICS)
+
+
+@pytest.mark.parametrize("DF", [
+    # the hull holds (0, 2) and (1, 1), so its min-norm point is near
+    # (0, 1) and alpha near -0.5; with the edge g3 - g2 (or its square)
+    # overflowed, the Gram form kept the vertex (1, 1), whose slope 1e308
+    # (1e160) the clamp at 0 read as a critical point.  The three-row form,
+    # alone or as a facet, gives NaN weights instead
+    [[1.0, 1.0], [1e308, 2.0], [-1e308, 2.0]],
+    [[1.0, 1.0], [3.0, 1.5], [1e160, 2.0], [-1e160, 2.0]],
+    # tests/data/steep4.json at the origin: the edges of the four-row face
+    # overflow, and it gets NaN weights where lstsq raised LinAlgError
+    [[1.5e308, 0.3e308], [-1.5e308, 0.2e308], [0.1e308, -1.5e308], [0.5e308, 1.5e308]]])
+def test_direction_names_the_overflow_of_a_hull_edge(DF):
+    DF = np.array(DF)
+    p = md.ProblemSpec(name="steep-edge", n=2, m=len(DF), F=lambda x: np.zeros(len(DF)),
+                       DF=lambda x: DF)
+    b = md.evaluate(p, [0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            md.ModescentError, match="SP1 overflowed: its value alpha is nan"):
+        md.solve_direction(b, SubproblemKind.OBJECTIVE_ICS)
 
 
 def test_direction_names_the_overflow_of_projected_generators():
@@ -412,6 +432,44 @@ def test_direction_names_the_overflow_of_projected_generators():
     with np.errstate(over="ignore"), pytest.raises(
             md.ModescentError, match="direction subproblem SP2 overflowed"):
         md.solve_direction(b, SubproblemKind.EQUALITY_ICS)
+
+
+@st.composite
+def _steep_subproblems(draw):
+    # n = 2..4, 1..6 objective rows, 0..2 active inequality rows and 0..1
+    # equality rows, with finite entries of any magnitude up to 1.7e308
+    n = draw(st.integers(2, 4))
+    entry = st.one_of(st.floats(-1.7e308, 1.7e308), st.floats(-1.7, 1.7).map(lambda t: t * 1e308),
+                      st.integers(-3, 3).map(float))
+
+    def rows(low, high):
+        return np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                      min_size=low, max_size=high)), dtype=float).reshape(-1, n)
+
+    DF, DG, DH = rows(1, 6), rows(0, 2), rows(0, 1)
+    return md.ProblemSpec(
+        name="steep-subproblem", n=n, m=len(DF), F=lambda x: np.zeros(len(DF)), DF=lambda x: DF,
+        m_H=len(DH), H=(lambda x: np.zeros(len(DH))) if len(DH) else None,
+        DH=(lambda x: DH) if len(DH) else None,
+        m_G=len(DG), G=(lambda x: np.zeros(len(DG))) if len(DG) else None,
+        DG=(lambda x: DG) if len(DG) else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_steep_subproblems())
+def test_direction_value_is_finite_or_the_subproblem_fails(problem):
+    # every returned alpha is finite and <= 0 with a finite v; arithmetic
+    # that overflows fails the subproblem as a ModescentError (a RankError
+    # counts), never as NaN, a LinAlgError or an OverflowError
+    b = md.evaluate(problem, np.zeros(problem.n))
+    for kind in SubproblemKind:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                d = md.solve_direction(b, kind)
+            except md.ModescentError:
+                continue
+        assert math.isfinite(d.alpha) and d.alpha <= 0.0
+        assert np.isfinite(d.v).all()
 
 
 def _sample_feasible_circle_points(rng, count):

@@ -526,9 +526,9 @@ def test_chart_validation(circle2d):
         md.ManifoldChart(circle2d, (1, 1))
 
 
-@pytest.mark.parametrize("index", [1.5, "1", 1.0])
+@pytest.mark.parametrize("index", [1.5, "1", 1.0, True, np.True_])
 def test_chart_indices_must_be_integers(circle2d, index):
-    # int() would read 1.5 and "1" as row 1
+    # int() would read 1.5 and "1" as row 1, and operator.index True
     with pytest.raises(TypeError):
         md.ManifoldChart(circle2d, (index,))
     assert md.ManifoldChart(circle2d, (np.int64(1),)).ineq_indices == (1,)

@@ -511,6 +511,15 @@ def test_config_requires_an_integral_max_iters(max_iters):
     assert md.SolverConfig(max_iters=np.int64(3)).max_iters == 3
 
 
+@pytest.mark.parametrize("name", ["beta0", "beta", "sigma", "epsilon", "eta", "max_iters"])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_config_refuses_bools(name, flag):
+    # True would pass as beta0 = 1 or max_iters = 1, and reach manifest.json
+    # and trace.json as "true"
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        md.SolverConfig(**{name: flag})
+
+
 def test_overflowed_direction_fails_the_run_not_reads_critical():
     # DF = 1e160 I: the two-generator min-norm form overflows, so alpha is
     # NaN; it must not read as 0 (critical) at a point where F is
@@ -534,6 +543,23 @@ def test_overflowed_direction_names_the_overflow():
     assert err.value.trace.termination == "FAILED:ModescentError"
     assert err.value.trace.records == []
     assert err.value.trace.final_x.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_overflowed_direction_at_the_cap_fails_the_run(max_iters):
+    # F = (x, 2x) with DF scaled by 1e160 at x <= 0.5: the first step lands
+    # on x = 0, where the direction overflows; at max_iters = 1 that is the
+    # pass that only records alpha1, which must not end at ITER_CAP with a
+    # NaN final_alpha
+    steep = md.ProblemSpec(
+        name="steep-after-one-step", n=1, m=2, F=lambda x: np.array([x[0], 2.0 * x[0]]),
+        DF=lambda x: (1.0 if x[0] > 0.5 else 1e160) * np.array([[1.0], [2.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ModescentError, match="direction subproblem SP1 overflowed") as err:
+            md.solve_constrained(steep, (1.0,), md.SolverConfig(max_iters=max_iters))
+    assert err.value.trace.termination == "FAILED:ModescentError"
+    assert err.value.trace.iterations == 1
+    assert err.value.trace.final_x.tolist() == [0.0]
 
 
 def test_overflowed_boundary_direction_names_the_overflow():
