@@ -1,10 +1,13 @@
 """Armijo backtracking t = beta0 * beta^k and its feasibility-aware variants.
 
-One search, ``_armijo_points``, backtracks for all three step routines: it
-yields the trial points whose retraction succeeds and that pass the Armijo
-test.  ``armijo_step`` takes the first of them, ``feasible_armijo_step`` the
-first whose inequalities outside the chart hold, and ``boundary_step`` the
-first, which it shortens onto a newly crossed boundary where needed.
+One search, ``_trials``, backtracks for all three step routines: it yields
+the trial points whose retraction succeeds, and each routine orders its own
+tests.  ``armijo_step`` takes the first that passes the Armijo test.
+``feasible_armijo_step`` takes the first that passes it and whose
+inequalities hold; once a trial has passed Armijo it tests G first, so an
+infeasible trial costs no F.  ``boundary_step`` takes the first Armijo
+point and, where it crosses a new inequality, shortens it onto that
+boundary by Illinois false position, with bisection as the safeguard.
 
 A step routine handed a direction or base point that violates its
 preconditions raises ``StepPreconditionError``, which is both a ``NoStep``
@@ -65,30 +68,37 @@ def _armijo(problem, f0, slope, sigma, t, z):
     return lhs, all(f < fi + st * s for f, fi, s in zip(lhs.tolist(), f0, slope))
 
 
-def _armijo_points(bundle, slope, retract, v, beta0, beta, sigma, k_max):
-    """Yield ``(k, t, z, F(z))`` for the trials t = beta0 * beta^k,
-    k = 0..k_max, whose retracted point z of the step t v exists and
-    passes the Armijo test: the one backtracking search of all three step
-    routines.
+def _trials(bundle, retract, v, beta0, beta, k_max):
+    """Yield ``(k, t, z)`` for the trials t = beta0 * beta^k, k = 0..k_max,
+    whose retracted point z of the step t v exists: the one backtracking
+    search of all three step routines, each of which orders its own tests.
 
     The retractions depend only on x and x + t v, so once x + t v rounds to
     x every later trial repeats the last one: the search stops after such a
-    trial if its retraction failed or returned x itself.  Both tests run in
-    Python floats; a NaN entry fails them, so the search goes on.
+    trial if its retraction failed or returned x itself.
     """
-    problem, x, xs = bundle.problem, bundle.x, bundle.x.tolist()
-    f0 = bundle.F_val.tolist()
+    x, xs = bundle.x, bundle.x.tolist()
     for k in range(k_max + 1):
         t = beta0 * beta ** k
         w = t * v
         z = _try_retract(retract, x, w)
         if z is not None:
-            lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
-            if ok:
-                yield k, t, z, lhs
+            yield k, t, z
         if (z is None or z.tolist() == xs) \
                 and all(xi + wi == xi for xi, wi in zip(xs, w.tolist())):
             return
+
+
+def _first_armijo_point(bundle, slope, retract, v, beta0, beta, sigma, k_max):
+    """``(k, t, z, F(z))`` of the first trial that passes the Armijo test,
+    or None.  The test runs in Python floats; a NaN entry fails it, so the
+    search goes on."""
+    problem, f0 = bundle.problem, bundle.F_val.tolist()
+    for k, t, z in _trials(bundle, retract, v, beta0, beta, k_max):
+        lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
+        if ok:
+            return k, t, z, lhs
+    return None
 
 
 def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
@@ -99,10 +109,11 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
     k <= k_max satisfies it (numerically degenerate tolerances).
     """
     slope = _descent_slope(bundle, v)
-    for k, t, z, lhs in _armijo_points(bundle, slope, retract, v, beta0, beta, sigma, k_max):
-        return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
-                          new_point=z)
-    raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
+    point = _first_armijo_point(bundle, slope, retract, v, beta0, beta, sigma, k_max)
+    if point is None:
+        raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
+    k, t, z, lhs = point
+    return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False, new_point=z)
 
 
 def _try_retract(retract, x, w):
@@ -146,7 +157,10 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     indices of the active set the direction was computed with), the strict
     inflow condition grad(G_i) v < 0.  Takes the smallest k whose point
     satisfies both Armijo and G <= 0; the repair flag records whether
-    feasibility forced k past the plain Armijo k.
+    feasibility forced k past the plain Armijo k.  Up to the first trial
+    that passes Armijo, every trial needs F and only that one needs G; past
+    it, each trial is tested for G first and computes F only where G holds.
+    The accepted step is the one an F-then-G test of every trial accepts.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
@@ -159,15 +173,26 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     _, retract = free_chart(problem, config.retraction)
     # every G row lies outside the chart
     rows = None if problem.m_G else ()
+    f0, sigma = bundle.F_val.tolist(), config.sigma
     k_armijo = None
-    for k, t, z, lhs in _armijo_points(bundle, slope, retract, v, config.beta0,
-                                       config.beta, config.sigma, K_MAX):
+    for k, t, z in _trials(bundle, retract, v, config.beta0, config.beta, K_MAX):
+        if k_armijo is not None:
+            # past the first Armijo pass only a feasible trial needs F
+            g, g_max = _outside_g(problem, rows, z)
+            if not g_max <= FEAS_TOL:
+                continue
+        lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
+        if not ok:
+            continue
         if k_armijo is None:
+            # up to the first Armijo pass every trial needs F, and only
+            # the one that passes needs G
             k_armijo = k
-        g, g_max = _outside_g(problem, rows, z)
-        if g_max <= FEAS_TOL:
-            return StepResult(t=t, k=k, armijo_lhs=lhs,
-                              feasibility_repaired=(k != k_armijo), new_point=z, G_val=g)
+            g, g_max = _outside_g(problem, rows, z)
+            if not g_max <= FEAS_TOL:
+                continue
+        return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=(k != k_armijo),
+                          new_point=z, G_val=g)
     raise NoStep(f"feasible Armijo: no acceptable step within k_max={K_MAX}")
 
 
@@ -179,9 +204,14 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     inequality outside the chart below ``-EPS_ACT`` there, which is what
     pinning exactly the rows with G >= -EPS_ACT leaves.  If the
     Armijo-accepted point at step t violates an outside inequality, [0, t]
-    is bisected, keeping a feasible lower end (at first the base point),
-    until that end lies within ``EPS_ACT`` of a crossed boundary; the
-    Armijo inequality is re-verified at the landing step.  Given the chart
+    is shrunk, keeping a feasible lower end (at first the base point),
+    until that end lies within ``EPS_ACT`` of a crossed boundary.  Each
+    trial is the Illinois false-position root (Dowell and Jarratt, BIT 11
+    (1971) 168-174) of phi, the largest outside G along the step; where
+    that root is not strictly inside the bracket, because phi is NaN or
+    +inf at its upper end or the retraction failed there, the trial is
+    the midpoint.  The Armijo inequality is re-verified at the landing
+    step.  Given the chart
     ``geometry.free_chart`` returns, the step reuses the retraction cached
     with it, the one ``feasible_armijo_step`` uses, instead of building
     one; the preconditions are the same for every chart.
@@ -201,8 +231,8 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     free, retract = free_chart(problem, config.retraction)
     if active_chart is not free:
         retract = chart_retraction(active_chart, config.retraction)
-    point = next(_armijo_points(bundle, slope, retract, v, config.beta0, config.beta,
-                                config.sigma, K_MAX), None)
+    point = _first_armijo_point(bundle, slope, retract, v, config.beta0, config.beta,
+                               config.sigma, K_MAX)
     if point is None:
         raise NoStep(f"boundary step: Armijo failed for all k <= {K_MAX}")
     k, t, z, lhs = point
@@ -212,21 +242,35 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
                           new_point=z, G_val=g)
 
-    # bisect [0, t] so a newly crossed inequality becomes active; the lower
-    # end starts at the base point, whose G the bundle holds
+    # shrink [0, t] until its feasible lower end, at first the base point
+    # whose G the bundle holds, lies where a newly crossed inequality is
+    # active.  Each trial takes the false-position root of phi, the largest
+    # outside G along t, through the ends' stored values, or the midpoint
+    # where that root is not strictly inside: a NaN or +inf phi(t_hi) puts
+    # it at NaN or t_lo.  When the same end moves twice running, the other
+    # end's stored value is halved (Illinois), so that end moves too.
     t_lo, t_hi, z_lo, g_lo = 0.0, t, bundle.x, bundle.G_val
+    f_lo, f_hi, moved = float(max_lo), g_max, None
     for _ in range(200):
         if max_lo >= -EPS_ACT:
             break
         if t_hi - t_lo <= 1e-15 * max(1.0, t_hi):
             break
-        t_mid = 0.5 * (t_lo + t_hi)
-        z_mid = _try_retract(retract, bundle.x, t_mid * v)
-        g_mid, max_mid = _outside_g(problem, outside, z_mid)
-        if max_mid <= FEAS_TOL:
-            t_lo, z_lo, g_lo, max_lo = t_mid, z_mid, g_mid, max_mid
+        t_new = t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
+        if not t_lo < t_new < t_hi:
+            t_new = 0.5 * (t_lo + t_hi)
+        z_new = _try_retract(retract, bundle.x, t_new * v)
+        g_new, max_new = _outside_g(problem, outside, z_new)
+        if max_new <= FEAS_TOL:
+            t_lo, z_lo, g_lo, max_lo, f_lo = t_new, z_new, g_new, max_new, max_new
+            if moved == "lo":
+                f_hi *= 0.5
+            moved = "lo"
         else:
-            t_hi = t_mid
+            t_hi, f_hi = t_new, max_new
+            if moved == "hi":
+                f_lo *= 0.5
+            moved = "hi"
     if max_lo < -EPS_ACT:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 

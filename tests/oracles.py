@@ -304,6 +304,62 @@ def archive_to_dict(archive, flags):
         ]
     }
 
+def feasible_armijo_reference(bundle, v, active, config):
+    """The feasible Armijo step as a plain F-then-G search: for t = beta0
+    beta^k, k = 0..60, retract x + t v through the chart that pins nothing,
+    test Armijo (strict, componentwise) and, at a point that passes it,
+    every G row against FEAS_TOL; return the first point passing both.
+
+    Returns ``(t, k, feasibility_repaired, new_point, F(new_point),
+    G(new_point))`` with G None when the problem has no inequalities, and
+    ``feasibility_repaired`` true when an earlier point passed Armijo.
+    Raises the ``NoStep`` of ``linesearch.feasible_armijo_step`` with its
+    message where that must.  The Armijo right-hand sides are rounded as
+    F(x) + (sigma t) DF(x) v in Python floats, and the search stops after a
+    trial whose x + t v rounds to x and whose retraction failed or
+    returned x, as the production search does, so the accepted point is
+    the same bytes.
+    """
+    import math
+
+    from modescent.errors import NoConvergence, NoStep, StepPreconditionError
+    from modescent.geometry import FEAS_TOL, free_chart
+
+    problem, x = bundle.problem, bundle.x
+    slope = bundle.DF_val.dot(v).tolist()
+    if not all(s < 0.0 for s in slope):
+        raise StepPreconditionError(
+            "line search requires strict componentwise descent: DF(x) v < 0")
+    for i in active:
+        if bundle.DG_val[i - 1].dot(v) >= 0.0:
+            raise StepPreconditionError(
+                f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities")
+    _, retract = free_chart(problem, config.retraction)
+    f0 = bundle.F_val.tolist()
+    k_armijo = None
+    for k in range(61):
+        t = config.beta0 * config.beta ** k
+        w = t * v
+        try:
+            z = retract(x, w)
+        except NoConvergence:
+            z = None
+        if z is not None:
+            lhs = np.asarray(problem.F(z), dtype=float).reshape(problem.m)
+            st = config.sigma * t
+            if all(f < fi + st * s for f, fi, s in zip(lhs.tolist(), f0, slope)):
+                if k_armijo is None:
+                    k_armijo = k
+                g = np.asarray(problem.G(z), dtype=float) if problem.m_G else None
+                values = [] if g is None else g.ravel().tolist()
+                if all(-math.inf < gi <= FEAS_TOL for gi in values):
+                    return t, k, k != k_armijo, z, lhs, g
+        if (z is None or z.tolist() == x.tolist()) \
+                and all(xi + wi == xi for xi, wi in zip(x.tolist(), w.tolist())):
+            break
+    raise NoStep("feasible Armijo: no acceptable step within k_max=60")
+
+
 # ---------------------------------------------------------------------------
 # closed-form geometry of the circle test problem
 

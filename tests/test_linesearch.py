@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import modescent as md
+from modescent.errors import NoConvergence
 from modescent.geometry import EPS_ACT
 from modescent.linesearch import _outside_g, armijo_step, boundary_step, feasible_armijo_step
 
@@ -254,6 +257,83 @@ def test_boundary_step_repair_exits(F, DF, G, message):
     b = md.evaluate(p, [0.0, 0.0])
     with pytest.raises(md.NoStep, match=message):
         boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
+
+
+def _counted_G(G, seen):
+    def counted(x):
+        seen.append(float(x[0]))
+        return G(x)
+    return counted
+
+
+@pytest.mark.parametrize("beyond", [np.nan, np.inf], ids=["nan", "plus-inf"])
+def test_boundary_step_lands_through_the_midpoint_past_a_nonfinite_g(beyond):
+    # G = x1 - 0.3 up to x1 = 0.9 and NaN or +inf past it: phi(t_hi) at the
+    # Armijo step t = 1 is not finite, so the landing first takes the
+    # midpoint, then the false-position root through (0, -0.3) and
+    # (0.5, 0.2), which is the boundary
+    seen = []
+    G = _counted_G(lambda x: np.array([x[0] - 0.3 if x[0] < 0.9 else beyond]), seen)
+    p = md.ProblemSpec(name="nonfinite-beyond", n=2, m=1, F=lambda x: np.array([-x[0]]),
+                       DF=lambda x: np.array([[-1.0, 0.0]]), m_G=1, G=G,
+                       DG=lambda x: np.array([[1.0, 0.0]]))
+    b = md.evaluate(p, [0.0, 0.0])
+    step = boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
+    assert seen[:3] == [0.0, 1.0, 0.5]
+    assert seen[3:] == [pytest.approx(0.3, abs=1e-15)]
+    assert step.feasibility_repaired and step.k == 0 and step.t == seen[3]
+    assert -EPS_ACT <= float(p.G(step.new_point)[0]) <= 1e-9
+
+
+def test_boundary_step_lands_through_the_midpoint_past_a_failed_retraction(monkeypatch):
+    # phi = sqrt(x1) - sqrt(0.3) is concave, so the first false-position
+    # root, sqrt(0.3) = 0.548, falls where the retraction fails
+    # (0.5 <= t <= 0.9).  With no value at the upper end the landing takes
+    # midpoints until the upper end has one, then false position again
+    tried = []
+
+    def chart_retraction(chart, kind="project"):
+        def retract(x, w):
+            tried.append(float(w[0]))
+            if 0.5 <= w[0] <= 0.9:
+                raise NoConvergence("retraction fails here")
+            return x + w
+        return retract
+
+    monkeypatch.setattr(md.linesearch, "chart_retraction", chart_retraction)
+    G = lambda x: np.array([math.sqrt(x[0]) - math.sqrt(0.3)])
+    p = md.ProblemSpec(name="failed-retraction", n=2, m=1, F=lambda x: np.array([-x[0]]),
+                       DF=lambda x: np.array([[-1.0, 0.0]]), m_G=1, G=G,
+                       DG=lambda x: np.array([[1.0, 0.0]]))
+    b = md.evaluate(p, [0.0, 0.0])
+    step = boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
+    assert tried[:2] == [1.0, pytest.approx(math.sqrt(0.3), abs=1e-15)]
+    # the failed trial and the feasible midpoint below it bracket the root
+    assert tried[2:4] == [0.5 * tried[1], 0.5 * (tried[2] + tried[1])]
+    assert len(tried) < 15
+    assert step.feasibility_repaired and step.k == 0
+    assert -EPS_ACT <= float(G(step.new_point)[0]) <= 1e-9
+
+
+@pytest.mark.parametrize("beyond", [np.nan, np.inf], ids=["nan", "plus-inf"])
+def test_boundary_step_bisects_to_no_step_without_a_finite_upper_value(beyond):
+    # G = -1 below x1 = 0.5 and NaN or +inf from there on: no trial gives
+    # the upper end a finite value, so every landing trial is the midpoint
+    # of the bracket, which closes on 0.5 without landing
+    seen = []
+    G = _counted_G(lambda x: np.array([-1.0 if x[0] < 0.5 else beyond]), seen)
+    p = md.ProblemSpec(name="nonfinite-wall", n=2, m=1, F=lambda x: np.array([-x[0]]),
+                       DF=lambda x: np.array([[-1.0, 0.0]]), m_G=1, G=G,
+                       DG=lambda x: np.array([[1.0, 0.0]]))
+    b = md.evaluate(p, [0.0, 0.0])
+    with pytest.raises(md.NoStep, match="could not land on the newly crossed boundary"):
+        boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
+    lo, hi, bisection = 0.0, 1.0, []
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        bisection.append(mid)
+        lo, hi = (mid, hi) if mid < 0.5 else (lo, mid)
+    assert seen[2:] == bisection
 
 
 @pytest.mark.parametrize("G", [

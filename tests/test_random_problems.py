@@ -8,6 +8,9 @@ criticality check; every other run must end at the iteration cap or as a
 ``ModescentError`` that carries its trace.  On the same problems, and on
 the equator3d front, every G a step hands to the loop's next evaluation,
 which takes it unchecked, must be finite and equal to G at that point.
+On these problems and circle2d, the feasible Armijo step must accept the
+bytes that a plain F-then-G search accepts, and every boundary step that
+lands must land on the crossed boundary.
 """
 
 import math
@@ -18,10 +21,11 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
-from modescent.geometry import FEAS_TOL
+from modescent.geometry import EPS_ACT, FEAS_TOL
+from modescent.linesearch import feasible_armijo_step
 from modescent.solver import TOL_ALPHA
 
-from oracles import support_min_norm
+from oracles import feasible_armijo_reference, support_min_norm
 
 # coordinates on a quarter grid, so coincident and collinear centers come up
 COORD = st.integers(-8, 8).map(lambda k: k / 4.0)
@@ -46,12 +50,17 @@ def _disk_problem(centers, disk, radius, inside):
 
 
 @st.composite
-def problems(draw):
+def disks(draw):
+    """``(problem, disk center, radius)`` of a random disk problem."""
     m = draw(st.integers(2, 3))
     centers = [(draw(COORD), draw(COORD)) for _ in range(m)]
     disk = (draw(COORD), draw(COORD))
     radius = draw(st.integers(2, 8)) / 4.0
-    return _disk_problem(centers, disk, radius, draw(st.booleans()))
+    return _disk_problem(centers, disk, radius, draw(st.booleans())), disk, radius
+
+
+def problems():
+    return disks().map(lambda drawn: drawn[0])
 
 
 def _assert_certified(problem, x, cfg):
@@ -134,3 +143,109 @@ def test_handed_over_g_on_the_equator_front():
         md.multistart(problem, starts, md.SolverConfig(beta0=0.1, eta=1.0))
     assert seen
     _assert_handed_over_g_is_g(seen)
+
+
+def _step_or_error(step, *args):
+    """The bytes of the step's ``(t, k, feasibility_repaired, new_point,
+    F(new_point), G(new_point))``, or the type and message of its NoStep."""
+    try:
+        t, k, repaired, z, lhs, g = step(*args)
+    except md.NoStep as err:
+        return type(err), str(err)
+    return t, k, repaired, z.tobytes(), lhs.tobytes(), None if g is None else g.tobytes()
+
+
+def _feasible_step(bundle, v, active, config):
+    r = feasible_armijo_step(bundle, v, active, config)
+    return r.t, r.k, r.feasibility_repaired, r.new_point, r.armijo_lhs, r.G_val
+
+
+@st.composite
+def feasible_steps(draw):
+    """A feasible Armijo step on circle2d or a random disk problem: a grid
+    start, or a start just outside the disk, with the SP1 direction or the
+    direction straight into the disk, so that trials cross the disk's
+    boundary and feasibility repairs happen."""
+    if draw(st.booleans()):
+        problem, disk, radius = md.registry_get("circle2d"), (0.0, 0.0), 1.0
+    else:
+        problem, disk, radius = draw(disks())
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    u = np.array([math.cos(angle), math.sin(angle)])
+    if draw(st.booleans()):
+        gap = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.5]))
+        x = np.array(disk) + (radius + gap) * u
+    else:
+        x = np.array([draw(COORD), draw(COORD)])
+    bundle = md.evaluate(problem, x)
+    epsilon = draw(st.sampled_from([1e-4, 1e-10]))
+    if draw(st.booleans()):
+        d = md.solve_direction(bundle, md.SubproblemKind.OBJECTIVE_ICS, epsilon)
+        v, active = d.v, d.active_set
+    else:
+        v, active = -draw(st.sampled_from([0.1, 1.0, 3.0])) * u, md.active_set(bundle, epsilon)
+    config = md.SolverConfig(beta0=draw(st.sampled_from([0.1, 1.0, 4.0])),
+                             beta=draw(st.sampled_from([0.5, 0.8])))
+    return bundle, v, active, config
+
+
+# circle2d from (-2, 0.5) along its SP1 direction: the Armijo point at
+# beta0 = 0.2 lies inside the circle and the step is repaired
+@example(step=(md.evaluate(md.registry_get("circle2d"), [-2.0, 0.5]),
+               np.array([8.0, 0.0]), (), md.SolverConfig(beta0=0.2)))
+@settings(max_examples=200, deadline=None)
+@given(step=feasible_steps())
+def test_feasible_step_accepts_what_f_then_g_accepts(step):
+    assert _step_or_error(_feasible_step, *step) == \
+        _step_or_error(feasible_armijo_reference, *step)
+
+
+@contextmanager
+def landed_steps():
+    """Spy on the descent loop's boundary steps: yields the list of
+    ``(bundle, v, chart, config, step)`` of every step that landed on a
+    newly crossed boundary."""
+    seen = []
+    boundary_step = md.solver.boundary_step
+
+    def spy(bundle, v, chart, config):
+        step = boundary_step(bundle, v, chart, config)
+        if step.feasibility_repaired:
+            seen.append((bundle, v, chart, config, step))
+        return step
+
+    md.solver.boundary_step = spy
+    try:
+        yield seen
+    finally:
+        md.solver.boundary_step = boundary_step
+
+
+def _assert_landed_on_the_boundary(seen):
+    # phi, the largest G outside the chart, is within EPS_ACT below or
+    # FEAS_TOL above zero; Armijo holds there, short of the Armijo step
+    for bundle, v, chart, config, step in seen:
+        problem = bundle.problem
+        g = np.asarray(problem.G(step.new_point), dtype=float).ravel().tolist()
+        phi = max(gi for i, gi in enumerate(g, 1) if i not in chart.ineq_indices)
+        assert -EPS_ACT <= phi <= FEAS_TOL
+        F = np.asarray(problem.F(step.new_point), dtype=float)
+        assert F.tobytes() == step.armijo_lhs.tobytes()
+        assert np.all(F < bundle.F_val + config.sigma * step.t * bundle.DF_val.dot(v))
+        assert 0.0 < step.t < config.beta0 * config.beta ** step.k
+
+
+@settings(max_examples=12, deadline=None)
+@given(problem=problems(), beta0=st.sampled_from([0.1, 1.0]))
+def test_landed_boundary_steps_of_random_problems(problem, beta0):
+    with landed_steps() as seen:
+        md.multistart(problem, STARTS, md.SolverConfig(beta0=beta0, eta=1.0, max_iters=300))
+    _assert_landed_on_the_boundary(seen)
+
+
+def test_landed_boundary_steps_of_circle2d(circle2d):
+    with landed_steps() as seen:
+        md.multistart(circle2d, md.grid_points(circle2d.box, (8, 8)),
+                      md.SolverConfig(beta0=0.1, eta=1.0))
+    assert seen
+    _assert_landed_on_the_boundary(seen)
