@@ -75,15 +75,18 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     # the circle2d_eta1 solve with counted maps; accepted SP1 steps hand F
     # and G to the next evaluate, SP2 steps hand over F, and G when their
     # chart leaves the inequality outside (17 of the 24 pin none), the
-    # boundary bisection computes G once per point and takes the base
-    # point's G from the bundle, and a projection
-    # computes its chart value and Jacobian once per point it accepts, so a
-    # duplicate map call on the solver's path changes these counts
+    # feasible step computes F past its first Armijo pass only where G
+    # holds, the boundary landing computes G once per false-position or
+    # midpoint trial and takes the base point's G from the bundle, and a
+    # projection computes its chart value and Jacobian once per point it
+    # accepts, so a duplicate map call or an extra landing trial on the
+    # solver's path changes these counts (F 611 and G 1,113 with an
+    # F-then-G test of every trial and a bisecting landing)
     spec, calls = with_counted_maps(circle2d, ("F", "DF", "G", "DG"))
     _, trace = md.solve_constrained(spec, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 130
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert dict(calls) == {"F": 611, "DF": 131, "G": 1113, "DG": 164}
+    assert dict(calls) == {"F": 193, "DF": 131, "G": 675, "DG": 164}
 
 
 def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
