@@ -177,7 +177,6 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     k_armijo = None
     for k, t, z in _trials(bundle, retract, v, config.beta0, config.beta, K_MAX):
         if k_armijo is not None:
-            # past the first Armijo pass only a feasible trial needs F
             g, g_max = _outside_g(problem, rows, z)
             if not g_max <= FEAS_TOL:
                 continue
@@ -185,8 +184,6 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
         if not ok:
             continue
         if k_armijo is None:
-            # up to the first Armijo pass every trial needs F, and only
-            # the one that passes needs G
             k_armijo = k
             g, g_max = _outside_g(problem, rows, z)
             if not g_max <= FEAS_TOL:
@@ -242,13 +239,11 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
                           new_point=z, G_val=g)
 
-    # shrink [0, t] until its feasible lower end, at first the base point
-    # whose G the bundle holds, lies where a newly crossed inequality is
-    # active.  Each trial takes the false-position root of phi, the largest
-    # outside G along t, through the ends' stored values, or the midpoint
-    # where that root is not strictly inside: a NaN or +inf phi(t_hi) puts
-    # it at NaN or t_lo.  When the same end moves twice running, the other
-    # end's stored value is halved (Illinois), so that end moves too.
+    # shrink [0, t], keeping a feasible lower end (at first the base point,
+    # whose G the bundle holds).  f_lo and f_hi are phi at the ends, the
+    # one kept while the other moves twice running halved (Illinois); a NaN
+    # or +inf phi(t_hi) puts the false-position root at NaN or t_lo, so the
+    # midpoint is taken there
     t_lo, t_hi, z_lo, g_lo = 0.0, t, bundle.x, bundle.G_val
     f_lo, f_hi, moved = float(max_lo), g_max, None
     for _ in range(200):
