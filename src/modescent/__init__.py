@@ -3,8 +3,9 @@ optimization, with two active-set strategies and a multistart front driver."""
 
 from .direction import (DirectionResult, SubproblemKind, active_set, min_norm_in_hull,
                         solve_direction, tangent_basis)
-from .errors import (EvaluationError, ModescentError, NoConvergence, NoStep,
-                     RankError, StepPreconditionError, UnknownProblemError)
+from .errors import (EvaluationError, IllConditionedDirection, MapShapeError, ModescentError,
+                     NoConvergence, NoStep, RankError, StepPreconditionError,
+                     UnknownProblemError)
 from .geometry import (ManifoldChart, chart_retraction, feasible_start, project,
                        retract_psi)
 from .globalize import (ArchiveEntry, deduplicate, grid_points, multistart,
@@ -18,10 +19,10 @@ from .solver import (ITER_CAP, IterateRecord, IterateTrace, SolverConfig,
 
 __all__ = [
     "ArchiveEntry", "DirectionResult", "EvalBundle", "EvaluationError",
-    "ITER_CAP", "IterateRecord", "IterateTrace", "ManifoldChart",
-    "ModescentError", "NoConvergence", "NoStep", "ProblemSpec",
-    "RankError", "SolverConfig", "StepPreconditionError", "StepResult",
-    "SubproblemKind", "TERMINATED_CRITICAL", "UnknownProblemError",
+    "ITER_CAP", "IllConditionedDirection", "IterateRecord", "IterateTrace",
+    "ManifoldChart", "MapShapeError", "ModescentError", "NoConvergence",
+    "NoStep", "ProblemSpec", "RankError", "SolverConfig",
+    "StepPreconditionError", "StepResult", "SubproblemKind", "TERMINATED_CRITICAL", "UnknownProblemError",
     "active_set", "armijo_step", "boundary_step", "chart_retraction",
     "deduplicate", "evaluate", "fd_audit", "feasible_armijo_step",
     "feasible_start", "grid_points", "load_problem", "min_norm_in_hull",

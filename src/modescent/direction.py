@@ -86,7 +86,7 @@ def active_set(bundle: EvalBundle, epsilon: float) -> tuple:
     if not (epsilon >= 0):
         raise ValueError("active-set tolerance must be >= 0")
     # Python floats; a NaN entry fails the test and is not active
-    return tuple(i for i, g in enumerate(bundle.G_val.tolist(), 1) if g >= -epsilon)
+    return tuple([i for i, g in enumerate(bundle.G_val.tolist(), 1) if g >= -epsilon])
 
 
 def _householder_kernel(row) -> np.ndarray:
@@ -339,8 +339,10 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     # it NaN, as numpy's max does
     slopes = gens.dot(v).tolist()
     top = max(slopes)
-    if not all(s <= top for s in slopes):
-        top = math.nan
+    for s in slopes:
+        if not s <= top:
+            top = math.nan
+            break
     # a value that is not finite (NaN, or +-inf before the clamp at 0)
     # comes from arithmetic that overflowed; no criticality test may read it
     # and no line search can step along it
@@ -350,4 +352,4 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
                              f"alpha is {alpha}, not finite")
     if alpha > 0.0:
         alpha = 0.0
-    return DirectionResult(v=v, alpha=alpha, lam=lam, active_set=act)
+    return DirectionResult(v, alpha, lam, act)

@@ -17,6 +17,27 @@ class EvaluationError(ModescentError):
         super().__init__(f"non-finite value in component {component!r} at x={x!r}")
 
 
+class MapShapeError(ModescentError):
+    """A problem map returned a value with the wrong number of entries.
+
+    Carries the component ("F", "DG", ...), the shape it returned and the
+    shape the problem declares.
+    """
+
+    def __init__(self, component, shape, expected):
+        self.component = component
+        self.shape = shape
+        self.expected = expected
+        super().__init__(f"component {component!r} returned shape {shape}, "
+                         f"expected {expected}")
+
+
+class IllConditionedDirection(ModescentError):
+    """A direction's value alpha reads critical while its norm says it is
+    not: the slopes cancelled on a badly scaled hull, so the point cannot
+    be certified critical."""
+
+
 class RankError(ModescentError):
     """Constraint Jacobian rows are rank deficient where full rank is required."""
 

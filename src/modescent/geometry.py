@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, StepPreconditionError
-from .problems import ProblemSpec, _call, as_point
+from .problems import ProblemSpec, _as_floats, _call, as_point
 
 # points are accepted as feasible / on-manifold up to this absolute tolerance
 FEAS_TOL = 1e-9
@@ -59,15 +59,18 @@ class ManifoldChart:
         return self.problem.m_H + len(self.ineq_indices)
 
 
-def _chart_rows(chart: ManifoldChart, x, h, g, row_shape) -> np.ndarray:
-    """All rows of h(x), then the rows of g(x) pinned by the chart, each
-    row of shape ``row_shape``."""
+def _chart_rows(chart: ManifoldChart, x, prefix, row_shape) -> np.ndarray:
+    """All rows of the map named ``prefix + "H"`` at x, then the rows of
+    ``prefix + "G"`` pinned by the chart, each row of shape ``row_shape``:
+    the values with prefix "", the Jacobians with prefix "D"."""
     p = chart.problem
     parts = []
     if p.m_H > 0:
-        parts.append(np.asarray(h(x), dtype=float).reshape(p.m_H, *row_shape))
+        name = prefix + "H"
+        parts.append(_as_floats(name, getattr(p, name)(x), (p.m_H, *row_shape)))
     if chart.ineq_indices:
-        rows = np.asarray(g(x), dtype=float).reshape(p.m_G, *row_shape)
+        name = prefix + "G"
+        rows = _as_floats(name, getattr(p, name)(x), (p.m_G, *row_shape))
         parts.append(rows[[i - 1 for i in chart.ineq_indices]])
     if not parts:
         return np.zeros((0, *row_shape))
@@ -75,13 +78,11 @@ def _chart_rows(chart: ManifoldChart, x, h, g, row_shape) -> np.ndarray:
 
 
 def chart_value(chart: ManifoldChart, x) -> np.ndarray:
-    p = chart.problem
-    return _chart_rows(chart, x, p.H, p.G, ())
+    return _chart_rows(chart, x, "", ())
 
 
 def chart_jacobian(chart: ManifoldChart, x) -> np.ndarray:
-    p = chart.problem
-    return _chart_rows(chart, x, p.DH, p.DG, (p.n,))
+    return _chart_rows(chart, x, "D", (chart.problem.n,))
 
 
 def _gram_solve(J, rhs):
@@ -202,16 +203,16 @@ def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
     """
     p = chart.problem
     if p.m_H == 1:
-        value, jacobian, m, row = p.H, p.DH, 1, 0
+        name, value, jacobian, m, row = "H", p.H, p.DH, 1, 0
     else:
-        value, jacobian, m, row = p.G, p.DG, p.m_G, chart.ineq_indices[0] - 1
-    n = p.n
+        name, value, jacobian, m, row = "G", p.G, p.DG, p.m_G, chart.ineq_indices[0] - 1
+    jacobian_name, value_shape, jacobian_shape = "D" + name, (m,), (m, p.n)
 
     def c_at(x):
-        return np.asarray(value(x), dtype=float).reshape(m).tolist()[row]
+        return _as_floats(name, value(x), value_shape).tolist()[row]
 
     def J_at(x):
-        return np.asarray(jacobian(x), dtype=float).reshape(m, n)[row].tolist()
+        return _as_floats(jacobian_name, jacobian(x), jacobian_shape)[row].tolist()
 
     ys = y.tolist()
     zs = z.tolist()

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NoConvergence, NoStep, StepPreconditionError
 from .geometry import (CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, chart_retraction,
                        chart_value, free_chart)
-from .problems import EvalBundle
+from .problems import EvalBundle, _as_floats
 
 # largest backtracking exponent k of a step t = beta0 * beta^k
 K_MAX = 60
@@ -52,9 +52,10 @@ class StepResult:
 def _descent_slope(bundle, v):
     """DF(x) v as Python floats, each required to be < 0 (NaN fails)."""
     slope = bundle.DF_val.dot(v).tolist()
-    if not all(s < 0.0 for s in slope):
-        raise StepPreconditionError(
-            "line search requires strict componentwise descent: DF(x) v < 0")
+    for s in slope:
+        if not s < 0.0:
+            raise StepPreconditionError(
+                "line search requires strict componentwise descent: DF(x) v < 0")
     return slope
 
 
@@ -63,9 +64,12 @@ def _armijo(problem, f0, slope, sigma, t, z):
     every component; a NaN in F(z) fails it).  ``f0`` is F(x) and ``slope``
     DF(x) v, both in Python floats; each right-hand side is the same two
     roundings as the array expression F(x) + (sigma t) slope."""
-    lhs = np.asarray(problem.F(z), dtype=float).reshape(problem.m)
+    lhs = _as_floats("F", problem.F(z), (problem.m,))
     st = sigma * t
-    return lhs, all(f < fi + st * s for f, fi, s in zip(lhs.tolist(), f0, slope))
+    for f, fi, s in zip(lhs.tolist(), f0, slope):
+        if not f < fi + st * s:
+            return lhs, False
+    return lhs, True
 
 
 def _trials(bundle, retract, v, beta0, beta, k_max):
@@ -75,15 +79,18 @@ def _trials(bundle, retract, v, beta0, beta, k_max):
 
     The retractions depend only on x and x + t v, so once x + t v rounds to
     x every later trial repeats the last one: the search stops after such a
-    trial if its retraction failed or returned x itself.
+    trial if its retraction failed or returned x itself.  The search is
+    resumed only past a rejected trial, so only the stop test reads x in
+    Python floats.
     """
-    x, xs = bundle.x, bundle.x.tolist()
+    x = bundle.x
     for k in range(k_max + 1):
         t = beta0 * beta ** k
         w = t * v
         z = _try_retract(retract, x, w)
         if z is not None:
             yield k, t, z
+        xs = x.tolist()
         if (z is None or z.tolist() == xs) \
                 and all(xi + wi == xi for xi, wi in zip(xs, w.tolist())):
             return
@@ -113,7 +120,7 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
     if point is None:
         raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
     k, t, z, lhs = point
-    return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False, new_point=z)
+    return StepResult(t, k, lhs, False, z)
 
 
 def _try_retract(retract, x, w):
@@ -138,13 +145,14 @@ def _outside_g(problem, rows, z):
         return None, math.nan
     if rows is not None and not rows:
         return None, -math.inf
-    g = np.asarray(problem.G(z), dtype=float)
-    out = g.ravel().tolist()
+    g = _as_floats("G", problem.G(z), (problem.m_G,))
+    out = g.tolist()
     if rows is not None:
         out = [out[i] for i in rows]
     # NaN and -inf fail the comparison; past it, max is order-independent
-    if not all(gi > -math.inf for gi in out):
-        return g, math.nan
+    for gi in out:
+        if not gi > -math.inf:
+            return g, math.nan
     return g, max(out)
 
 
@@ -188,8 +196,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
             g, g_max = _outside_g(problem, rows, z)
             if not g_max <= FEAS_TOL:
                 continue
-        return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=(k != k_armijo),
-                          new_point=z, G_val=g)
+        return StepResult(t, k, lhs, k != k_armijo, z, g)
     raise NoStep(f"feasible Armijo: no acceptable step within k_max={K_MAX}")
 
 
@@ -236,8 +243,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
 
     g, g_max = _outside_g(problem, outside, z)
     if g_max <= FEAS_TOL:
-        return StepResult(t=t, k=k, armijo_lhs=lhs, feasibility_repaired=False,
-                          new_point=z, G_val=g)
+        return StepResult(t, k, lhs, False, z, g)
 
     # shrink [0, t], keeping a feasible lower end (at first the base point,
     # whose G the bundle holds).  f_lo and f_hi are phi at the ends, the
@@ -272,5 +278,4 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     lhs, ok = _armijo(problem, bundle.F_val.tolist(), slope, config.sigma, t_lo, z_lo)
     if not ok:
         raise NoStep("boundary step: Armijo fails at the boundary-activating step")
-    return StepResult(t=t_lo, k=k, armijo_lhs=lhs, feasibility_repaired=True,
-                      new_point=z_lo, G_val=g_lo)
+    return StepResult(t_lo, k, lhs, True, z_lo, g_lo)

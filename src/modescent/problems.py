@@ -15,14 +15,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, UnknownProblemError
+from .errors import EvaluationError, MapShapeError, UnknownProblemError
 
 Array = np.ndarray
 VecFun = Callable[[Array], Array]
 
+_FLOAT = np.dtype(float)
+
 
 def as_point(x, n: int) -> Array:
-    """Coerce ``x`` to a float vector of length ``n``."""
+    """Coerce ``x`` to a float vector of length ``n``; a base-class float
+    array of shape (n,) is returned as it is."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (n,):
+        return x
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (n,):
         raise ValueError(f"expected a point of dimension {n}, got shape {x.shape}")
@@ -133,13 +138,30 @@ def _no_rows(shape):
     return rows
 
 
+def _as_floats(component, out, shape):
+    """The output ``out`` of the map ``component`` as a float array of
+    ``shape``: the one coercion of every map value the solver reads.
+
+    A base-class ndarray of dtype float and of ``shape`` already is
+    returned as it is; anything else is ``np.asarray(out, dtype=float)``
+    reshaped.  Raises ``MapShapeError`` when ``out`` does not hold as many
+    entries as ``shape``.
+    """
+    if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
+        return out
+    out = np.asarray(out, dtype=float)
+    if out.size != math.prod(shape):
+        raise MapShapeError(component, out.shape, shape)
+    return out.reshape(shape)
+
+
 def _call(component, fun, x, shape, value=None):
     """``fun(x)`` (or the given ``value`` of it) as a float array of
     ``shape``, checked to be finite; a map the problem does not have gives
     a shared read-only array with no rows."""
     if fun is None:
         return _no_rows(shape)
-    out = np.asarray(fun(x) if value is None else value, dtype=float).reshape(shape)
+    out = _as_floats(component, fun(x) if value is None else value, shape)
     if not all_finite(out):
         raise EvaluationError(component, x)
     return out
@@ -151,21 +173,21 @@ def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
     at each iterate.
 
     A handed-over ``F_val`` is checked like a computed one, since the Armijo
-    test lets a -inf through.  A handed-over ``G_val`` is only reshaped: the
+    test lets a -inf through.  A handed-over ``G_val`` is only coerced: the
     loop hands over only a G that its step found finite in every row, those
     outside the step's chart by test and the chart rows because the
     retraction holds them within FEAS_TOL, read through the same map at the
     same point.
     """
     n, m, mh, mg = problem.n, problem.m, problem.m_H, problem.m_G
+    # positional, in field order: problem, x, F, G, DF, DH, DG
     return EvalBundle(
-        problem=problem,
-        x=x,
-        F_val=_call("F", problem.F, x, (m,), F_val),
-        G_val=_call("G", problem.G, x, (mg,)) if G_val is None else G_val.reshape(mg),
-        DF_val=_call("DF", problem.DF, x, (m, n)),
-        DH_val=_call("DH", problem.DH, x, (mh, n)),
-        DG_val=_call("DG", problem.DG, x, (mg, n)),
+        problem, x,
+        _call("F", problem.F, x, (m,), F_val),
+        _call("G", problem.G, x, (mg,)) if G_val is None else _as_floats("G", G_val, (mg,)),
+        _call("DF", problem.DF, x, (m, n)),
+        _call("DH", problem.DH, x, (mh, n)),
+        _call("DG", problem.DG, x, (mg, n)),
     )
 
 

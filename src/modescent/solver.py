@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direction import SubproblemKind, solve_direction
-from .errors import ModescentError, RankError
+from .errors import IllConditionedDirection, ModescentError, RankError
 from .geometry import EPS_ACT, ManifoldChart, feasible_start, free_chart
 from .linesearch import boundary_step, feasible_armijo_step
 from .output import config_to_dict, fmt, write_csv, write_json
@@ -17,7 +17,8 @@ from .problems import ProblemSpec, _evaluate, as_point
 
 TERMINATED_CRITICAL = "TERMINATED_CRITICAL"
 ITER_CAP = "ITER_CAP"
-# a point is critical once the boundary-leaving value alpha1 >= -TOL_ALPHA
+# a point is critical once the boundary-leaving value alpha1 >= -TOL_ALPHA,
+# and -||v||^2 / 2 of its direction >= -2 TOL_ALPHA agrees
 TOL_ALPHA = 1e-8
 
 
@@ -144,7 +145,11 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     passes the same test).
     A direction whose arithmetic overflowed fails the run: ``solve_direction``
     raises ``ModescentError`` naming the subproblem, so every alpha the loop
-    reads, the one at the cap included, is finite.
+    reads, the one at the cap included, is finite.  An alpha1 that reads
+    critical counts only where -||v||^2 / 2 >= -2 TOL_ALPHA agrees: on a
+    badly scaled hull the slopes of alpha1 cancel to O(1) errors, and the
+    run fails with ``IllConditionedDirection`` instead of claiming a
+    critical point.
     Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised by
     the feasibility solve or inside the loop carries the partial trace as
     ``err.trace``.
@@ -165,17 +170,25 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     except ModescentError as err:
         raise _attach_trace(err, trace, as_point(x_init, problem.n))
 
+    records = trace.records
+    max_iters, eta, epsilon = config.max_iters, config.eta, config.epsilon
+    follow = math.isfinite(eta)
     # F and G at x when the accepted step already computed them
     F_val = G_val = None
     try:
-        for it in range(config.max_iters + 1):
+        for it in range(max_iters + 1):
             # the pass after the last allowed step only records alpha1
-            at_cap = it == config.max_iters
+            at_cap = it == max_iters
             bundle = _evaluate(problem, x, F_val, G_val)
             d2 = step = None
             # Python floats; a NaN entry fails the test, as in active_set
-            if not at_cap and math.isfinite(config.eta) \
-                    and any(g >= -config.epsilon for g in bundle.G_val.tolist()):
+            near = False
+            if follow and not at_cap:
+                for g in bundle.G_val.tolist():
+                    if g >= -epsilon:
+                        near = True
+                        break
+            if near:
                 try:
                     d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
                 except RankError:
@@ -184,7 +197,7 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                     d2 = None
                 # a missing or numerically null boundary direction cannot drive
                 # a step, so it falls through to the boundary-leaving branch
-                if d2 is not None and d2.alpha <= -config.eta and d2.alpha < -TOL_ALPHA:
+                if d2 is not None and d2.alpha <= -eta and d2.alpha < -TOL_ALPHA:
                     d, branch = d2, "SP2-step"
                     # a chart that pins nothing is the problem's cached one
                     chart = ManifoldChart(problem, d.active_set) if d.active_set \
@@ -192,19 +205,24 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                     step = boundary_step(bundle, d.v, chart, config)
             alpha2 = d2.alpha if d2 is not None else None
             if step is None:
-                d = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, config.epsilon)
+                d = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, epsilon)
                 critical = d.alpha >= -TOL_ALPHA
+                if critical:
+                    half_sq = -0.5 * float(d.v.dot(d.v))
+                    if not half_sq >= -2.0 * TOL_ALPHA:
+                        raise IllConditionedDirection(
+                            f"direction subproblem SP1 is ill-conditioned: its value alpha "
+                            f"{d.alpha!r} reads critical, but -||v||^2/2 is {half_sq!r}")
                 if at_cap or critical:
-                    trace.records.append(IterateRecord(
-                        iteration=it, x=x, F=bundle.F_val.copy(),
-                        alpha=d.alpha, active_set=d.active_set, alpha2=alpha2))
+                    # positional, in field order; the terminal record has no step
+                    records.append(IterateRecord(it, x, bundle.F_val.copy(), d.alpha,
+                                                 d.active_set, None, None, None, alpha2))
                     trace.termination = TERMINATED_CRITICAL if critical else ITER_CAP
                     break
                 branch = "SP1-step"
                 step = feasible_armijo_step(bundle, d.v, d.active_set, config)
-            trace.records.append(IterateRecord(
-                iteration=it, x=x, F=bundle.F_val.copy(), alpha=d.alpha,
-                active_set=d.active_set, branch=branch, t=step.t, k=step.k, alpha2=alpha2))
+            records.append(IterateRecord(it, x, bundle.F_val.copy(), d.alpha, d.active_set,
+                                         branch, step.t, step.k, alpha2))
             x, F_val, G_val = step.new_point, step.armijo_lhs, step.G_val
     except ModescentError as err:
         raise _attach_trace(err, trace, x)

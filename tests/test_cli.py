@@ -52,6 +52,16 @@ def test_solve_reproduces_boundary_following_trajectory(tmp_path):
         assert (tmp_path / "run" / path.split("/")[-1]).exists()
 
 
+def test_solve_of_a_map_of_the_wrong_size_is_an_error(tmp_path, monkeypatch, capsys):
+    # F returns three entries for m = 2: the run fails by name and exits 1
+    circle = md.registry_get("circle2d")
+    wrong = dataclasses.replace(circle, name="wrong-size", F=lambda x: np.resize(circle.F(x), 3))
+    monkeypatch.setitem(md.problems._REGISTRY, "wrong-size", lambda: wrong)
+    rc = main(["solve", "--problem", "wrong-size", "--x0", "-2,0.5", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: component 'F' returned shape (3,), expected (2,)" in capsys.readouterr().err
+
+
 def test_solve_critical_start_zero_iterations(tmp_path):
     out = tmp_path / "run"
     rc = main(["solve", "--problem", "circle2d", "--x0", "2,0", "--out", str(out)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
+from modescent import direction
 from modescent.direction import KKT_TOL, SubproblemKind, _min_norm_faces
 
 from conftest import make_vertex_problem
@@ -432,6 +433,21 @@ def test_direction_names_the_overflow_of_projected_generators():
     with np.errstate(over="ignore"), pytest.raises(
             md.ModescentError, match="direction subproblem SP2 overflowed"):
         md.solve_direction(b, SubproblemKind.EQUALITY_ICS)
+
+
+def test_direction_names_a_nan_in_the_last_slope(monkeypatch):
+    # a bundle with a NaN in its last DF row, and the min-norm point
+    # replaced by (-2, 0), so that v = (2, 0) and the slopes are 2 and NaN,
+    # last.  max() drops the NaN and would read alpha = 2 + 2, clamped to
+    # 0, a critical point
+    p = md.ProblemSpec(name="nan-last-slope", n=2, m=2, F=lambda x: np.zeros(2),
+                       DF=lambda x: np.eye(2))
+    b = md.EvalBundle(p, np.zeros(2), np.zeros(2), np.zeros(0),
+                      np.array([[1.0, 0.0], [np.nan, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)))
+    monkeypatch.setattr(direction, "_min_norm",
+                        lambda G: (np.array([1.0, 0.0]), np.array([-2.0, 0.0])))
+    with pytest.raises(md.ModescentError, match="SP1 overflowed: its value alpha is nan"):
+        md.solve_direction(b, SubproblemKind.OBJECTIVE_ICS)
 
 
 @st.composite

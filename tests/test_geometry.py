@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -179,6 +180,19 @@ def test_one_row_projection_reads_the_pinned_row(pinned):
         expected = project_one_row(chart, y)
         assert np.max(np.abs(z - expected)) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
         assert abs(problem.G(z)[pinned - 1]) <= 1e-12
+
+
+@pytest.mark.parametrize("pinned, component", [
+    ((1,), "G"), ((1,), "DG"), ((1, 2), "G"), ((1, 2), "DG")])
+def test_projection_names_a_chart_map_of_the_wrong_size(pinned, component):
+    # the one-row kernel and the k-row iteration read the same maps through
+    # the same size check
+    problem = _two_disk_problem()
+    fun = getattr(problem, component)
+    problem = dataclasses.replace(problem, **{component: lambda x: np.resize(fun(x), 3)})
+    with pytest.raises(md.MapShapeError) as err:
+        md.project(md.ManifoldChart(problem, pinned), np.array([2.5, 1.5]))
+    assert err.value.component == component
 
 
 def test_one_row_projection_restarts_from_init(circle_chart):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import modescent as md
 from modescent.errors import NoConvergence
 from modescent.geometry import EPS_ACT
-from modescent.linesearch import _outside_g, armijo_step, boundary_step, feasible_armijo_step
+from modescent.linesearch import (_armijo, _outside_g, armijo_step, boundary_step,
+                                  feasible_armijo_step)
 
 from conftest import make_box_problem, make_nan_equality_problem
 from oracles import grid_min_norm
@@ -384,6 +386,28 @@ def test_outside_g_reads_undefined_rows_as_infeasible(g, rows, expected):
     # a failed retraction reads NaN; no rows to test read -inf without a G call
     assert np.isnan(_outside_g(p, rows, None)[1])
     assert _outside_g(p, [], np.zeros(1)) == (None, -np.inf)
+
+
+def test_armijo_test_fails_on_nan_in_the_last_component():
+    # F(z) = (-1, NaN): the first component passes, only the NaN can fail
+    # the test, which a loop written "if f >= bound" would let through
+    p = md.ProblemSpec(name="nan-last-f", n=1, m=2, F=lambda x: np.array([-1.0, np.nan]),
+                       DF=lambda x: np.ones((2, 1)))
+    lhs, ok = _armijo(p, [0.0, 0.0], [-1.0, -1.0], 1e-4, 1.0, np.zeros(1))
+    assert not ok and np.isnan(lhs[1])
+    _, ok = _armijo(dataclasses.replace(p, F=lambda x: np.array([-1.0, -1.0])),
+                    [0.0, 0.0], [-1.0, -1.0], 1e-4, 1.0, np.zeros(1))
+    assert ok
+
+
+@pytest.mark.parametrize("last", [np.nan, -np.inf])
+def test_outside_g_reads_an_undefined_last_row_as_infeasible(last):
+    # m_G = 2 with the undefined entry last, after a feasible first row
+    p = md.ProblemSpec(name="g", n=1, m=1, F=lambda x: x, DF=lambda x: np.eye(1), m_G=2,
+                       G=lambda x: np.array([-1.0, last]), DG=lambda x: np.zeros((2, 1)))
+    assert np.isnan(_outside_g(p, None, np.zeros(1))[1])
+    assert np.isnan(_outside_g(p, [0, 1], np.zeros(1))[1])
+    assert _outside_g(p, [0], np.zeros(1))[1] == -1.0
 
 
 def test_step_results_stay_feasible(circle2d, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import modescent as md
-from modescent.problems import _evaluate
+from modescent.problems import _as_floats, _evaluate
 from conftest import with_counted_maps
 from oracles import central_diff_jacobian
 
@@ -259,3 +260,66 @@ def test_problem_spec_validation():
     for box in (((0.0, float("nan")),), ((-float("inf"), 1.0),), ((1.0, 1.0),)):
         with pytest.raises(ValueError):
             md.ProblemSpec(name="x", n=1, m=1, F=lambda x: x, DF=lambda x: x, box=box)
+
+
+# ---------------------------------------------------------------------------
+# the one coercion of map values: _as_floats and as_point
+
+
+def _coerced(out, shape):
+    return np.asarray(out, dtype=float).reshape(shape)
+
+
+def test_conforming_arrays_pass_through_unchanged():
+    out = np.array([1.0, -2.0])
+    assert _as_floats("F", out, (2,)) is out
+    J = np.arange(6.0).reshape(2, 3)
+    assert _as_floats("DF", J, (2, 3)) is J
+    assert md.problems.as_point(out, 2) is out
+
+
+@pytest.mark.parametrize("out, shape", [
+    (np.array([1.5, -2.25], dtype=np.float32), (2,)),
+    (np.array([3, -4]), (2,)),
+    ([0.1, 0.2], (2,)),
+    (np.float64(0.7), (1,)),
+    (np.array(0.7), (1,)),
+    (np.array([[0.1, -0.3]]), (2,)),
+    (np.array([0.1, -0.3], dtype=">f8"), (2,)),
+    (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).T, (2, 3)),
+    (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).T, (6,)),
+    # a view, since np.matrix() itself warns that it is deprecated
+    (np.array([[0.1, -0.3]]).view(np.matrix), (2,)),
+], ids=["float32", "int", "list", "scalar", "0-d", "row", "big-endian", "transposed",
+        "transposed-flat", "matrix"])
+def test_other_map_values_are_coerced_as_before(out, shape):
+    # every value that is not a base-class float array of the shape is
+    # np.asarray(out, dtype=float).reshape(shape), bit for bit
+    got = _as_floats("F", out, shape)
+    want = _coerced(out, shape)
+    assert type(got) is np.ndarray and got.dtype == np.dtype(float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if len(shape) == 1:
+        point = md.problems.as_point(out, shape[0])
+        assert type(point) is np.ndarray and point.tobytes() == want.tobytes()
+
+
+def test_a_map_value_of_the_wrong_size_names_the_map():
+    with pytest.raises(md.MapShapeError) as err:
+        _as_floats("DG", np.zeros((2, 2)), (1, 2))
+    assert (err.value.component, err.value.shape, err.value.expected) == ("DG", (2, 2), (1, 2))
+    assert str(err.value) == "component 'DG' returned shape (2, 2), expected (1, 2)"
+    assert isinstance(err.value, md.ModescentError)
+    # a start of the wrong dimension is the caller's input, not a map's
+    with pytest.raises(ValueError, match="expected a point of dimension 2"):
+        md.problems.as_point([1.0, 2.0, 3.0], 2)
+
+
+@pytest.mark.parametrize("component", ["F", "G", "DF", "DG"])
+def test_evaluate_names_a_map_of_the_wrong_size(circle2d, component):
+    wrong = {"F": lambda x: np.zeros(3), "G": lambda x: np.zeros(2),
+             "DF": lambda x: np.zeros((2, 3)), "DG": lambda x: np.zeros(3)}[component]
+    p = dataclasses.replace(circle2d, **{component: wrong})
+    with pytest.raises(md.MapShapeError) as err:
+        md.evaluate(p, [2.0, 0.0])
+    assert err.value.component == component

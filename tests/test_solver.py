@@ -205,6 +205,82 @@ def test_failed_trace_counts_the_steps_taken(nan_in, error):
     assert entry.iterations == 1
 
 
+@pytest.mark.parametrize("component, size", [("F", 2), ("G", 2), ("DF", 3)])
+def test_a_map_of_the_wrong_size_fails_its_start_not_the_front(component, size):
+    # past x = 1.5 the named map returns the wrong number of entries: the
+    # run fails with its partial trace, and multistart records the failure.
+    # "none" names no map, so every map of the base problem is defined
+    problem = _undefined_past_1_5("none")
+    fun = getattr(problem, component)
+    problem = dataclasses.replace(problem, **{component: lambda x: np.resize(
+        fun(x), size) if x[0] > 1.5 else fun(x)})
+    config = md.SolverConfig(beta0=0.1)
+    with pytest.raises(md.MapShapeError) as err:
+        md.solve_constrained(problem, (0.0,), config)
+    assert err.value.component == component
+    trace = err.value.trace
+    assert trace.termination == "FAILED:MapShapeError"
+    assert trace.iterations >= 1
+    assert all(rec.x[0] <= 1.5 for rec in trace.records)
+    far, near = md.multistart(problem, [np.array([2.0]), np.array([0.0])], config)
+    assert far.iterations == 0 and f"MapShapeError: component '{component}'" in far.error
+    assert near.iterations == trace.iterations and near.x is None
+
+
+def test_boundary_switch_reads_a_nan_in_the_last_g_row_as_inactive(monkeypatch):
+    # the switch to the boundary subproblem tests every G row against
+    # -epsilon; a NaN last row, after an inactive first one, must not
+    # count as active (a G row at 0 there does)
+    problem = md.ProblemSpec(
+        name="two-rows", n=2, m=1, F=lambda x: np.array([x[0]]),
+        DF=lambda x: np.array([[1.0, 0.0]]), m_G=2,
+        G=lambda x: np.array([-1.0 - x[1] ** 2, x[1] - 5.0]),
+        DG=lambda x: np.array([[0.0, -2.0 * x[1]], [0.0, 1.0]]))
+    real_evaluate, real_direction = solver._evaluate, solver.solve_direction
+    kinds = []
+
+    def recorded(bundle, kind, epsilon=0.0):
+        kinds.append(kind.value)
+        return real_direction(bundle, kind, epsilon)
+
+    monkeypatch.setattr(solver, "solve_direction", recorded)
+    config = md.SolverConfig(eta=1.0, max_iters=1)
+    for last, first_kind in ((np.nan, "SP1"), (0.0, "SP2")):
+        def with_last_g(problem, x, F_val=None, G_val=None):
+            bundle = real_evaluate(problem, x, F_val, G_val)
+            bundle.G_val = np.array([-1.0, last])
+            return bundle
+
+        monkeypatch.setattr(solver, "_evaluate", with_last_g)
+        kinds.clear()
+        md.solve_constrained(problem, (0.0, 0.0), config)
+        assert kinds[0] == first_kind
+
+
+@pytest.mark.parametrize("s, termination", [
+    (1e6, md.ITER_CAP), (1e7, md.ITER_CAP), (1e8, None), (1e12, None)])
+def test_a_badly_scaled_hull_is_never_a_false_critical_point(s, termination):
+    # DF rows (1, 1), (s, 2), (-s, 2) with F = A x: (0, -1) decreases every
+    # objective, so no point is critical and the run must reach the cap.
+    # The true alpha is about -0.5; from s = 1e8 on, the steep slopes of
+    # the computed alpha cancel to 0, which would read as critical, while
+    # -||v||^2 / 2 stays at -0.5 or below: the run fails by name instead
+    A = np.array([[1.0, 1.0], [s, 2.0], [-s, 2.0]])
+    problem = md.ProblemSpec(name="scaled-hull", n=2, m=3, F=lambda x: A @ x,
+                             DF=lambda x: A.copy())
+    config = md.SolverConfig(max_iters=20)
+    if termination is not None:
+        _, trace = md.solve_constrained(problem, (0.3, 0.2), config)
+        assert trace.termination == termination and trace.iterations == 20
+        return
+    with pytest.raises(md.IllConditionedDirection, match="SP1 is ill-conditioned") as err:
+        md.solve_constrained(problem, (0.3, 0.2), config)
+    assert err.value.trace.termination == "FAILED:IllConditionedDirection"
+    assert err.value.trace.records == []
+    assert err.value.trace.final_x.tolist() == [0.3, 0.2]
+    assert not md.multistart(problem, [np.array([0.3, 0.2])], config)[0].converged
+
+
 def test_backtracking_stops_once_the_step_rounds_to_zero():
     # at x = 1.5 every step that keeps G defined is below the resolution of
     # x; once x + t v rounds to x, the failing step tries x itself at most
