@@ -18,18 +18,20 @@ class EvaluationError(ModescentError):
 
 
 class MapShapeError(ModescentError):
-    """A problem map returned a value with the wrong number of entries.
+    """A problem map returned a value with the wrong number of entries, or
+    one numpy cannot read as an array of floats.
 
-    Carries the component ("F", "DG", ...), the shape it returned and the
-    shape the problem declares.
+    Carries the component ("F", "DG", ...), the shape it returned (None for
+    a value that is not an array of floats) and the shape the problem
+    declares.
     """
 
     def __init__(self, component, shape, expected):
         self.component = component
         self.shape = shape
         self.expected = expected
-        super().__init__(f"component {component!r} returned shape {shape}, "
-                         f"expected {expected}")
+        got = "a value that is not an array of floats" if shape is None else f"shape {shape}"
+        super().__init__(f"component {component!r} returned {got}, expected {expected}")
 
 
 class IllConditionedDirection(ModescentError):

@@ -272,19 +272,45 @@ def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
     raise NoConvergence(f"projection did not converge within {PROJECT_ITERS} iterations")
 
 
-def _bisect(phi, a, fa, b):
-    # phi changes sign on [a, b], fa = phi(a); returns the root s to machine
-    # resolution and phi(s)
+def _regula_falsi(phi, lo, f_lo, hi, f_hi, below, within, lo_data):
+    """Shrink the bracket [lo, hi] (either order) of a root of ``phi`` by
+    false position with Anderson-Bjorck scaling (Anderson and Bjorck, BIT
+    13 (1973) 253-264); ``phi(t)`` returns ``(f, data)``.
+
+    The lo end is kept where ``f <= below``, and the search stops once
+    ``f_lo >= -within``.  When the same end moves twice running, the value
+    kept at the other end is scaled by m = 1 - f_new/f_old, or halved where
+    m is not positive (Illinois).  Where the false-position root is not
+    strictly inside the bracket (a NaN or infinite value, or a failed
+    retraction, at an end) the trial is the midpoint.  Gives up after 200
+    trials, or once the bracket is within 1e-15 of its scale.  Returns
+    ``(lo, f_lo, lo_data)``; the caller tests ``f_lo``.
+    """
+    # y_lo is f_lo as scaled for the interpolation; the last end to move
+    # holds its own value, so f_lo and f_hi are the f_old of m
+    y_lo, moved = f_lo, None
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = phi(mid)
-        if fm == 0.0 or (b - a) <= 1e-16 * max(1.0, abs(mid)):
+        if f_lo >= -within or abs(hi - lo) <= 1e-15 * max(1.0, abs(hi)):
             break
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
+        t = lo - y_lo * (hi - lo) / (f_hi - y_lo)
+        if not min(lo, hi) < t < max(lo, hi):
+            t = 0.5 * (lo + hi)
+        f, data = phi(t)
+        if f <= below:
+            if moved == "lo":
+                f_hi *= _anderson_bjorck(f, f_lo)
+            lo, f_lo, y_lo, lo_data, moved = t, f, f, data, "lo"
         else:
-            a, fa = mid, fm
-    return mid, fm
+            if moved == "hi":
+                y_lo *= _anderson_bjorck(f, f_hi)
+            hi, f_hi, moved = t, f, "hi"
+    return lo, f_lo, lo_data
+
+
+def _anderson_bjorck(f_new, f_old):
+    # a NaN m, from a NaN value or inf/inf, fails the test and halves
+    m = 1.0 - f_new / f_old
+    return m if m > 0.0 else 0.5
 
 
 def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
@@ -292,7 +318,9 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
 
     Returns x + w + s * grad(c)(x) where s is the smallest-magnitude root of
     s -> c(x + w + s * grad(c)(x)), found by doubling a bracket outward from
-    s = 0 (at most PSI_DOUBLINGS times, else ``NoConvergence``) and bisecting.
+    s = 0 (at most PSI_DOUBLINGS times, else ``NoConvergence``) and
+    shrinking each bracket with a sign change by ``_regula_falsi`` until c
+    there is within 1e-12 of zero.
     Raises ``NoConvergence`` as well when c at the returned root is not
     within FEAS_TOL of zero (c jumps across zero there, or is NaN).
     Requires x on the chart (within CHART_TOL) and w tangent (within 1e-8);
@@ -313,33 +341,39 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
         raise StepPreconditionError("retract_psi: step is not tangent to the chart")
 
     base = x + w
+    sign = 1.0
 
     def phi(s):
-        return float(chart_value(chart, base + s * g)[0])
+        return sign * float(chart_value(chart, base + s * g)[0]), None
 
-    f0 = phi(0.0)
+    f0, _ = phi(0.0)
     if abs(f0) <= 1e-14:
         return base
+    # c signed so that it reads below zero at s = 0
+    if f0 > 0.0:
+        sign, f0 = -1.0, -f0
 
     gsq = max(gnorm * gnorm, 1e-14)
     delta = max(1e-14, 0.1 * abs(f0) / gsq)
     prev = 0.0
-    f_prev_pos = f0
+    # phi at +prev and at -prev
+    f_prev = [f0, f0]
     for _ in range(PSI_DOUBLINGS):
         roots = []
-        f_pos = phi(delta)
-        if (f0 < 0.0) != (f_pos < 0.0) or f_pos == 0.0:
-            roots.append(_bisect(phi, prev, f_prev_pos, delta))
-        f_neg = phi(-delta)
-        if (f0 < 0.0) != (f_neg < 0.0) or f_neg == 0.0:
-            roots.append(_bisect(phi, -delta, f_neg, -prev))
+        for i, side in enumerate((1.0, -1.0)):
+            f, _ = phi(side * delta)
+            # NaN fails the test: no sign change
+            if f >= 0.0:
+                # 1e-12 is the projection's own tolerance on the chart value
+                roots.append(_regula_falsi(phi, side * prev, f_prev[i], side * delta, f,
+                                           0.0, 1e-12, None))
+            f_prev[i] = f
         if roots:
-            s, c = min(roots, key=lambda root: abs(root[0]))
+            s, c, _ = min(roots, key=lambda root: abs(root[0]))
             if not abs(c) <= FEAS_TOL:
                 raise NoConvergence("retract_psi: the chart value at the root exceeds FEAS_TOL")
             return base + s * g
         prev = delta
-        f_prev_pos = f_pos
         delta *= 2.0
     raise NoConvergence("retract_psi: no sign change within the bracket growth limit")
 

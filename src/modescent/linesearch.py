@@ -7,7 +7,8 @@ tests.  ``armijo_step`` takes the first that passes the Armijo test.
 inequalities hold; once a trial has passed Armijo it tests G first, so an
 infeasible trial costs no F.  ``boundary_step`` takes the first Armijo
 point and, where it crosses a new inequality, shortens it onto that
-boundary by Illinois false position, with bisection as the safeguard.
+boundary by false position with Anderson-Bjorck scaling, with the
+bracket's midpoint as the safeguard.
 
 A step routine handed a direction or base point that violates its
 preconditions raises ``StepPreconditionError``, which is both a ``NoStep``
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NoStep, StepPreconditionError
-from .geometry import (CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, chart_retraction,
-                       chart_value, free_chart)
+from .geometry import (CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, _regula_falsi,
+                       chart_retraction, chart_value, free_chart)
 from .problems import EvalBundle, _as_floats
 
 # largest backtracking exponent k of a step t = beta0 * beta^k
@@ -209,13 +210,12 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     pinning exactly the rows with G >= -EPS_ACT leaves.  If the
     Armijo-accepted point at step t violates an outside inequality, [0, t]
     is shrunk, keeping a feasible lower end (at first the base point),
-    until that end lies within ``EPS_ACT`` of a crossed boundary.  Each
-    trial is the Illinois false-position root (Dowell and Jarratt, BIT 11
-    (1971) 168-174) of phi, the largest outside G along the step; where
-    that root is not strictly inside the bracket, because phi is NaN or
-    +inf at its upper end or the retraction failed there, the trial is
-    the midpoint.  The Armijo inequality is re-verified at the landing
-    step.  Given the chart
+    until that end lies within ``EPS_ACT`` of a crossed boundary.  The
+    bracket shrinks by ``geometry._regula_falsi``, false position with
+    Anderson-Bjorck scaling, on phi, the largest outside G along the step;
+    where phi is NaN or +inf at the upper end, or the retraction failed
+    there, the trial is the midpoint.  The Armijo inequality is re-verified
+    at the landing step.  Given the chart
     ``geometry.free_chart`` returns, the step reuses the retraction cached
     with it, the one ``feasible_armijo_step`` uses, instead of building
     one; the preconditions are the same for every chart.
@@ -245,33 +245,15 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     if g_max <= FEAS_TOL:
         return StepResult(t, k, lhs, False, z, g)
 
-    # shrink [0, t], keeping a feasible lower end (at first the base point,
-    # whose G the bundle holds).  f_lo and f_hi are phi at the ends, the
-    # one kept while the other moves twice running halved (Illinois); a NaN
-    # or +inf phi(t_hi) puts the false-position root at NaN or t_lo, so the
-    # midpoint is taken there
-    t_lo, t_hi, z_lo, g_lo = 0.0, t, bundle.x, bundle.G_val
-    f_lo, f_hi, moved = float(max_lo), g_max, None
-    for _ in range(200):
-        if max_lo >= -EPS_ACT:
-            break
-        if t_hi - t_lo <= 1e-15 * max(1.0, t_hi):
-            break
-        t_new = t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
-        if not t_lo < t_new < t_hi:
-            t_new = 0.5 * (t_lo + t_hi)
+    def phi(t_new):
         z_new = _try_retract(retract, bundle.x, t_new * v)
         g_new, max_new = _outside_g(problem, outside, z_new)
-        if max_new <= FEAS_TOL:
-            t_lo, z_lo, g_lo, max_lo, f_lo = t_new, z_new, g_new, max_new, max_new
-            if moved == "lo":
-                f_hi *= 0.5
-            moved = "lo"
-        else:
-            t_hi, f_hi = t_new, max_new
-            if moved == "hi":
-                f_lo *= 0.5
-            moved = "hi"
+        return max_new, (z_new, g_new)
+
+    # shrink [0, t], keeping a feasible lower end, at first the base point,
+    # whose G the bundle holds
+    t_lo, max_lo, (z_lo, g_lo) = _regula_falsi(
+        phi, 0.0, float(max_lo), t, g_max, FEAS_TOL, EPS_ACT, (bundle.x, bundle.G_val))
     if max_lo < -EPS_ACT:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 

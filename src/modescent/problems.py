@@ -144,12 +144,16 @@ def _as_floats(component, out, shape):
 
     A base-class ndarray of dtype float and of ``shape`` already is
     returned as it is; anything else is ``np.asarray(out, dtype=float)``
-    reshaped.  Raises ``MapShapeError`` when ``out`` does not hold as many
-    entries as ``shape``.
+    reshaped.  Raises ``MapShapeError`` when numpy cannot read ``out`` as
+    floats (a ragged list, strings, a dict), or when it does not hold as
+    many entries as ``shape``.
     """
     if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
         return out
-    out = np.asarray(out, dtype=float)
+    try:
+        out = np.asarray(out, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise MapShapeError(component, None, shape) from err
     if out.size != math.prod(shape):
         raise MapShapeError(component, out.shape, shape)
     return out.reshape(shape)

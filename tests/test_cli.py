@@ -62,6 +62,17 @@ def test_solve_of_a_map_of_the_wrong_size_is_an_error(tmp_path, monkeypatch, cap
     assert "error: component 'F' returned shape (3,), expected (2,)" in capsys.readouterr().err
 
 
+def test_solve_of_a_map_value_that_is_not_floats_is_an_error(tmp_path, monkeypatch, capsys):
+    # F returns a ragged list, which numpy cannot read as floats
+    circle = md.registry_get("circle2d")
+    ragged = dataclasses.replace(circle, name="ragged", F=lambda x: [1.0, [2.0, 3.0]])
+    monkeypatch.setitem(md.problems._REGISTRY, "ragged", lambda: ragged)
+    rc = main(["solve", "--problem", "ragged", "--x0", "-2,0.5", "--out", str(tmp_path)])
+    assert rc == 1
+    assert ("error: component 'F' returned a value that is not an array of floats, "
+            "expected (2,)") in capsys.readouterr().err
+
+
 def test_solve_critical_start_zero_iterations(tmp_path):
     out = tmp_path / "run"
     rc = main(["solve", "--problem", "circle2d", "--x0", "2,0", "--out", str(out)])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from pathlib import Path
 
@@ -410,8 +411,8 @@ def test_retraction_first_order_slope(circle_chart, sphere_chart, rng, kind):
 
 
 def test_psi_rejects_a_root_where_the_chart_jumps():
-    # past x1 = 0.5, H jumps from -1 to +1 at x2 = 0.2, so the bisection on
-    # the normal line closes in on a jump instead of a zero
+    # past x1 = 0.5, H jumps from -1 to +1 at x2 = 0.2, so the root search
+    # on the normal line closes in on a jump instead of a zero
     p = md.ProblemSpec(
         name="jump", n=2, m=1, F=lambda x: np.array([x[0]]),
         DF=lambda x: np.array([[1.0, 0.0]]), m_H=1,
@@ -420,6 +421,21 @@ def test_psi_rejects_a_root_where_the_chart_jumps():
     chart = md.ManifoldChart(p, ())
     with pytest.raises(md.NoConvergence, match="FEAS_TOL"):
         md.retract_psi(chart, (0.0, 0.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("t, radius", [(0.3, 1.0), (0.32, 1.1)])
+def test_psi_returns_the_smaller_of_two_close_roots(t, radius):
+    # H = (|x|^2 - 1)(|x|^2 - 1.21): from (1, t) the normal line meets the
+    # unit circle at s > 0 and the circle of radius 1.1 at s < 0, both in
+    # the same bracket doubling.  At t = 0.3 the unit circle is nearer, at
+    # t = 0.32 the outer one (0.0524 against 0.0526 along x1)
+    p = md.ProblemSpec(
+        name="two-circles", n=2, m=1, F=lambda x: x[:1].copy(),
+        DF=lambda x: np.array([[1.0, 0.0]]), m_H=1,
+        H=lambda x: np.array([(x @ x - 1.0) * (x @ x - 1.21)]),
+        DH=lambda x: np.array([2.0 * x * (2.0 * (x @ x) - 2.21)]))
+    out = md.retract_psi(md.ManifoldChart(p, ()), (1.0, 0.0), (0.0, t))
+    assert out == pytest.approx([math.sqrt(radius * radius - t * t), t], abs=1e-10)
 
 
 def test_chart_retraction_identity_without_rows(circle2d):

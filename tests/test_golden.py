@@ -76,17 +76,31 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     # and G to the next evaluate, SP2 steps hand over F, and G when their
     # chart leaves the inequality outside (17 of the 24 pin none), the
     # feasible step computes F past its first Armijo pass only where G
-    # holds, the boundary landing computes G once per false-position or
-    # midpoint trial and takes the base point's G from the bundle, and a
-    # projection computes its chart value and Jacobian once per point it
-    # accepts, so a duplicate map call or an extra landing trial on the
-    # solver's path changes these counts (F 611 and G 1,113 with an
-    # F-then-G test of every trial and a bisecting landing)
+    # holds, the boundary landing computes G once per Anderson-Bjorck
+    # false-position or midpoint trial and takes the base point's G from
+    # the bundle, and a projection computes its chart value and Jacobian
+    # once per point it accepts, so a duplicate map call or an extra landing
+    # trial on the solver's path changes these counts (F 611 and G 1,113
+    # with an F-then-G test of every trial and a bisecting landing; G 675
+    # with the Illinois landing)
     spec, calls = with_counted_maps(circle2d, ("F", "DF", "G", "DG"))
     _, trace = md.solve_constrained(spec, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 130
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert dict(calls) == {"F": 193, "DF": 131, "G": 675, "DG": 164}
+    assert dict(calls) == {"F": 193, "DF": 131, "G": 672, "DG": 164}
+
+
+def test_sphere3d_psi_map_calls_are_pinned(sphere3d):
+    # the sphere3d_psi solve with counted maps: each psi retraction calls H
+    # at x and at x + w, twice per bracket doubling and once per
+    # Anderson-Bjorck trial, so an extra trial of the root search changes
+    # the H count (245 with bisection to machine resolution, 160 with
+    # Illinois halving in place of Anderson-Bjorck scaling)
+    spec, calls = with_counted_maps(sphere3d, ("F", "DF", "H", "DH"))
+    _, trace = md.solve_constrained(spec, (1.0, 0.0, 0.0), md.SolverConfig(retraction="psi"))
+    assert trace.iterations == 2
+    assert trace.branch_counts() == {"SP1-step": 2}
+    assert dict(calls) == {"F": 3, "DF": 3, "H": 158, "DH": 6}
 
 
 def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):

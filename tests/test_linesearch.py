@@ -199,8 +199,8 @@ def test_boundary_step_along_circle_matches_enumeration(circle2d):
     assert np.linalg.norm(step.new_point) == pytest.approx(1.0, abs=1e-10)
 
 
-# the landing bisects [0, t]: at beta = 1/2 its points are Armijo trial
-# points t = beta0 beta^k, at 0.9 they are not
+# the wall's G is linear along the step, so at either beta the landing's
+# first false-position trial on [0, t] is the wall x1 = 1 itself
 @pytest.mark.parametrize("beta", [0.5, 0.9])
 def test_boundary_step_activates_second_face(beta):
     p = make_box_problem()
@@ -317,6 +317,25 @@ def test_boundary_step_lands_through_the_midpoint_past_a_failed_retraction(monke
     assert -EPS_ACT <= float(G(step.new_point)[0]) <= 1e-9
 
 
+def test_boundary_step_lands_on_a_kinked_boundary_in_few_trials():
+    # G = x1/0.3 - 1 below x1 = 0.3 and slope 0.36 above: phi has a kink at
+    # its root.  Anderson-Bjorck scaling lands in 7 trials; halving the
+    # kept value (Illinois) creeps in from the flat side and takes 29
+    seen = []
+    G = _counted_G(lambda x: np.array([x[0] / 0.3 - 1.0 if x[0] < 0.3 else 0.36 * (x[0] - 0.3)]),
+                   seen)
+    p = md.ProblemSpec(name="kink", n=2, m=1, F=lambda x: np.array([-x[0]]),
+                       DF=lambda x: np.array([[-1.0, 0.0]]), m_G=1, G=G,
+                       DG=lambda x: np.array([[1.0, 0.0]]))
+    b = md.evaluate(p, [0.0, 0.0])
+    step = boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, ()), md.SolverConfig())
+    # G at the base point and at the Armijo step t = 1, then the landing
+    assert seen[:2] == [0.0, 1.0]
+    assert len(seen) - 2 <= 10
+    assert step.feasibility_repaired and step.k == 0 and step.t == seen[-1]
+    assert -EPS_ACT <= float(p.G(step.new_point)[0]) <= 1e-9
+
+
 @pytest.mark.parametrize("beyond", [np.nan, np.inf], ids=["nan", "plus-inf"])
 def test_boundary_step_bisects_to_no_step_without_a_finite_upper_value(beyond):
     # G = -1 below x1 = 0.5 and NaN or +inf from there on: no trial gives
@@ -345,7 +364,7 @@ def test_boundary_step_bisects_to_no_step_without_a_finite_upper_value(beyond):
 ], ids=["zero", "within-eps-act"])
 def test_boundary_step_requires_outside_inequalities_inside(G):
     # an inequality the chart leaves out must be below -EPS_ACT at the base
-    # point, so the bisection's lower end starts strictly inside it
+    # point, so the landing bracket's lower end starts strictly inside it
     p = md.ProblemSpec(name="outside-at-zero", n=2, m=1, F=lambda x: np.array([-x[0]]),
                        DF=lambda x: np.array([[-1.0, 0.0]]), m_G=1, G=G,
                        DG=lambda x: np.array([[1.0, 0.0]]))

@@ -315,6 +315,18 @@ def test_a_map_value_of_the_wrong_size_names_the_map():
         md.problems.as_point([1.0, 2.0, 3.0], 2)
 
 
+@pytest.mark.parametrize("out", [[1.0, [2.0, 3.0]], ["a", "b"], {"a": 1}],
+                         ids=["ragged", "strings", "dict"])
+def test_a_map_value_that_is_not_floats_names_the_map(out):
+    # numpy raises ValueError (ragged, strings) or TypeError (dict) here,
+    # which no start's failure record would catch
+    with pytest.raises(md.MapShapeError) as err:
+        _as_floats("F", out, (2,))
+    assert (err.value.component, err.value.shape, err.value.expected) == ("F", None, (2,))
+    assert str(err.value) == ("component 'F' returned a value that is not an array of "
+                              "floats, expected (2,)")
+
+
 @pytest.mark.parametrize("component", ["F", "G", "DF", "DG"])
 def test_evaluate_names_a_map_of_the_wrong_size(circle2d, component):
     wrong = {"F": lambda x: np.zeros(3), "G": lambda x: np.zeros(2),

@@ -227,6 +227,22 @@ def test_a_map_of_the_wrong_size_fails_its_start_not_the_front(component, size):
     assert near.iterations == trace.iterations and near.x is None
 
 
+@pytest.mark.parametrize("value", [[1.0, [2.0, 3.0]], ["a", "b"], {"a": 1}],
+                         ids=["ragged", "strings", "dict"])
+def test_a_map_value_that_is_not_floats_fails_its_start_not_the_front(value):
+    # past x = 1.5, F returns a value numpy cannot read as floats: each
+    # start that reaches it fails by name, and multistart records it
+    problem = _undefined_past_1_5("none")
+    F = problem.F
+    problem = dataclasses.replace(problem, F=lambda x: value if x[0] > 1.5 else F(x))
+    far, near = md.multistart(problem, [np.array([2.0]), np.array([0.0])],
+                              md.SolverConfig(beta0=0.1))
+    assert far.iterations == 0 and far.error == (
+        "MapShapeError: component 'F' returned a value that is not an array of floats, "
+        "expected (1,)")
+    assert near.x is None and near.iterations >= 1 and near.error == far.error
+
+
 def test_boundary_switch_reads_a_nan_in_the_last_g_row_as_inactive(monkeypatch):
     # the switch to the boundary subproblem tests every G row against
     # -epsilon; a NaN last row, after an inactive first one, must not
