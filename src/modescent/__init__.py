@@ -6,8 +6,7 @@ from .direction import (DirectionResult, SubproblemKind, active_set, min_norm_in
 from .errors import (EvaluationError, IllConditionedDirection, MapShapeError, ModescentError,
                      NoConvergence, NoStep, RankError, StepPreconditionError,
                      UnknownProblemError)
-from .geometry import (ManifoldChart, chart_retraction, feasible_start, project,
-                       retract_psi)
+from .geometry import ManifoldChart, feasible_start, project
 from .globalize import (ArchiveEntry, deduplicate, grid_points, multistart,
                         nondominated_filter)
 from .linesearch import StepResult, armijo_step, boundary_step, feasible_armijo_step
@@ -23,12 +22,12 @@ __all__ = [
     "ManifoldChart", "MapShapeError", "ModescentError", "NoConvergence",
     "NoStep", "ProblemSpec", "RankError", "SolverConfig",
     "StepPreconditionError", "StepResult", "SubproblemKind", "TERMINATED_CRITICAL", "UnknownProblemError",
-    "active_set", "armijo_step", "boundary_step", "chart_retraction",
-    "deduplicate", "evaluate", "fd_audit", "feasible_armijo_step",
-    "feasible_start", "grid_points", "load_problem", "min_norm_in_hull",
-    "multistart", "nondominated_filter", "project", "registry_get",
-    "registry_names", "retract_psi", "solve_constrained", "solve_direction",
-    "solve_equality", "tangent_basis", "write_trace_csv", "write_trace_json",
+    "active_set", "armijo_step", "boundary_step", "deduplicate", "evaluate",
+    "fd_audit", "feasible_armijo_step", "feasible_start", "grid_points",
+    "load_problem", "min_norm_in_hull", "multistart", "nondominated_filter",
+    "project", "registry_get", "registry_names", "solve_constrained",
+    "solve_direction", "solve_equality", "tangent_basis", "write_trace_csv",
+    "write_trace_json",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .direction import KKT_TOL, min_norm_in_hull, tangent_basis
 from .errors import ModescentError, NoConvergence, UnknownProblemError
-from .geometry import ManifoldChart, chart_jacobian, chart_retraction, project
+from .geometry import ManifoldChart, chart_jacobian, project
 from .globalize import (deduplicate, grid_points, multistart, nondominated_filter,
                         write_archive_csv, write_archive_json)
 from .output import config_to_dict, write_json
@@ -81,8 +81,6 @@ def _solver_options(fn):
         click.option("--eta", type=float, default=SolverConfig.eta, show_default=True,
                      help="strategy switch threshold; 'inf' never follows the boundary"),
         click.option("--max-iters", type=int, default=SolverConfig.max_iters, show_default=True),
-        click.option("--retraction", type=click.Choice(["project", "psi"]),
-                     default=SolverConfig.retraction, show_default=True),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -265,17 +263,14 @@ def _audit_retraction(problem, rng, report):
     ok = True
     t = 1e-3
     for chart in _audit_charts(problem):
-        kinds = ["project"] + (["psi"] if chart.n_rows == 1 else [])
         samples = _chart_samples(chart, rng, 20)
-        for kind in kinds:
-            retract = chart_retraction(chart, kind)
-            worst = _worst([float(np.linalg.norm((retract(x, t * v) - x) / t - v))
-                            for x, v in samples])
-            # a chart where no box point projects has checked nothing
-            good = bool(samples) and worst <= 1e-2
-            ok = ok and good
-            report(f"retraction slope ({kind}, chart {chart.ineq_indices or 'H'}): "
-                   f"{len(samples)} samples, residual {worst:.3e}", good)
+        worst = _worst([float(np.linalg.norm((chart.retract(x, t * v) - x) / t - v))
+                        for x, v in samples])
+        # a chart where no box point projects has checked nothing
+        good = bool(samples) and worst <= 1e-2
+        ok = ok and good
+        report(f"retraction slope (project, chart {chart.ineq_indices or 'H'}): "
+               f"{len(samples)} samples, residual {worst:.3e}", good)
     return ok
 
 

@@ -56,8 +56,8 @@ class NoStep(ModescentError):
 class StepPreconditionError(NoStep, ValueError):
     """A line search was handed a direction or base point it cannot step
     from: not a strict descent direction, not entering an active inequality,
-    or a base point off the active chart (checked by the step, or by the psi
-    retraction it steps through).
+    or a base point off the active chart (checked by the step, or by
+    ``geometry.retract_psi``).
 
     Inside the descent loop this is solver state gone wrong, so it is a
     ``NoStep`` and a multistart records it as a failed run with its partial

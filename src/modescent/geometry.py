@@ -1,5 +1,5 @@
-"""Constraint-manifold geometry: projection, the cheap normal-line retraction,
-and feasible starting points.
+"""Constraint-manifold geometry: projection, the retraction onto a chart, and
+feasible starting points.
 
 A chart is the set {H = 0} intersected with a chosen subset of inequalities
 held at zero.  Projection is a Lagrange-Newton iteration on the stationarity
@@ -57,6 +57,16 @@ class ManifoldChart:
     @property
     def n_rows(self) -> int:
         return self.problem.m_H + len(self.ineq_indices)
+
+    def retract(self, x, w) -> np.ndarray:
+        """The point x + w, retracted onto the chart by ``project``: x + w
+        itself on a chart without rows.  Every point returned lies within
+        FEAS_TOL of the chart, since the projection returns only when every
+        chart row is within 1e-12 of zero; otherwise it raises
+        ``NoConvergence``."""
+        if self.n_rows == 0:
+            return x + w
+        return project(self, x + w)
 
 
 def _chart_rows(chart: ManifoldChart, x, prefix, row_shape) -> np.ndarray:
@@ -315,6 +325,8 @@ def _anderson_bjorck(f_new, f_old):
 
 def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
     """Cheap retraction along the constraint normal for single-equality charts.
+    The solver does not call it: its one retraction is
+    ``ManifoldChart.retract``.
 
     Returns x + w + s * grad(c)(x) where s is the smallest-magnitude root of
     s -> c(x + w + s * grad(c)(x)), found by doubling a bracket outward from
@@ -378,46 +390,25 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
     raise NoConvergence("retract_psi: no sign change within the bracket growth limit")
 
 
-def chart_retraction(chart: ManifoldChart, kind: str = "project"):
-    """Retraction callable (base, step) -> point for the given chart.
-
-    ``kind`` is "project" (nearest-point projection) or "psi": the
-    normal-line root on single-row charts and the projection on charts with
-    more rows.  On a chart without rows the retraction is x + w.  Every
-    point the retraction returns lies within FEAS_TOL of the chart: the
-    projection returns only when every chart row is within 1e-12 of zero,
-    and psi checks its root; otherwise it raises ``NoConvergence``.
-    """
-    if chart.n_rows == 0:
-        return lambda x, w: x + w
-    if kind == "psi" and chart.n_rows == 1:
-        return lambda x, w: retract_psi(chart, x, w)
-    if kind in ("project", "psi"):
-        return lambda x, w: project(chart, x + w)
-    raise ValueError(f"unknown retraction kind {kind!r}")
+# (problem, chart) of the chart without pinned inequalities, for the last
+# problem asked for: it depends on nothing else, and a front asks for it once
+# per step with one problem
+_free = (None, None)
 
 
-# (problem, kind, chart, retraction) of the chart without pinned
-# inequalities, for the last problem and retraction kind asked for: it
-# depends on nothing else, and a front asks for it once per step with one
-# problem
-_free = (None, None, None, None)
-
-
-def free_chart(problem: ProblemSpec, kind: str = "project"):
-    """``ManifoldChart(problem, ())`` and its ``chart_retraction`` of
-    ``kind``, built once per problem and kind instead of once per step.
+def free_chart(problem: ProblemSpec) -> ManifoldChart:
+    """``ManifoldChart(problem, ())``, built once per problem instead of once
+    per step.
 
     The cache is read once per call, so a thread that meets another
-    thread's problem there builds its own pair instead of returning the
+    thread's problem there builds its own chart instead of returning the
     other's.
     """
     global _free
     cached = _free
-    if cached[0] is not problem or cached[1] != kind:
-        chart = ManifoldChart(problem, ())
-        cached = _free = (problem, kind, chart, chart_retraction(chart, kind))
-    return cached[2], cached[3]
+    if cached[0] is not problem:
+        cached = _free = (problem, ManifoldChart(problem, ()))
+    return cached[1]
 
 
 def _project_with_retries(chart: ManifoldChart, x):

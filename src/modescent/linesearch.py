@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NoStep, StepPreconditionError
-from .geometry import (CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, _regula_falsi,
-                       chart_retraction, chart_value, free_chart)
+from .geometry import CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, _regula_falsi, free_chart
 from .problems import EvalBundle, _as_floats
 
 # largest backtracking exponent k of a step t = beta0 * beta^k
@@ -139,8 +138,8 @@ def _outside_g(problem, rows, z):
     Without such rows (an empty sequence) G is not called and the result is
     (None, -inf).  A failed retraction (z None), a NaN or a -inf entry
     reads NaN and a +inf entry reads +inf, which no feasibility test
-    passes.  The chart rows need no test: every retraction returns a point
-    within FEAS_TOL of its chart or fails.  So a G that passes a
+    passes.  The chart rows need no test: the chart's retraction returns a
+    point within FEAS_TOL of the chart or fails.  So a G that passes a
     feasibility test is finite in every row."""
     if z is None:
         return None, math.nan
@@ -179,7 +178,7 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
-    _, retract = free_chart(problem, config.retraction)
+    retract = free_chart(problem).retract
     # every G row lies outside the chart
     rows = None if problem.m_G else ()
     f0, sigma = bundle.F_val.tolist(), config.sigma
@@ -215,16 +214,18 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     Anderson-Bjorck scaling, on phi, the largest outside G along the step;
     where phi is NaN or +inf at the upper end, or the retraction failed
     there, the trial is the midpoint.  The Armijo inequality is re-verified
-    at the landing step.  Given the chart
-    ``geometry.free_chart`` returns, the step reuses the retraction cached
-    with it, the one ``feasible_armijo_step`` uses, instead of building
-    one; the preconditions are the same for every chart.
+    at the landing step.  Every trial retracts through
+    ``active_chart.retract``.  The on-chart test reads the pinned rows from
+    the bundle's G and calls H only where the problem has equalities.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
+    g = bundle.G_val.tolist()
+    rows = [g[i - 1] for i in active_chart.ineq_indices]
+    if problem.m_H > 0:
+        rows += _as_floats("H", problem.H(bundle.x), (problem.m_H,)).tolist()
     # Python floats; a NaN chart row fails the test
-    if active_chart.n_rows > 0 and not all(
-            abs(c) <= CHART_TOL for c in chart_value(active_chart, bundle.x).tolist()):
+    if not all(abs(c) <= CHART_TOL for c in rows):
         raise StepPreconditionError("boundary step requires the base point on the active chart")
     outside = [i for i in range(problem.m_G) if i + 1 not in active_chart.ineq_indices]
     max_lo = bundle.G_val[outside].max() if outside else -np.inf
@@ -232,9 +233,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
         raise StepPreconditionError(
             "boundary step requires every inequality outside the chart below -EPS_ACT")
 
-    free, retract = free_chart(problem, config.retraction)
-    if active_chart is not free:
-        retract = chart_retraction(active_chart, config.retraction)
+    retract = active_chart.retract
     point = _first_armijo_point(bundle, slope, retract, v, config.beta0, config.beta,
                                config.sigma, K_MAX)
     if point is None:

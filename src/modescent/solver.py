@@ -29,7 +29,9 @@ class SolverConfig:
     ``eta`` is the strategy switch: boundary-following steps are taken while
     the boundary subproblem value stays below -eta; ``eta = inf`` selects the
     pure boundary-leaving strategy.  ``epsilon`` is the active-set tolerance
-    of the boundary-leaving subproblem.  These are the CLI's solver options.
+    of the boundary-leaving subproblem.  These six fields are the CLI's
+    solver options.  The retraction is not one: every step retracts onto
+    its chart by ``ManifoldChart.retract``, the nearest-point projection.
     """
 
     beta0: float = 1.0
@@ -38,7 +40,6 @@ class SolverConfig:
     epsilon: float = 1e-4
     eta: float = math.inf
     max_iters: int = 10000
-    retraction: str = "project"
 
     def __post_init__(self):
         # a bool would pass the tests below as 1 or 0, and reach the
@@ -60,8 +61,6 @@ class SolverConfig:
         # ints and numpy integers; not 2.5, 3.0 or "3"
         if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer >= 1")
-        if self.retraction not in ("project", "psi"):
-            raise ValueError("retraction must be 'project' or 'psi'")
 
 
 @dataclass(slots=True)
@@ -201,7 +200,7 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                     d, branch = d2, "SP2-step"
                     # a chart that pins nothing is the problem's cached one
                     chart = ManifoldChart(problem, d.active_set) if d.active_set \
-                        else free_chart(problem, config.retraction)[0]
+                        else free_chart(problem)
                     step = boundary_step(bundle, d.v, chart, config)
             alpha2 = d2.alpha if d2 is not None else None
             if step is None:

@@ -334,7 +334,7 @@ def feasible_armijo_reference(bundle, v, active, config):
         if bundle.DG_val[i - 1].dot(v) >= 0.0:
             raise StepPreconditionError(
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities")
-    _, retract = free_chart(problem, config.retraction)
+    retract = free_chart(problem).retract
     f0 = bundle.F_val.tolist()
     k_armijo = None
     for k in range(61):

@@ -5,12 +5,13 @@ lines on the terminal.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 import modescent as md
-from modescent.geometry import chart_jacobian, chart_retraction
+from modescent.geometry import chart_jacobian
 
 from conftest import CIRCLE_CONFIG
 from oracles import (ARC_HALF_ANGLE, arc_point, critical_samples, dist_to_arc,
@@ -146,8 +147,7 @@ def test_criterion_6_retraction_slope(circle2d, sphere3d):
             if np.linalg.norm(v) < 1e-8:
                 continue
             pairs.append((x, v / np.linalg.norm(v)))
-        for kind in ("project", "psi"):
-            retract = chart_retraction(chart, kind)
+        for retract in (chart.retract, partial(md.geometry.retract_psi, chart)):
             for x, v in pairs:
                 z = retract(x, t * v)
                 worst = max(worst, float(np.linalg.norm((z - x) / t - v)))

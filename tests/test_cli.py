@@ -142,6 +142,19 @@ def test_gamma_option_is_gone(tmp_path):
         assert config["eta"] == "inf"
 
 
+@pytest.mark.parametrize("kind", ["psi", "project"])
+def test_retraction_option_is_gone(tmp_path, kind):
+    # every step retracts by the chart's projection, which no option selects
+    out = tmp_path / "run"
+    assert main(["front", "--problem-file", str(EQUATOR_FILE), "--grid", "2x2x2",
+                 "--beta0", "0.1", "--eta", "1", "--retraction", kind,
+                 "--out", str(out)]) == 64
+    assert not out.exists()
+    assert main(["solve", "--problem", "circle2d", "--x0", "2,0", "--out", str(out)]) == 0
+    for name in ("trace.json", "manifest.json"):
+        assert "retraction" not in json.loads((out / name).read_text())["config"]
+
+
 def test_solve_iteration_cap_exit_code(tmp_path):
     rc = main(["solve", "--problem", "circle2d", "--x0", "-2,0.5",
                *CIRCLE_ARGS, "--max-iters", "3", "--out", str(tmp_path / "run")])

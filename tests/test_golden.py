@@ -10,6 +10,7 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modescent as md
@@ -25,8 +26,6 @@ CASES = {
     "circle2d_eta1": (["solve", "--problem", "circle2d", "--x0=-2,0.5",
                        "--beta0", "0.1", "--eta", "1"], ["trace.csv"]),
     "sphere3d": (["solve", "--problem", "sphere3d", "--x0", "1,0,0"], ["trace.csv"]),
-    "sphere3d_psi": (["solve", "--problem", "sphere3d", "--x0", "1,0,0",
-                      "--retraction", "psi"], ["trace.csv"]),
     "front5": (["front", "--problem", "circle2d", "--grid", "5x5",
                 "--beta0", "0.1", "--eta", "1"], ["archive.csv", "front.csv"]),
     # a polynomial problem file: every map is a compiled monomial table
@@ -76,31 +75,32 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     # and G to the next evaluate, SP2 steps hand over F, and G when their
     # chart leaves the inequality outside (17 of the 24 pin none), the
     # feasible step computes F past its first Armijo pass only where G
-    # holds, the boundary landing computes G once per Anderson-Bjorck
-    # false-position or midpoint trial and takes the base point's G from
-    # the bundle, and a projection computes its chart value and Jacobian
-    # once per point it accepts, so a duplicate map call or an extra landing
-    # trial on the solver's path changes these counts (F 611 and G 1,113
-    # with an F-then-G test of every trial and a bisecting landing; G 675
-    # with the Illinois landing)
+    # holds, a boundary step reads the pinned rows of its on-chart test
+    # and the landing's base point G from the bundle, the landing computes
+    # G once per Anderson-Bjorck false-position or midpoint trial, and a
+    # projection computes its chart value and Jacobian once per point it
+    # accepts, so a duplicate map call or an extra landing trial on the
+    # solver's path changes these counts (F 611 and G 1,113 with an
+    # F-then-G test of every trial and a bisecting landing; G 675 with the
+    # Illinois landing; G 672 with the on-chart test calling G again at
+    # the base point of each of the 7 SP2 steps that pin the circle)
     spec, calls = with_counted_maps(circle2d, ("F", "DF", "G", "DG"))
     _, trace = md.solve_constrained(spec, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 130
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert dict(calls) == {"F": 193, "DF": 131, "G": 672, "DG": 164}
+    assert dict(calls) == {"F": 193, "DF": 131, "G": 665, "DG": 164}
 
 
-def test_sphere3d_psi_map_calls_are_pinned(sphere3d):
-    # the sphere3d_psi solve with counted maps: each psi retraction calls H
-    # at x and at x + w, twice per bracket doubling and once per
-    # Anderson-Bjorck trial, so an extra trial of the root search changes
-    # the H count (245 with bisection to machine resolution, 160 with
-    # Illinois halving in place of Anderson-Bjorck scaling)
-    spec, calls = with_counted_maps(sphere3d, ("F", "DF", "H", "DH"))
-    _, trace = md.solve_constrained(spec, (1.0, 0.0, 0.0), md.SolverConfig(retraction="psi"))
-    assert trace.iterations == 2
-    assert trace.branch_counts() == {"SP1-step": 2}
-    assert dict(calls) == {"F": 3, "DF": 3, "H": 158, "DH": 6}
+def test_psi_map_calls_are_pinned(sphere3d):
+    # one psi retraction on the sphere with counted maps: it calls H at x
+    # and at x + w, twice per bracket doubling and once per Anderson-Bjorck
+    # trial, so an extra trial of the root search changes the H count (20
+    # with Illinois halving in place of Anderson-Bjorck scaling)
+    spec, calls = with_counted_maps(sphere3d, ("H", "DH"))
+    z = md.geometry.retract_psi(md.ManifoldChart(spec, ()), np.array([1.0, 0.0, 0.0]),
+                                np.array([0.0, 0.6, 0.4]))
+    assert abs(float(z @ z) - 1.0) <= 1e-12
+    assert dict(calls) == {"H": 17, "DH": 1}
 
 
 def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
@@ -128,9 +128,9 @@ def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
 
 
 def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypatch):
-    # the chart without pinned inequalities, and its retraction, are built
-    # once per problem, not once per step: the SP1 steps and the 17 of the
-    # 24 SP2 steps that pin none share them.  Each of the other 7 SP2 steps
+    # the chart without pinned inequalities is built once per problem, not
+    # once per step: the SP1 steps and the 17 of the 24 SP2 steps that pin
+    # none share it.  Each of the other 7 SP2 steps
     # builds the chart of its own active set.  The cache starts empty here,
     # so the free chart is built once.
     built = []
@@ -140,26 +140,7 @@ def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypat
         built.append(chart.ineq_indices)
         post_init(chart)
     monkeypatch.setattr(md.ManifoldChart, "__post_init__", counted)
-    monkeypatch.setattr(md.geometry, "_free", (None, None, None, None))
-    _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
-    assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert sorted(built) == [()] + [(1,)] * 7
-
-
-def test_circle2d_eta1_builds_a_retraction_per_pinned_chart_only(circle2d, monkeypatch):
-    # the same solve: the free chart's retraction is built once and serves
-    # every SP1 step and the 17 SP2 steps that pin none; each of the 7 SP2
-    # steps that pin the circle builds the retraction of its own chart
-    built = []
-    chart_retraction = md.geometry.chart_retraction
-
-    def counted(chart, kind="project"):
-        built.append(chart.ineq_indices)
-        return chart_retraction(chart, kind)
-    # geometry.free_chart builds the free one, boundary_step the others
-    monkeypatch.setattr(md.geometry, "chart_retraction", counted)
-    monkeypatch.setattr(md.linesearch, "chart_retraction", counted)
-    monkeypatch.setattr(md.geometry, "_free", (None, None, None, None))
+    monkeypatch.setattr(md.geometry, "_free", (None, None))
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
     assert sorted(built) == [()] + [(1,)] * 7

@@ -294,15 +294,13 @@ def test_boundary_step_lands_through_the_midpoint_past_a_failed_retraction(monke
     # midpoints until the upper end has one, then false position again
     tried = []
 
-    def chart_retraction(chart, kind="project"):
-        def retract(x, w):
-            tried.append(float(w[0]))
-            if 0.5 <= w[0] <= 0.9:
-                raise NoConvergence("retraction fails here")
-            return x + w
-        return retract
+    def retract(chart, x, w):
+        tried.append(float(w[0]))
+        if 0.5 <= w[0] <= 0.9:
+            raise NoConvergence("retraction fails here")
+        return x + w
 
-    monkeypatch.setattr(md.linesearch, "chart_retraction", chart_retraction)
+    monkeypatch.setattr(md.ManifoldChart, "retract", retract)
     G = lambda x: np.array([math.sqrt(x[0]) - math.sqrt(0.3)])
     p = md.ProblemSpec(name="failed-retraction", n=2, m=1, F=lambda x: np.array([-x[0]]),
                        DF=lambda x: np.array([[-1.0, 0.0]]), m_G=1, G=G,
@@ -378,6 +376,22 @@ def test_boundary_step_requires_point_on_chart(circle2d):
     chart = md.ManifoldChart(circle2d, (1,))
     with pytest.raises(ValueError):
         boundary_step(b, np.array([1.0, 0.0]), chart, md.SolverConfig())
+
+
+def test_boundary_step_reads_the_pinned_rows_from_the_bundle():
+    # box: floor G1 = -x2 and wall G2 = x1 - 1.  At the base point (0, 0)
+    # the floor is on its chart and the wall is not.  The on-chart test
+    # reads the pinned row from the bundle's G, so the step calls G at its
+    # trial point only, never again at the base point
+    seen = []
+    box = make_box_problem()
+    p = dataclasses.replace(box, G=lambda x: seen.append(x.tolist()) or box.G(x))
+    b = md.evaluate(p, [0.0, 0.0])
+    step = boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, (1,)), md.SolverConfig())
+    assert step.new_point.tolist() == [1.0, 0.0]
+    assert seen == [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(md.StepPreconditionError, match="on the active chart"):
+        boundary_step(b, np.array([1.0, 0.0]), md.ManifoldChart(p, (2,)), md.SolverConfig())
 
 
 def test_boundary_step_rejects_a_nan_base_point():

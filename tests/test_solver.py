@@ -13,7 +13,7 @@ from modescent.solver import TOL_ALPHA, write_trace_csv, write_trace_json
 
 from conftest import (CIRCLE_CONFIG, hemisphere_critical_distance,
                       make_hemisphere_problem, make_infeasible_problem, make_vertex_problem)
-from oracles import dist_to_critical_set, dist_to_segment
+from oracles import dist_to_critical_set
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,13 +57,6 @@ def test_equality_opposite_gradients_every_point_critical(rng):
 def test_equality_rejects_inequality_problems(circle2d):
     with pytest.raises(ValueError):
         md.solve_equality(circle2d, (2.0, 0.0))
-
-
-def test_equality_psi_retraction_matches_projection_result(sphere3d):
-    cfg = md.SolverConfig(retraction="psi")
-    x, trace = md.solve_equality(sphere3d, (1.0, 0.0, 0.0), cfg)
-    assert trace.termination == md.TERMINATED_CRITICAL
-    assert x == pytest.approx([0.0, 0.0, -1.0], abs=1e-4)
 
 
 def test_equality_iteration_cap(sphere3d):
@@ -356,7 +349,7 @@ def test_ascent_direction_fails_the_run_not_the_front(circle2d, monkeypatch):
     assert critical.converged
 
 
-@pytest.mark.parametrize("case", ["circle2d_eta1", "sphere3d_psi"])
+@pytest.mark.parametrize("case", ["circle2d_eta1", "sphere3d"])
 def test_returned_point_and_trace_hold_distinct_arrays(case, circle2d, sphere3d):
     # records hold the loop's iterates without a copy; the returned point
     # and trace.final_x are copies of their own, so writing to the returned
@@ -365,8 +358,7 @@ def test_returned_point_and_trace_hold_distinct_arrays(case, circle2d, sphere3d)
         x, trace = md.solve_constrained(circle2d, (-2.0, 0.5),
                                         md.SolverConfig(beta0=0.1, eta=1.0))
     else:
-        x, trace = md.solve_constrained(sphere3d, (1.0, 0.0, 0.0),
-                                        md.SolverConfig(retraction="psi"))
+        x, trace = md.solve_constrained(sphere3d, (1.0, 0.0, 0.0))
     held = [trace.final_x, *(rec.x for rec in trace.records)]
     arrays = [x, *held]
     for i, a in enumerate(arrays):
@@ -403,18 +395,6 @@ def test_concurrent_solves_of_two_problems_match_serial(circle2d, sphere3d):
     finally:
         sys.setswitchinterval(interval)
     assert results == serial * 10
-
-
-def test_psi_follows_the_boundary_after_a_boundary_landing(circle2d):
-    # a boundary-landing step leaves the iterate up to eps_act off the newly
-    # active inequality, which the next SP2 step pins; the psi retraction
-    # accepts that base point and the run reaches the critical segment
-    cfg = md.SolverConfig(beta0=0.1, eta=1.0, retraction="psi")
-    x, trace = md.solve_constrained(circle2d, (-3.0, -9.0 / 11.0), cfg)
-    assert trace.termination == md.TERMINATED_CRITICAL
-    assert trace.branch_counts().get("SP2-step", 0) >= 1
-    assert dist_to_segment(x) <= 1e-3
-    assert float(circle2d.G(x)[0]) <= 1e-9
 
 
 def test_constrained_infeasible_problem_attaches_trace():
@@ -579,8 +559,9 @@ def test_config_validation():
         md.SolverConfig(sigma=0.0)
     with pytest.raises(ValueError):
         md.SolverConfig(eta=-1.0)
-    with pytest.raises(ValueError):
-        md.SolverConfig(retraction="geodesic")
+    # the retraction is the chart's projection, not a solver option
+    with pytest.raises(TypeError):
+        md.SolverConfig(retraction="psi")
     assert md.SolverConfig(eta=np.inf).eta == np.inf
 
 
