@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModescentError
-from .output import (fmt, json_float, json_floats, json_string, json_template, write_csv,
+from .output import (json_array_template, json_float, json_string, json_template, write_csv,
                      write_json_list)
 from .problems import ProblemSpec
 from .solver import SolverConfig, TERMINATED_CRITICAL, solve_constrained
@@ -77,18 +77,22 @@ def deduplicate(archive: list) -> list:
     within ``DEDUP_TOL`` (Euclidean) of an entry kept before them.
 
     The kept entries are returned in archive order.  Distances are taken in
-    Python floats with ``math.dist``, and each candidate stops at the first
-    kept point it is too close to.
+    Python floats with ``math.dist``.  The kept points are held in a set: a
+    candidate equal to one of them (``==``, so 0.0 and -0.0 match and NaN
+    matches nothing) is dropped by a lookup, where a scan would find it at
+    distance 0, or NaN where a coordinate is infinite.  Any other candidate
+    is kept only if every kept point lies ``DEDUP_TOL`` or more from it,
+    which no order of the scan can change.
     """
     kept: list = []
-    points: list = []
+    points: set = set()
     for entry in archive:
         if entry.x is None:
             continue
-        p = entry.x.tolist()
-        if all(math.dist(p, q) >= DEDUP_TOL for q in points):
+        p = tuple(entry.x.tolist())
+        if p not in points and all(math.dist(p, q) >= DEDUP_TOL for q in points):
             kept.append(entry)
-            points.append(p)
+            points.add(p)
     return kept
 
 
@@ -140,38 +144,78 @@ def write_archive_csv(archive: list, flags: list, path, n: int, m: int) -> None:
 
     ``flags`` holds one dominated flag per entry, as ``dominance_flags``
     returns them (None for an entry without F); the writer computes none.
+    An entry's x and F hold n and m values.  Each row is one ``%`` of a
+    format chosen by the entry's shape, which of x, F and alpha are
+    missing: ``%.17g`` for each value, an empty cell for each missing one.
     """
     header = ([f"x{i + 1}" for i in range(n)] + [f"F{i + 1}" for i in range(m)]
               + ["alpha", "converged", "dominated"])
-    rows = []
+    cell = ("%.17g", "")  # indexed by "is missing"
+    formats = {(no_x, no_f, no_alpha): ",".join(
+        [cell[no_x]] * n + [cell[no_f]] * m + [cell[no_alpha], "%s", "%s"]) + "\n"
+        for no_x in (False, True) for no_f in (False, True) for no_alpha in (False, True)}
+    lines = []
     for entry, flag in zip(archive, flags, strict=True):
-        row = [fmt(v) for v in entry.x.tolist()] if entry.x is not None else [""] * n
-        row += [fmt(v) for v in entry.F.tolist()] if entry.F is not None else [""] * m
-        row.append(fmt(entry.alpha) if entry.alpha is not None else "")
-        row.append("true" if entry.converged else "false")
-        row.append("" if flag is None else ("true" if flag else "false"))
-        rows.append(row)
-    write_csv(path, header, rows)
+        x, F, alpha = entry.x, entry.F, entry.alpha
+        values = [] if x is None else x.tolist()
+        if F is not None:
+            values += F.tolist()
+        if alpha is not None:
+            values.append(alpha)
+        values.append("true" if entry.converged else "false")
+        values.append("" if flag is None else ("true" if flag else "false"))
+        lines.append(formats[x is None, F is None, alpha is None] % tuple(values))
+    write_csv(path, header, lines)
 
 
-# an archive entry at nesting depth 2 of {"entries": [...]}; its arrays at 3
+# an archive entry at nesting depth 2 of {"entries": [...]}; its arrays at 3.
+# Sorted, its members are F, alpha, converged, dominated, error, iterations,
+# start and x: the order of the values _entry_json_template's templates take.
 _ENTRY_JSON = json_template(
     ("start", "x", "F", "alpha", "converged", "iterations", "dominated", "error"), 2)
 _JSON_FLAG = {None: "null", False: "false", True: "true"}
+
+
+def _entry_json_template(n_start, n_x, n_f, no_alpha) -> str:
+    """``%``-template of an entry whose start, x and F hold the given
+    numbers of values (None where missing): one ``%s`` per value."""
+    return _ENTRY_JSON % {
+        "F": json_array_template(n_f, 3), "alpha": "null" if no_alpha else "%s",
+        "converged": "%s", "dominated": "%s", "error": "%s", "iterations": "%s",
+        "start": json_array_template(n_start, 3), "x": json_array_template(n_x, 3)}
 
 
 def write_archive_json(archive: list, flags: list, path) -> None:
     """Write ``{"entries": [...]}``, one object per entry with its start,
     x, F, alpha, converged, iterations, dominated flag and error, in the
     bytes ``write_json`` would give; ``flags`` as in ``write_archive_csv``.
-    Missing x, F, alpha or error are null."""
-    write_json_list(path, "entries", (_ENTRY_JSON % {
-        "start": json_floats(e.start, 3),
-        "x": json_floats(e.x, 3),
-        "F": json_floats(e.F, 3),
-        "alpha": json_float(e.alpha),
-        "converged": _JSON_FLAG[e.converged],
-        "iterations": int.__repr__(e.iterations),
-        "dominated": _JSON_FLAG[flag],
-        "error": "null" if e.error is None else json_string(e.error),
-    } for e, flag in zip(archive, flags, strict=True)))
+    Missing x, F, alpha or error are null.
+
+    Each entry is one ``%`` of a template built once per entry shape.  Its
+    floats go in as Python floats, whose ``str`` is their repr, the JSON
+    number ``json.dump`` writes.  An entry with a non-finite value spells
+    its floats with ``json_float`` instead (``NaN``, ``Infinity``).
+    """
+    templates: dict = {}
+
+    def spelled():
+        for e, flag in zip(archive, flags, strict=True):
+            start = [] if e.start is None else e.start.tolist()
+            x = [] if e.x is None else e.x.tolist()
+            F = [] if e.F is None else e.F.tolist()
+            # a Python float, the only type the non-finite spelling below takes
+            alpha = [] if e.alpha is None else [float(e.alpha)]
+            shape = (None if e.start is None else len(start), None if e.x is None else len(x),
+                     None if e.F is None else len(F), e.alpha is None)
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _entry_json_template(*shape)
+            values = (*F, *alpha, _JSON_FLAG[e.converged], _JSON_FLAG[flag],
+                      "null" if e.error is None else json_string(e.error),
+                      int.__repr__(e.iterations), *start, *x)
+            # a sum of floats is finite only if every term is
+            if not math.isfinite(sum(F + alpha + start + x)):
+                values = tuple(json_float(v) if type(v) is float else v for v in values)
+            yield template % values
+
+    write_json_list(path, "entries", spelled())

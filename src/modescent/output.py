@@ -2,13 +2,19 @@
 round-tripping ``.17g`` text in CSV cells, sorted indented JSON, and
 configurations with ``inf`` spelled as a string.
 
+``write_csv`` writes rows its callers have already spelled as text lines,
+without the ``csv`` module.  No cell is quoted, and none needs to be: every
+cell is a number, ``true``, ``false``, empty, a branch name or
+``;``-joined indices, so none holds a comma, a quote or a line break.  A
+column that can hold free text must bring quoting back.
+
 ``write_json`` hands a whole document to ``json.dump``.  Archives stream
 through ``write_json_list`` instead, one pre-spelled object per write, from
-``json_template`` and ``json_floats``: the same bytes without ``json``'s
-pure-Python indent encoder, which runs whenever ``indent`` is set.
+``%``-templates built by ``json_template`` and ``json_array_template``: the
+same bytes without ``json``'s pure-Python indent encoder, which runs
+whenever ``indent`` is set.
 """
 
-import csv
 import json
 import math
 from dataclasses import asdict
@@ -23,11 +29,12 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, lines) -> None:
+    """Write the ``header`` cells as the first row, then ``lines``: rows
+    spelled as comma-joined cells, each ending in ``\\n``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def write_json(path, doc) -> None:
@@ -44,20 +51,16 @@ def json_float(value) -> str:
     return _NON_FINITE.get(text, text)
 
 
-def json_floats(values, depth: int) -> str:
-    """A 1-D float array (or None) as ``write_json`` spells it at nesting
-    ``depth``: one item per line."""
-    if values is None:
+def json_array_template(count, depth: int) -> str:
+    """``%``-template of an array of ``count`` scalars at nesting ``depth``
+    as ``write_json`` spells it, one item per line; ``null`` for a count of
+    None.  It takes one ``%s`` value per item."""
+    if count is None:
         return "null"
-    values = values.tolist()
-    if not values:
+    if not count:
         return "[]"
     sep = ",\n" + _INDENT * (depth + 1)
-    # a finite repr has digits, '.', 'e', '+' and '-' only
-    text = sep.join(map(float.__repr__, values))
-    if "n" in text:
-        text = sep.join(map(json_float, values))
-    return "[" + sep[1:] + text + "\n" + _INDENT * depth + "]"
+    return "[" + sep[1:] + sep.join(["%s"] * count) + "\n" + _INDENT * depth + "]"
 
 
 def json_template(keys, depth: int) -> str:

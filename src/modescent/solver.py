@@ -244,7 +244,7 @@ def write_trace_csv(trace: IterateTrace, path) -> None:
     m = len(trace.records[0].F)
     header = (["iter"] + [f"x{i + 1}" for i in range(n)] + [f"F{i + 1}" for i in range(m)]
               + ["alpha", "branch", "t", "active_set"])
-    rows = []
+    lines = []
     for rec in trace.records:
         row = [str(rec.iteration)]
         row += [fmt(v) for v in rec.x]
@@ -253,8 +253,8 @@ def write_trace_csv(trace: IterateTrace, path) -> None:
         row.append(rec.branch or "")
         row.append(fmt(rec.t) if rec.t is not None else "")
         row.append(";".join(str(i) for i in rec.active_set))
-        rows.append(row)
-    write_csv(path, header, rows)
+        lines.append(",".join(row) + "\n")
+    write_csv(path, header, lines)
 
 
 def trace_to_dict(trace: IterateTrace) -> dict:

@@ -284,6 +284,22 @@ def deduplicate_by_norm(archive, tol):
     return kept
 
 
+def deduplicate_by_dist(archive, tol):
+    """``globalize.deduplicate`` as it was before kept points went into a
+    set: every candidate with an x scans the kept points with
+    ``math.dist`` and is kept if none lies within ``tol``."""
+    import math
+
+    kept, points = [], []
+    for entry in archive:
+        if entry.x is None:
+            continue
+        p = entry.x.tolist()
+        if all(math.dist(p, q) >= tol for q in points):
+            kept.append(entry)
+            points.append(p)
+    return kept
+
 
 def archive_to_dict(archive, flags):
     """The JSON document of an archive, for ``json.dump``: one mapping per
@@ -303,6 +319,77 @@ def archive_to_dict(archive, flags):
             for e, flag in zip(archive, flags, strict=True)
         ]
     }
+
+# ---------------------------------------------------------------------------
+# archive writers as they were before rows and entries were filled from
+# per-shape formats: one Python call per float, the csv module for CSV
+
+
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def write_archive_csv_reference(archive, flags, path, n, m):
+    """The archive CSV through ``csv.writer``, every float as ``.17g``."""
+    import csv
+
+    rows = [[f"x{i + 1}" for i in range(n)] + [f"F{i + 1}" for i in range(m)]
+            + ["alpha", "converged", "dominated"]]
+    for entry, flag in zip(archive, flags, strict=True):
+        row = [_fmt(v) for v in entry.x.tolist()] if entry.x is not None else [""] * n
+        row += [_fmt(v) for v in entry.F.tolist()] if entry.F is not None else [""] * m
+        row.append(_fmt(entry.alpha) if entry.alpha is not None else "")
+        row.append("true" if entry.converged else "false")
+        row.append("" if flag is None else ("true" if flag else "false"))
+        rows.append(row)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value):
+    if value is None:
+        return "null"
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_floats(values, depth):
+    if values is None:
+        return "null"
+    values = values.tolist()
+    if not values:
+        return "[]"
+    sep = ",\n" + "  " * (depth + 1)
+    return "[" + sep[1:] + sep.join(map(_json_float, values)) + "\n" + "  " * depth + "]"
+
+
+def write_archive_json_reference(archive, flags, path):
+    """The archive JSON filled member by member into a ``%(key)s``
+    template, every float through its own ``_json_float`` call."""
+    from json.encoder import encode_basestring_ascii as json_string
+
+    keys = ("start", "x", "F", "alpha", "converged", "iterations", "dominated", "error")
+    template = "{\n" + ",\n".join(f"      {json_string(k)}: %({k})s"
+                                    for k in sorted(keys)) + "\n    }"
+    flag_text = {None: "null", False: "false", True: "true"}
+    items = [template % {
+        "start": _json_floats(e.start, 3),
+        "x": _json_floats(e.x, 3),
+        "F": _json_floats(e.F, 3),
+        "alpha": _json_float(e.alpha),
+        "converged": flag_text[e.converged],
+        "iterations": int.__repr__(e.iterations),
+        "dominated": flag_text[flag],
+        "error": "null" if e.error is None else json_string(e.error),
+    } for e, flag in zip(archive, flags, strict=True)]
+    with open(path, "w") as fh:
+        fh.write('{\n  "entries": [')
+        fh.write("]" if not items else "\n    " + ",\n    ".join(items) + "\n  ]")
+        fh.write("\n}\n")
+
 
 def feasible_armijo_reference(bundle, v, active, config):
     """The feasible Armijo step as a plain F-then-G search: for t = beta0

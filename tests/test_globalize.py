@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,9 @@ from modescent import globalize
 from modescent.globalize import ArchiveEntry, dominance_flags
 
 from conftest import CIRCLE_CONFIG, make_infeasible_problem
-from oracles import (archive_to_dict, deduplicate_by_norm, dist_to_arc,
-                     dist_to_critical_set, dist_to_segment, pairwise_dominance_flags)
+from oracles import (archive_to_dict, deduplicate_by_dist, deduplicate_by_norm, dist_to_arc,
+                     dist_to_critical_set, dist_to_segment, pairwise_dominance_flags,
+                     write_archive_csv_reference, write_archive_json_reference)
 
 
 def _archive_from_F(values):
@@ -179,6 +181,44 @@ def test_deduplicate_matches_norm_loop(entries):
     assert [id(e) for e in out] == [id(e) for e in ref]
 
 
+# coordinates that repeat exactly, as 0.0 against -0.0, as NaN and as inf,
+# and offsets of DEDUP_TOL and one ulp either side of it
+_DEDUP_COORDS = [0.0, -0.0, 1.0, -2.5, np.nan, np.inf]
+_DEDUP_OFFSETS = [0.0, math.nextafter(_TOL, 0.0), _TOL, math.nextafter(_TOL, 1.0), 2 * _TOL]
+
+
+@st.composite
+def _repeating_archives(draw):
+    """Entries drawn from a few coordinates, some without x, some exact
+    copies of an earlier x, some an earlier x moved along one axis by a
+    distance at or next to DEDUP_TOL."""
+    n = draw(st.integers(1, 3))
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        earlier = [e.x for e in entries if e.x is not None]
+        kind = draw(st.sampled_from(["none", "new", "repeat", "offset"]))
+        if kind == "none":
+            x = None
+        elif kind == "new" or not earlier:
+            x = np.array(draw(st.lists(st.sampled_from(_DEDUP_COORDS), min_size=n, max_size=n)))
+        else:
+            x = draw(st.sampled_from(earlier)).copy()
+            if kind == "offset":
+                x[draw(st.integers(0, n - 1))] += draw(st.sampled_from(_DEDUP_OFFSETS))
+        entries.append(ArchiveEntry(start=np.zeros(n), x=x, F=None, alpha=None,
+                                    converged=False, iterations=0))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_archives())
+def test_deduplicate_matches_the_scan_of_every_kept_point(entries):
+    # the set lookup of exact repeats keeps what the distance scan alone keeps
+    out = md.deduplicate(entries)
+    ref = deduplicate_by_dist(entries, _TOL)
+    assert [id(e) for e in out] == [id(e) for e in ref]
+
+
 # ---------------------------------------------------------------------------
 # grids and multistart
 
@@ -292,3 +332,49 @@ def test_write_archive_json_needs_one_flag_per_entry(tmp_path):
         globalize.write_archive_json(archive, [False], tmp_path / "archive.json")
     with pytest.raises(ValueError):
         globalize.write_archive_json([], [False], tmp_path / "archive.json")
+
+
+# the edge floats above and a large finite one; error text that names nan
+_WRITER_FLOATS = st.one_of(st.just(1e300), _floats)
+_WRITER_ERRORS = st.one_of(_errors, st.sampled_from(
+    ['NoStep: "nan" step, \u00e9t\u00e9', "ValueError: nan, inf", 'a "quoted", comma']))
+
+
+@st.composite
+def _writer_archives(draw):
+    """Archives with n and m from 1 to 4: failed entries (x, F and alpha
+    all None), entries with any of them missing, alpha as a Python float or
+    an np.float64, and every dominated flag."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def vector(size):
+        return draw(st.lists(_WRITER_FLOATS, min_size=size, max_size=size).map(np.array))
+
+    archive, flags = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        start = vector(n)
+        if draw(st.booleans()):
+            x = F = alpha = None
+        else:
+            x = None if draw(st.booleans()) else vector(n)
+            F = None if draw(st.booleans()) else vector(m)
+            alpha = draw(st.none() | _WRITER_FLOATS | _WRITER_FLOATS.map(np.float64))
+        archive.append(ArchiveEntry(
+            start=start, x=x, F=F, alpha=alpha, converged=draw(st.booleans()),
+            iterations=draw(st.integers(0, 10 ** 6)), error=draw(_WRITER_ERRORS)))
+        flags.append(draw(st.sampled_from([None, True, False])))
+    return archive, flags, n, m
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_writer_archives())
+def test_archive_writers_match_the_per_float_writers(tmp_path, case):
+    archive, flags, n, m = case
+    got, want = tmp_path / "got", tmp_path / "want"
+    globalize.write_archive_csv(archive, flags, got, n, m)
+    write_archive_csv_reference(archive, flags, want, n, m)
+    assert got.read_bytes() == want.read_bytes()
+    globalize.write_archive_json(archive, flags, got)
+    write_archive_json_reference(archive, flags, want)
+    assert got.read_bytes() == want.read_bytes()
