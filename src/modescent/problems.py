@@ -100,6 +100,11 @@ class EvalBundle:
     start, and a retraction that returns only points within FEAS_TOL of its
     chart).  Not frozen: the descent loop builds one per iteration, and a
     frozen dataclass pays one ``object.__setattr__`` per field.
+
+    ``DG_val`` is None in the descent loop's bundles at points where no
+    inequality is active at the loop's tolerance epsilon, since nothing
+    reads it there (``_evaluate`` with an ``epsilon``); ``evaluate`` always
+    fills it.
     """
 
     problem: ProblemSpec
@@ -108,7 +113,7 @@ class EvalBundle:
     G_val: Array
     DF_val: Array
     DH_val: Array
-    DG_val: Array
+    DG_val: Array | None
 
 
 def all_finite(a) -> bool:
@@ -171,7 +176,7 @@ def _call(component, fun, x, shape, value=None):
     return out
 
 
-def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
+def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None, epsilon=None) -> EvalBundle:
     """``evaluate`` at a float vector ``x`` of length n, which it does not
     check: the kernel behind ``evaluate``, and what the descent loop calls
     at each iterate.
@@ -182,17 +187,31 @@ def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None) -> EvalBundle:
     outside the step's chart by test and the chart rows because the
     retraction holds them within FEAS_TOL, read through the same map at the
     same point.
+
+    With ``epsilon`` None every map is called, in the order F, G, DF, DH,
+    DG.  The descent loop passes its active-set tolerance instead: DG is
+    then called, and checked, only where some G row is >= -epsilon (a NaN
+    row is not), since the subproblems and steps read DG only at rows
+    active at that tolerance; elsewhere, and always without inequalities,
+    the bundle's ``DG_val`` is None.
     """
     n, m, mh, mg = problem.n, problem.m, problem.m_H, problem.m_G
+    F = _call("F", problem.F, x, (m,), F_val)
+    G = _call("G", problem.G, x, (mg,)) if G_val is None else _as_floats("G", G_val, (mg,))
+    DF = _call("DF", problem.DF, x, (m, n))
+    DH = _call("DH", problem.DH, x, (mh, n))
+    if epsilon is None:
+        DG = _call("DG", problem.DG, x, (mg, n))
+    else:
+        DG = None
+        low = -epsilon
+        # Python floats; a NaN entry fails the test, as in active_set
+        for g in G.tolist():
+            if g >= low:
+                DG = _call("DG", problem.DG, x, (mg, n))
+                break
     # positional, in field order: problem, x, F, G, DF, DH, DG
-    return EvalBundle(
-        problem, x,
-        _call("F", problem.F, x, (m,), F_val),
-        _call("G", problem.G, x, (mg,)) if G_val is None else _as_floats("G", G_val, (mg,)),
-        _call("DF", problem.DF, x, (m, n)),
-        _call("DH", problem.DH, x, (mh, n)),
-        _call("DG", problem.DG, x, (mg, n)),
-    )
+    return EvalBundle(problem, x, F, G, DF, DH, DG)
 
 
 def evaluate(problem: ProblemSpec, x) -> EvalBundle:
@@ -204,7 +223,8 @@ def evaluate(problem: ProblemSpec, x) -> EvalBundle:
 
     This is the checked entry in front of the kernel ``_evaluate``: it
     coerces ``x`` to a float vector of length n, and the kernel checks every
-    value once.
+    value once.  It always calls DG; only the descent loop's own
+    evaluations skip it where no inequality is active.
     """
     return _evaluate(problem, as_point(x, problem.n))
 

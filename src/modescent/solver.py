@@ -159,9 +159,13 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     iteration takes F at the accepted point, and G where the step computed
     it, from the step instead of calling the maps again; F is checked
     again there (the Armijo test lets -inf through), and G is not, since
-    the step's feasibility test has found it finite.  Records hold the
-    iterate arrays themselves; the returned point and ``trace.final_x``
-    are copies of their own.
+    the step's feasibility test has found it finite.  DG is called, and
+    checked, only at iterates with an inequality active at tolerance
+    ``epsilon``, the only ones where SP1, SP2 or the feasible step read
+    it: a DG that is not finite elsewhere does not fail the run, and one
+    that is not finite where it is read raises ``EvaluationError``
+    naming ``DG``.  Records hold the iterate arrays themselves; the
+    returned point and ``trace.final_x`` are copies of their own.
     """
     trace = IterateTrace(problem_name=problem.name, config=config)
     try:
@@ -178,16 +182,11 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
         for it in range(max_iters + 1):
             # the pass after the last allowed step only records alpha1
             at_cap = it == max_iters
-            bundle = _evaluate(problem, x, F_val, G_val)
+            bundle = _evaluate(problem, x, F_val, G_val, epsilon)
             d2 = step = None
-            # Python floats; a NaN entry fails the test, as in active_set
-            near = False
-            if follow and not at_cap:
-                for g in bundle.G_val.tolist():
-                    if g >= -epsilon:
-                        near = True
-                        break
-            if near:
+            # the bundle holds DG exactly where some inequality is active at
+            # tolerance epsilon
+            if follow and not at_cap and bundle.DG_val is not None:
                 try:
                     d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
                 except RankError:

@@ -50,6 +50,22 @@ def with_counted_maps(problem, names):
     return dataclasses.replace(problem, **{name: counted(name) for name in names}), calls
 
 
+def solve_outcome(problem, start, config):
+    """One ``solve_constrained`` run as comparable values: the type and
+    message of its error (None when it returns), its termination, the bytes
+    of its final point, and per record the iteration, the bytes of x and F,
+    the reprs of alpha, alpha2 and t, the branch, k and the active set."""
+    try:
+        _, trace = md.solve_constrained(problem, start, config)
+        error = None
+    except md.ModescentError as err:
+        trace, error = err.trace, (type(err), str(err))
+    records = [(rec.iteration, rec.x.tobytes(), rec.F.tobytes(), repr(rec.alpha),
+                repr(rec.alpha2), rec.branch, repr(rec.t), rec.k, rec.active_set)
+               for rec in trace.records]
+    return error, trace.termination, trace.final_x.tobytes(), records
+
+
 def make_box_problem():
     """Floor x2 >= 0 and wall x1 <= 1, objective pushes along the floor."""
     return md.ProblemSpec(

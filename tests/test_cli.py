@@ -5,6 +5,7 @@ import json
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,17 @@ def test_front_and_audit_of_four_steep_objectives_name_the_overflow(tmp_path, ca
     assert errors == ["ModescentError: direction subproblem SP1 overflowed: its value alpha "
                       "is nan, not finite"] * 4
     assert "min-norm dual certificate: worst residual nan: FAIL" in capsys.readouterr().out
+
+
+def test_front_and_audit_of_four_steep_objectives_warn_nothing(tmp_path, capsys):
+    # outside np.errstate: the face solve's overflow is named once, from the
+    # value alpha, without a numpy RuntimeWarning on stderr as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["front", "--problem-file", str(STEEP4_FILE), "--grid", "3x3",
+                     "--out", str(tmp_path / "front")]) == 1
+        assert main(["audit", "--problem-file", str(STEEP4_FILE)]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_manifest_outputs_do_not_depend_on_the_out_path(tmp_path):

@@ -83,12 +83,15 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     # solver's path changes these counts (F 611 and G 1,113 with an
     # F-then-G test of every trial and a bisecting landing; G 675 with the
     # Illinois landing; G 672 with the on-chart test calling G again at
-    # the base point of each of the 7 SP2 steps that pin the circle)
+    # the base point of each of the 7 SP2 steps that pin the circle).  DG is
+    # called at the 41 of the 131 evaluations with the circle active at
+    # epsilon, and 33 times by the charts that pin it (164 with DG at every
+    # evaluation)
     spec, calls = with_counted_maps(circle2d, ("F", "DF", "G", "DG"))
     _, trace = md.solve_constrained(spec, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 130
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert dict(calls) == {"F": 193, "DF": 131, "G": 665, "DG": 164}
+    assert dict(calls) == {"F": 193, "DF": 131, "G": 665, "DG": 74}
 
 
 def test_psi_map_calls_are_pinned(sphere3d):
@@ -105,9 +108,11 @@ def test_psi_map_calls_are_pinned(sphere3d):
 
 def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
     # the same solve: feasible_start checks G at the start (1), each of the
-    # 131 evaluations checks F, DF and DG (393), and G where it calls the
-    # map (8); min_norm_in_hull checks the projected generators of each SP2
-    # solve (24).  Not checked again: the G a step hands over (123: every
+    # 131 evaluations checks F and DF (262), DG at the 41 with the circle
+    # active at epsilon (41; 426 checks in all with DG checked at every
+    # evaluation), and G where it calls the map (8); min_norm_in_hull checks
+    # the projected generators of each SP2 solve (24).  Not checked again:
+    # the G a step hands over (123: every
     # SP1 step and the 17 SP2 steps that pin none), which its feasibility
     # test found finite, and the pinned rows of each SP2 solve, which are
     # checked DG rows and reach the tangent-basis kernel directly (24); the
@@ -124,7 +129,7 @@ def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
     monkeypatch.setattr(md.direction, "all_finite", counted)
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert len(checks) == 426
+    assert len(checks) == 336
 
 
 def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypatch):
@@ -164,20 +169,23 @@ def test_octant3d_map_calls_are_pinned():
     # every trial point is projected onto the sphere, so H counts the
     # projections plus the feasibility check of the start, DH the
     # projections plus one call per evaluate, and the cap inequality is
-    # tested once per trial point
+    # tested once per trial point.  The cap is never active at epsilon at an
+    # iterate, so no evaluation calls DG (47 with DG at every evaluation)
     spec, calls = with_counted_maps(md.load_problem(OCTANT_FILE),
                                     ("F", "DF", "G", "DG", "H", "DH"))
     _, trace = md.solve_constrained(spec, (0.5, -0.5, -0.7),
                                     md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 46
     assert trace.branch_counts() == {"SP1-step": 46}
-    assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "DG": 47, "H": 133, "DH": 179}
+    assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "H": 133, "DH": 179}
 
 
 def test_octant3d_monomial_powers_are_pinned(monkeypatch):
     # the same solve: the six maps share one memo of their monomials, so
-    # the 502 map calls raise x to the problem's exponent table only at
-    # the 132 points where the previous call was elsewhere
+    # the 455 map calls raise x to the problem's exponent table only at
+    # the 132 points where the previous call was elsewhere (502 calls with
+    # the 47 DG calls of an evaluation at every iterate, each at the point
+    # of the DH call before it)
     powers = []
     monomials = md.problems._monomials
 
@@ -189,5 +197,5 @@ def test_octant3d_monomial_powers_are_pinned(monkeypatch):
     spec, calls = with_counted_maps(md.load_problem(OCTANT_FILE),
                                     ("F", "DF", "G", "DG", "H", "DH"))
     md.solve_constrained(spec, (0.5, -0.5, -0.7), md.SolverConfig(beta0=0.1, eta=1.0))
-    assert sum(calls.values()) == 502
+    assert sum(calls.values()) == 455
     assert len(powers) == 132

@@ -61,6 +61,27 @@ def test_evaluate_uses_given_values_without_calling_the_maps(circle2d):
     assert np.array_equal(given.G_val, computed.G_val)
 
 
+@pytest.mark.parametrize("g, calls_dg", [
+    (-1e-4, True), (0.5, True), (-1.0001e-4, False), (-2.0, False), (np.nan, False)])
+def test_evaluate_with_a_tolerance_calls_dg_only_at_an_active_row(circle2d, g, calls_dg):
+    # with the loop's tolerance epsilon the kernel calls DG only where a G
+    # row is >= -epsilon (a NaN row is not); elsewhere DG_val is None
+    spec, calls = with_counted_maps(circle2d, ("DG",))
+    x = np.array([-2.0, 0.5])
+    bundle = _evaluate(spec, x, None, np.array([g]), 1e-4)
+    assert calls["DG"] == int(calls_dg)
+    if calls_dg:
+        assert np.array_equal(bundle.DG_val, md.evaluate(circle2d, x).DG_val)
+    else:
+        assert bundle.DG_val is None
+
+
+def test_evaluate_with_a_tolerance_leaves_dg_out_without_inequalities(sphere3d):
+    x = np.array([1.0, 0.0, 0.0])
+    assert _evaluate(sphere3d, x, None, None, 1e-4).DG_val is None
+    assert md.evaluate(sphere3d, x).DG_val.shape == (0, 3)
+
+
 @pytest.mark.parametrize("component, bad", [("F", np.nan), ("F", -np.inf)])
 def test_evaluate_rejects_nonfinite_given_values(circle2d, component, bad):
     # a handed-over F is checked like a computed one, since the Armijo test

@@ -10,7 +10,9 @@ the equator3d front, every G a step hands to the loop's next evaluation,
 which takes it unchecked, must be finite and equal to G at that point.
 On these problems and circle2d, the feasible Armijo step must accept the
 bytes that a plain F-then-G search accepts, and every boundary step that
-lands must land on the crossed boundary.
+lands must land on the crossed boundary.  On the random problems and the
+equator3d front, the loop, which calls DG only where an inequality is
+active, must solve bitwise as one that calls every map at every iterate.
 """
 
 import math
@@ -18,6 +20,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
@@ -25,6 +28,7 @@ from modescent.geometry import EPS_ACT, FEAS_TOL
 from modescent.linesearch import feasible_armijo_step
 from modescent.solver import TOL_ALPHA
 
+from conftest import solve_outcome
 from oracles import feasible_armijo_reference, support_min_norm
 
 # coordinates on a quarter grid, so coincident and collinear centers come up
@@ -105,10 +109,10 @@ def handed_over_g():
     seen = []
     kernel = md.solver._evaluate
 
-    def spy(problem, x, F_val=None, G_val=None):
+    def spy(problem, x, F_val=None, G_val=None, epsilon=None):
         if G_val is not None:
             seen.append((problem, x.copy(), np.array(G_val, dtype=float)))
-        return kernel(problem, x, F_val, G_val)
+        return kernel(problem, x, F_val, G_val, epsilon)
 
     md.solver._evaluate = spy
     try:
@@ -143,6 +147,49 @@ def test_handed_over_g_on_the_equator_front():
         md.multistart(problem, starts, md.SolverConfig(beta0=0.1, eta=1.0))
     assert seen
     _assert_handed_over_g_is_g(seen)
+
+
+@contextmanager
+def eager_evaluation():
+    """The descent loop's evaluation with every map called and checked at
+    every iterate, as ``evaluate`` does.  DG stays in the bundle only where
+    a numpy test of its own finds a G row >= -epsilon, the iterates where
+    the loop must try the boundary subproblem."""
+    kernel = md.solver._evaluate
+
+    def eager(problem, x, F_val=None, G_val=None, epsilon=None):
+        bundle = kernel(problem, x, F_val, G_val)
+        if not (bundle.G_val >= -epsilon).any():
+            bundle.DG_val = None
+        return bundle
+
+    md.solver._evaluate = eager
+    try:
+        yield
+    finally:
+        md.solver._evaluate = kernel
+
+
+def _assert_lazy_dg_solves_as_eager(problem, starts, cfg):
+    lazy = [solve_outcome(problem, start, cfg) for start in starts]
+    with eager_evaluation():
+        eager = [solve_outcome(problem, start, cfg) for start in starts]
+    assert lazy == eager
+
+
+@settings(max_examples=12, deadline=None)
+@given(problem=problems(), eta=st.sampled_from([1.0, math.inf]),
+       beta0=st.sampled_from([0.1, 1.0]))
+def test_lazy_dg_solves_random_problems_as_eager_evaluation(problem, eta, beta0):
+    _assert_lazy_dg_solves_as_eager(problem, STARTS,
+                                    md.SolverConfig(beta0=beta0, eta=eta, max_iters=300))
+
+
+@pytest.mark.parametrize("eta", [1.0, math.inf])
+def test_lazy_dg_solves_the_equator_front_as_eager_evaluation(eta):
+    problem = md.load_problem(Path(__file__).parent / "data" / "equator3d.json")
+    _assert_lazy_dg_solves_as_eager(problem, md.grid_points(problem.box, (2, 2, 2)),
+                                    md.SolverConfig(beta0=0.1, eta=eta))
 
 
 def _step_or_error(step, *args):

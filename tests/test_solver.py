@@ -12,7 +12,8 @@ from modescent import solver
 from modescent.solver import TOL_ALPHA, write_trace_csv, write_trace_json
 
 from conftest import (CIRCLE_CONFIG, hemisphere_critical_distance,
-                      make_hemisphere_problem, make_infeasible_problem, make_vertex_problem)
+                      make_hemisphere_problem, make_infeasible_problem, make_vertex_problem,
+                      solve_outcome)
 from oracles import dist_to_critical_set
 
 DATA = Path(__file__).parent / "data"
@@ -239,7 +240,9 @@ def test_a_map_value_that_is_not_floats_fails_its_start_not_the_front(value):
 def test_boundary_switch_reads_a_nan_in_the_last_g_row_as_inactive(monkeypatch):
     # the switch to the boundary subproblem tests every G row against
     # -epsilon; a NaN last row, after an inactive first one, must not
-    # count as active (a G row at 0 there does)
+    # count as active (a G row at 0 there does).  The rows reach the
+    # evaluation as a handed-over G: its one pass over them decides whether
+    # the bundle holds DG, and with it the switch
     problem = md.ProblemSpec(
         name="two-rows", n=2, m=1, F=lambda x: np.array([x[0]]),
         DF=lambda x: np.array([[1.0, 0.0]]), m_G=2,
@@ -255,15 +258,53 @@ def test_boundary_switch_reads_a_nan_in_the_last_g_row_as_inactive(monkeypatch):
     monkeypatch.setattr(solver, "solve_direction", recorded)
     config = md.SolverConfig(eta=1.0, max_iters=1)
     for last, first_kind in ((np.nan, "SP1"), (0.0, "SP2")):
-        def with_last_g(problem, x, F_val=None, G_val=None):
-            bundle = real_evaluate(problem, x, F_val, G_val)
-            bundle.G_val = np.array([-1.0, last])
-            return bundle
+        def with_last_g(problem, x, F_val=None, G_val=None, epsilon=None):
+            return real_evaluate(problem, x, F_val, np.array([-1.0, last]), epsilon)
 
         monkeypatch.setattr(solver, "_evaluate", with_last_g)
         kinds.clear()
         md.solve_constrained(problem, (0.0, 0.0), config)
         assert kinds[0] == first_kind
+
+
+def _circle2d_with_nan_dg(where):
+    """circle2d with a DG that is NaN at the points where ``where(G)`` holds."""
+    circle = md.registry_get("circle2d")
+
+    def DG(x):
+        grad = circle.DG(x)
+        return grad * np.nan if where(float(circle.G(x)[0])) else grad
+
+    return dataclasses.replace(circle, DG=DG)
+
+
+def test_dg_is_not_read_where_no_inequality_is_active(circle2d):
+    # DG is NaN wherever G < -1e-3, below the tolerance epsilon = 1e-4:
+    # the loop calls DG only at iterates with the circle active at epsilon,
+    # so every solve, of either strategy, is the one with the true DG
+    problem = _circle2d_with_nan_dg(lambda g: g < -1e-3)
+    starts = md.grid_points(circle2d.box, (4, 4))
+    with pytest.raises(md.EvaluationError, match="'DG'"):
+        md.evaluate(problem, starts[0])
+    for config in (md.SolverConfig(**CIRCLE_CONFIG, eta=1.0), md.SolverConfig()):
+        for start in starts:
+            want = solve_outcome(circle2d, start, config)
+            assert want[0] is None
+            assert solve_outcome(problem, start, config) == want
+
+
+def test_a_nan_dg_where_an_inequality_is_active_fails_the_run(circle2d):
+    # DG is NaN wherever the circle is active at epsilon = 1e-4: the first
+    # iterate that reaches it fails the run, with the steps before it traced
+    problem = _circle2d_with_nan_dg(lambda g: g >= -1e-4)
+    with pytest.raises(md.EvaluationError) as err:
+        md.solve_constrained(problem, (-2.0, 0.5), md.SolverConfig(beta0=0.1))
+    assert err.value.component == "DG"
+    trace = err.value.trace
+    assert trace.termination == "FAILED:EvaluationError"
+    assert trace.iterations == len(trace.records) >= 1
+    assert float(circle2d.G(trace.final_x)[0]) >= -1e-4
+    assert all(float(circle2d.G(rec.x)[0]) < -1e-4 for rec in trace.records)
 
 
 @pytest.mark.parametrize("s, termination", [
