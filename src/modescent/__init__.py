@@ -3,9 +3,9 @@ optimization, with two active-set strategies and a multistart front driver."""
 
 from .direction import (DirectionResult, SubproblemKind, active_set, min_norm_in_hull,
                         solve_direction, tangent_basis)
-from .errors import (EvaluationError, IllConditionedDirection, MapShapeError, ModescentError,
-                     NoConvergence, NoStep, RankError, StepPreconditionError,
-                     UnknownProblemError)
+from .errors import (EvaluationError, IllConditionedDirection, MapError, MapShapeError,
+                     ModescentError, NoConvergence, NoStep, RankError,
+                     StepPreconditionError, UnknownProblemError)
 from .geometry import ManifoldChart, feasible_start, project
 from .globalize import (ArchiveEntry, deduplicate, grid_points, multistart,
                         nondominated_filter)
@@ -19,7 +19,7 @@ from .solver import (ITER_CAP, IterateRecord, IterateTrace, SolverConfig,
 __all__ = [
     "ArchiveEntry", "DirectionResult", "EvalBundle", "EvaluationError",
     "ITER_CAP", "IllConditionedDirection", "IterateRecord", "IterateTrace",
-    "ManifoldChart", "MapShapeError", "ModescentError", "NoConvergence",
+    "ManifoldChart", "MapError", "MapShapeError", "ModescentError", "NoConvergence",
     "NoStep", "ProblemSpec", "RankError", "SolverConfig",
     "StepPreconditionError", "StepResult", "SubproblemKind", "TERMINATED_CRITICAL", "UnknownProblemError",
     "active_set", "armijo_step", "boundary_step", "deduplicate", "evaluate",

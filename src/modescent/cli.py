@@ -297,6 +297,10 @@ def _audit_min_norm(problem, rng, report):
     return ok
 
 
+_AUDIT_CHECKS = (("derivative audit", _audit_fd), ("retraction slope", _audit_retraction),
+                 ("min-norm dual certificate", _audit_min_norm))
+
+
 @cli.command()
 @click.option("--problem", "problem_name", default=None,
               help="registered problem name (default: audit all registered problems)")
@@ -320,8 +324,15 @@ def audit(problem_name, problem_file):
         def report(message, good, _name=problem.name):
             click.echo(f"[{_name}] {message}: {'PASS' if good else 'FAIL'}")
 
-        for check in (_audit_fd, _audit_retraction, _audit_min_norm):
-            all_ok = check(problem, rng, report) and all_ok
+        for label, check in _AUDIT_CHECKS:
+            # a check that fails with a solver error (a map that raises or
+            # is not finite at a sample) fails alone; the others still run
+            try:
+                ok = check(problem, rng, report)
+            except ModescentError as err:
+                report(f"{label}: error: {err}", False)
+                ok = False
+            all_ok = ok and all_ok
     return 0 if all_ok else 1
 
 

@@ -1,4 +1,10 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack.
+
+Every failure of a run is a ``ModescentError``, and a multistart front
+records it as a failed start with its partial trace.  A problem map's own
+exception is one too: ``problems._value``, the one call site of every map,
+re-raises it as ``MapError``.
+"""
 
 
 class ModescentError(Exception):
@@ -15,6 +21,20 @@ class EvaluationError(ModescentError):
         self.component = component
         self.x = x
         super().__init__(f"non-finite value in component {component!r} at x={x!r}")
+
+
+class MapError(ModescentError):
+    """A problem map raised an exception of its own.
+
+    Carries the component ("F", "DG", ...) and the point; the message names
+    the original exception's type, and ``__cause__`` holds it.
+    """
+
+    def __init__(self, component, x, err):
+        self.component = component
+        self.x = x
+        super().__init__(f"component {component!r} raised {type(err).__name__}: {err} "
+                         f"at x={x!r}")
 
 
 class MapShapeError(ModescentError):

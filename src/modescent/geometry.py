@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, StepPreconditionError
-from .problems import ProblemSpec, _as_floats, _call, as_point
+from .problems import ProblemSpec, _call, _value, as_point
 
 # points are accepted as feasible / on-manifold up to this absolute tolerance
 FEAS_TOL = 1e-9
@@ -69,30 +69,26 @@ class ManifoldChart:
         return project(self, x + w)
 
 
-def _chart_rows(chart: ManifoldChart, x, prefix, row_shape) -> np.ndarray:
+def _chart_rows(chart: ManifoldChart, x, prefix) -> np.ndarray:
     """All rows of the map named ``prefix + "H"`` at x, then the rows of
-    ``prefix + "G"`` pinned by the chart, each row of shape ``row_shape``:
-    the values with prefix "", the Jacobians with prefix "D"."""
+    ``prefix + "G"`` pinned by the chart: the values with prefix "", the
+    Jacobians with prefix "D".  Not checked finite: every test of the
+    projection fails on a NaN row."""
     p = chart.problem
-    parts = []
-    if p.m_H > 0:
-        name = prefix + "H"
-        parts.append(_as_floats(name, getattr(p, name)(x), (p.m_H, *row_shape)))
-    if chart.ineq_indices:
-        name = prefix + "G"
-        rows = _as_floats(name, getattr(p, name)(x), (p.m_G, *row_shape))
-        parts.append(rows[[i - 1 for i in chart.ineq_indices]])
-    if not parts:
-        return np.zeros((0, *row_shape))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # without equalities H is absent, and _call gives its rows of none
+    rows = _value(p, prefix + "H", x) if p.m_H else _call(p, prefix + "H", x)
+    if not chart.ineq_indices:
+        return rows
+    pinned = _value(p, prefix + "G", x)[[i - 1 for i in chart.ineq_indices]]
+    return np.concatenate((rows, pinned)) if p.m_H else pinned
 
 
 def chart_value(chart: ManifoldChart, x) -> np.ndarray:
-    return _chart_rows(chart, x, "", ())
+    return _chart_rows(chart, x, "")
 
 
 def chart_jacobian(chart: ManifoldChart, x) -> np.ndarray:
-    return _chart_rows(chart, x, "D", (chart.problem.n,))
+    return _chart_rows(chart, x, "D")
 
 
 def _gram_solve(J, rhs):
@@ -199,10 +195,10 @@ def _project_rows(chart: ManifoldChart, y, z) -> np.ndarray:
 def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
     """``project`` from ``z`` onto a chart with one row, in Python floats.
 
-    The row's maps are picked once per call: H and DH when the chart holds
-    the equality, else G and DG read at the pinned row, through the same
-    size checks as ``chart_value`` and ``chart_jacobian``.  The chart value
-    c, the multiplier mu and jj = ||J||^2 are scalars; z, J and r1 are
+    The row is picked once per call, H's when the chart holds the equality
+    and else the pinned row of G, and read through the same map calls as
+    ``chart_value`` and ``chart_jacobian``.  The chart value c, the
+    multiplier mu and jj = ||J||^2 are scalars; z, J and r1 are
     lists, read once per point through ``tolist()``, and the array of a
     trial point is built only to call the maps.  Tolerances, damping, caps,
     messages and the order of the map calls are those of the k-row
@@ -212,17 +208,13 @@ def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
     written so that NaN fails it.
     """
     p = chart.problem
-    if p.m_H == 1:
-        name, value, jacobian, m, row = "H", p.H, p.DH, 1, 0
-    else:
-        name, value, jacobian, m, row = "G", p.G, p.DG, p.m_G, chart.ineq_indices[0] - 1
-    jacobian_name, value_shape, jacobian_shape = "D" + name, (m,), (m, p.n)
+    name, jacobian, row = ("H", "DH", 0) if p.m_H == 1 else ("G", "DG", chart.ineq_indices[0] - 1)
 
     def c_at(x):
-        return _as_floats(name, value(x), value_shape).tolist()[row]
+        return _value(p, name, x).tolist()[row]
 
     def J_at(x):
-        return _as_floats(jacobian_name, jacobian(x), jacobian_shape)[row].tolist()
+        return _value(p, jacobian, x)[row].tolist()
 
     ys = y.tolist()
     zs = z.tolist()
@@ -452,8 +444,8 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
     as violated there, so the point would pass as feasible.
     """
     x = as_point(x, problem.n)
-    h_val = _call("H", problem.H, x, (problem.m_H,))
-    g_val = _call("G", problem.G, x, (problem.m_G,))
+    h_val = _call(problem, "H", x)
+    g_val = _call(problem, "G", x)
     # Python floats: H and G have few entries, and _call has checked them
     # finite, so no NaN reaches these tests
     if all(abs(h) <= FEAS_TOL for h in h_val.tolist()) \
@@ -465,7 +457,7 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
         chart = ManifoldChart(problem, tuple(sorted(active)))
         z = _project_with_retries(chart, x)
         if problem.m_G > 0:
-            newly = _most_violated(_call("G", problem.G, z, (problem.m_G,)), active)
+            newly = _most_violated(_call(problem, "G", z), active)
             if newly:
                 active |= newly
                 continue

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NoConvergence, NoStep, StepPreconditionError
 from .geometry import CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, _regula_falsi, free_chart
-from .problems import EvalBundle, _as_floats
+from .problems import EvalBundle, _value
 
 # largest backtracking exponent k of a step t = beta0 * beta^k
 K_MAX = 60
@@ -64,7 +64,7 @@ def _armijo(problem, f0, slope, sigma, t, z):
     every component; a NaN in F(z) fails it).  ``f0`` is F(x) and ``slope``
     DF(x) v, both in Python floats; each right-hand side is the same two
     roundings as the array expression F(x) + (sigma t) slope."""
-    lhs = _as_floats("F", problem.F(z), (problem.m,))
+    lhs = _value(problem, "F", z)
     st = sigma * t
     for f, fi, s in zip(lhs.tolist(), f0, slope):
         if not f < fi + st * s:
@@ -145,7 +145,7 @@ def _outside_g(problem, rows, z):
         return None, math.nan
     if rows is not None and not rows:
         return None, -math.inf
-    g = _as_floats("G", problem.G(z), (problem.m_G,))
+    g = _value(problem, "G", z)
     out = g.tolist()
     if rows is not None:
         out = [out[i] for i in rows]
@@ -223,7 +223,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     g = bundle.G_val.tolist()
     rows = [g[i - 1] for i in active_chart.ineq_indices]
     if problem.m_H > 0:
-        rows += _as_floats("H", problem.H(bundle.x), (problem.m_H,)).tolist()
+        rows += _value(problem, "H", bundle.x).tolist()
     # Python floats; a NaN chart row fails the test
     if not all(abs(c) <= CHART_TOL for c in rows):
         raise StepPreconditionError("boundary step requires the base point on the active chart")

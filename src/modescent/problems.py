@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, MapShapeError, UnknownProblemError
+from .errors import EvaluationError, MapError, MapShapeError, UnknownProblemError
 
 Array = np.ndarray
 VecFun = Callable[[Array], Array]
@@ -52,6 +52,11 @@ class ProblemSpec:
         Sampling box per coordinate, used by audits and multistart grids.
         Defaults to [-3, 3]^n.
 
+    Only this module calls the maps, through ``_value`` and ``_call``; each
+    map's declared shape is worked out once, here, so a copy made with
+    ``dataclasses.replace`` (which runs ``__post_init__`` again) keeps its
+    shapes right.
+
     Instances are immutable; concurrent evaluation is safe as long as the
     supplied callables are.  The maps ``load_problem`` compiles are: they
     share a one-entry memo of the problem's monomials, replaced as one
@@ -87,6 +92,10 @@ class ProblemSpec:
         if len(box) != self.n or not all(-math.inf < lo < hi < math.inf for lo, hi in box):
             raise ValueError("box must give one finite (lo, hi) pair with lo < hi per coordinate")
         object.__setattr__(self, "box", box)
+        # name -> (the map or None, the declared shape of its value)
+        object.__setattr__(self, "_maps", {
+            d + name: (getattr(self, d + name), (k, self.n) if d else (k,))
+            for name, k in (("F", self.m), ("H", self.m_H), ("G", self.m_G)) for d in ("", "D")})
 
 
 @dataclass(slots=True)
@@ -164,15 +173,40 @@ def _as_floats(component, out, shape):
     return out.reshape(shape)
 
 
-def _call(component, fun, x, shape, value=None):
-    """``fun(x)`` (or the given ``value`` of it) as a float array of
-    ``shape``, checked to be finite; a map the problem does not have gives
-    a shared read-only array with no rows."""
+def _value(problem, name, x):
+    """The map ``name`` ("F", "DF", "H", "DH", "G" or "DG") of ``problem``
+    at ``x``, coerced by ``_as_floats``'s rules to its declared shape: the
+    one call site of every problem map.  The map must exist.
+
+    An ``Exception`` the map raises is re-raised as ``MapError``, naming
+    the map and the exception's type, with the original as ``__cause__``,
+    so a run fails with its trace and a front records the failure;
+    ``KeyboardInterrupt`` and ``SystemExit`` pass through.  A value numpy
+    cannot read raises ``MapShapeError``.  No finiteness check: ``_call``
+    adds it.
+    """
+    fun, shape = problem._maps[name]
+    try:
+        out = fun(x)
+    except Exception as err:
+        raise MapError(name, x, err) from err
+    # _as_floats's fast path, inlined: the descent loop takes it at every call
+    if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
+        return out
+    return _as_floats(name, out, shape)
+
+
+def _call(problem, name, x, value=None):
+    """``_value(problem, name, x)``, or the given ``value`` of that map at
+    ``x`` coerced the same way, checked to be finite (``EvaluationError``
+    naming the map otherwise).  A map the problem does not have gives a
+    shared read-only array with no rows, and is not called."""
+    fun, shape = problem._maps[name]
     if fun is None:
         return _no_rows(shape)
-    out = _as_floats(component, fun(x) if value is None else value, shape)
+    out = _value(problem, name, x) if value is None else _as_floats(name, value, shape)
     if not all_finite(out):
-        raise EvaluationError(component, x)
+        raise EvaluationError(name, x)
     return out
 
 
@@ -195,20 +229,19 @@ def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None, epsilon=None) -> 
     active at that tolerance; elsewhere, and always without inequalities,
     the bundle's ``DG_val`` is None.
     """
-    n, m, mh, mg = problem.n, problem.m, problem.m_H, problem.m_G
-    F = _call("F", problem.F, x, (m,), F_val)
-    G = _call("G", problem.G, x, (mg,)) if G_val is None else _as_floats("G", G_val, (mg,))
-    DF = _call("DF", problem.DF, x, (m, n))
-    DH = _call("DH", problem.DH, x, (mh, n))
+    F = _call(problem, "F", x, F_val)
+    G = _call(problem, "G", x) if G_val is None else _as_floats("G", G_val, (problem.m_G,))
+    DF = _call(problem, "DF", x)
+    DH = _call(problem, "DH", x)
     if epsilon is None:
-        DG = _call("DG", problem.DG, x, (mg, n))
+        DG = _call(problem, "DG", x)
     else:
         DG = None
         low = -epsilon
         # Python floats; a NaN entry fails the test, as in active_set
         for g in G.tolist():
             if g >= low:
-                DG = _call("DG", problem.DG, x, (mg, n))
+                DG = _call(problem, "DG", x)
                 break
     # positional, in field order: problem, x, F, G, DF, DH, DG
     return EvalBundle(problem, x, F, G, DF, DH, DG)
@@ -241,18 +274,13 @@ def fd_audit(problem: ProblemSpec, x, h: float = 1e-6) -> float:
         raise ValueError("fd_audit requires h > 0")
     x = as_point(x, problem.n)
     errs = []
-    triples = [("F", problem.F, problem.DF, problem.m)]
-    if problem.m_H > 0:
-        triples.append(("H", problem.H, problem.DH, problem.m_H))
-    if problem.m_G > 0:
-        triples.append(("G", problem.G, problem.DG, problem.m_G))
-    for component, fun, jac, rows in triples:
-        J = _call("D" + component, jac, x, (rows, problem.n))
+    for name in (c for c in ("F", "H", "G") if getattr(problem, c) is not None):
+        J = _call(problem, "D" + name, x)
         for j in range(problem.n):
             step = np.zeros(problem.n)
             step[j] = h
-            hi = _call(component, fun, x + step, (rows,))
-            lo = _call(component, fun, x - step, (rows,))
+            hi = _call(problem, name, x + step)
+            lo = _call(problem, name, x - step)
             fd = (hi - lo) / (2.0 * h)
             denom = np.maximum(1.0, np.maximum(np.abs(J[:, j]), np.abs(fd)))
             errs.append(np.max(np.abs(fd - J[:, j]) / denom))
@@ -525,8 +553,8 @@ def load_problem(source) -> ProblemSpec:
     ``n``, ``m``, ``objectives`` (list of m polynomials), and optional
     ``equalities``, ``inequalities``, ``name``, ``box``.  A polynomial is a
     list of ``[coefficient, exponent-vector]`` monomial pairs: coefficients
-    are finite numbers, exponents non-negative integers, and ``n`` and
-    ``m`` positive integers.  A malformed description raises ``ValueError``
+    are finite numbers, exponents non-negative integers, ``n`` and ``m``
+    positive integers, and ``name`` a string.  A malformed description raises ``ValueError``
     naming where it is wrong (``objectives[0][2]`` is the third monomial of
     the first objective).
     """
@@ -559,6 +587,9 @@ def load_problem(source) -> ProblemSpec:
     if len(inequalities):
         kwargs["G"], kwargs["DG"] = _make_poly_maps(inequalities, n, "inequalities", basis)
 
+    name = doc.get("name", default_name)
+    if not isinstance(name, str):
+        raise ValueError(f"name: must be a string, got {name!r}")
     box = doc.get("box")
     if box is not None:
         if not (isinstance(box, _SEQUENCE)
@@ -569,7 +600,7 @@ def load_problem(source) -> ProblemSpec:
         box = tuple((float(lo), float(hi)) for lo, hi in box)
 
     return ProblemSpec(
-        name=str(doc.get("name", default_name)),
+        name=name,
         n=n, m=m, F=F, DF=DF,
         m_H=len(equalities), m_G=len(inequalities),
         box=box, **kwargs,

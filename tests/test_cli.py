@@ -28,6 +28,8 @@ STEEP_SPHERE_FILE = Path(__file__).parent / "data" / "steep_sphere3d.json"
 # four objectives with gradients near 1.5e308: the edge differences of the
 # four-generator hull overflow
 STEEP4_FILE = Path(__file__).parent / "data" / "steep4.json"
+# equator3d with every objective x1^1000000: F and DF overflow at most box points
+HUGE_POWER_FILE = Path(__file__).parent / "data" / "huge_power3d.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -394,6 +396,42 @@ def test_front_and_audit_of_four_steep_objectives_warn_nothing(tmp_path, capsys)
     assert capsys.readouterr().err == ""
 
 
+def test_audit_of_a_check_that_raises_fails_without_a_traceback():
+    # fd_audit and evaluate raise EvaluationError at box samples: each such
+    # check reports FAIL with the error, and the retraction check still runs
+    proc = subprocess.run([sys.executable, "-m", "modescent.cli", "audit", "--problem-file",
+                           str(HUGE_POWER_FILE)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        "[huge-power3d] derivative audit", "[huge-power3d] retraction slope (project, chart H)",
+        "[huge-power3d] retraction slope (project, chart (1,))",
+        "[huge-power3d] min-norm dual certificate"]
+    assert lines[0].startswith("[huge-power3d] derivative audit: error: non-finite value in "
+                               "component 'DF'") and lines[0].endswith(": FAIL")
+    assert lines[1].endswith(": PASS") and lines[2].endswith(": PASS")
+    assert lines[3].startswith("[huge-power3d] min-norm dual certificate: error: non-finite "
+                               "value in component 'F'") and lines[3].endswith(": FAIL")
+
+
+def test_front_with_a_raising_map_fails_only_when_every_start_failed(tmp_path, monkeypatch,
+                                                                      capsys):
+    # F raises where x2 > 2.9: the starts there fail by name, the others
+    # converge, and the front exits 1 only where no start is left
+    circle = md.registry_get("circle2d")
+    top = dataclasses.replace(circle, name="top", F=lambda x: 1 / 0 if x[1] > 2.9 else circle.F(x))
+    monkeypatch.setitem(md.problems._REGISTRY, "top", lambda: top)
+    assert main(["front", "--problem", "top", "--grid", "2x2", "--out", str(tmp_path)]) == 0
+    entries = json.loads((tmp_path / "archive.json").read_text())["entries"]
+    assert [e["converged"] for e in entries] == [True, False, True, False]
+    assert all(e["error"].startswith("MapError: component 'F' raised ZeroDivisionError")
+               for e in entries[1::2])
+    assert main(["front", "--problem", "top", "--grid", "1x1", "--x0", "2,3",
+                 "--out", str(tmp_path / "one")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_manifest_outputs_do_not_depend_on_the_out_path(tmp_path):
     shallow, deep = tmp_path / "a", tmp_path / "b" / "c" / "d"
     for out in (shallow, deep):
@@ -464,6 +502,8 @@ MALFORMED_FILES = {
     "fractional-n": ('{"n": 2.5, "m": 1, "objectives": [[[1, [2, 0]], [1, [0, 2]]]]}', "n:"),
     "nan-coefficient": ('{"n": 2, "m": 1, "objectives": [[[NaN, [2, 0]], [1, [0, 2]]]]}',
                         "objectives[0][0]: coefficient"),
+    "name-not-a-string": ('{"n": 2, "m": 1, "name": ["a"], "objectives": [[[1, [1, 0]]]]}',
+                          "name: must be a string"),
 }
 
 

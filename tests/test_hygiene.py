@@ -2,7 +2,8 @@
 no module imports a name it never uses, no private module-level function
 or class outlives its last caller, no private module-level function takes
 a parameter it never reads, the public name list holds only names the
-package defines, and the descent iteration spells no product ``@``."""
+package defines, the descent iteration spells no product ``@``, and only
+``problems`` calls a problem map."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,21 @@ def test_iteration_products_are_spelled_dot(name):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
     assert not lines, f"{name}: products spelled @ on lines {lines}"
+
+
+MAP_NAMES = {"F", "DF", "H", "DH", "G", "DG"}
+NOT_PROBLEMS = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "problems.py"]
+
+
+@pytest.mark.parametrize("path", NOT_PROBLEMS, ids=[p.stem for p in NOT_PROBLEMS])
+def test_only_problems_calls_a_problem_map(path):
+    # problems._value is the one call site of every map, where its value is
+    # coerced and its own exception becomes a MapError; a call anywhere else
+    # would bypass both
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in MAP_NAMES]
+    assert not calls, f"{path.name}: problem maps called on lines {calls}"
+    names = {*_referenced_names(tree), *(name for name, _ in _imported_names(tree))}
+    assert "_as_floats" not in names, f"{path.name}: references _as_floats"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -235,6 +236,88 @@ def test_a_map_value_that_is_not_floats_fails_its_start_not_the_front(value):
         "MapShapeError: component 'F' returned a value that is not an array of floats, "
         "expected (1,)")
     assert near.x is None and near.iterations >= 1 and near.error == far.error
+
+
+def _raising(problem, name, inside=None, after=0):
+    """``problem`` whose map ``name`` raises ZeroDivisionError from its
+    call number ``after`` + 1 on, counting only the calls made from inside
+    the package function named ``inside`` (every call when None)."""
+    fun, calls = getattr(problem, name), [0]
+
+    def wrapped(x):
+        frame = sys._getframe(1)
+        while inside is not None and frame is not None and frame.f_code.co_name != inside:
+            frame = frame.f_back
+        if frame is not None:
+            calls[0] += 1
+            if calls[0] > after:
+                return 1 / 0
+        return fun(x)
+
+    return dataclasses.replace(problem, **{name: wrapped})
+
+
+PAPER_CONFIG = md.SolverConfig(eta=1.0, **CIRCLE_CONFIG)
+# (problem, map, function the raising call is made from, calls that pass
+# there first, start, config, whether the run steps before it fails)
+_RAISING_MAPS = {
+    "F-at-the-start": ("circle2d", "F", None, 0, (2.0, 2.0), md.SolverConfig(), False),
+    "F-mid-run": ("circle2d", "F", None, 5, (-2.0, 0.5), PAPER_CONFIG, True),
+    "H-in-a-projection": ("sphere3d", "H", "_project_one_row", 10, (0.6, 0.0, 0.8),
+                          md.SolverConfig(), True),
+    "G-in-the-feasible-step": ("circle2d", "G", "_outside_g", 3, (-2.0, 0.5),
+                               md.SolverConfig(**CIRCLE_CONFIG), True),
+    "DG-at-an-active-iterate": ("circle2d", "DG", "_evaluate", 0, (-2.0, 0.5),
+                                PAPER_CONFIG, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RAISING_MAPS))
+def test_a_map_that_raises_fails_its_start_not_the_front(case):
+    # the map's own exception becomes a MapError naming the map and the
+    # exception's type, with the original as __cause__ and the partial
+    # trace attached; multistart records it as a failed start
+    problem_name, name, inside, after, start, config, steps = _RAISING_MAPS[case]
+
+    def make():
+        return _raising(md.registry_get(problem_name), name, inside, after)
+
+    with pytest.raises(md.MapError) as err:
+        md.solve_constrained(make(), start, config)
+    assert err.value.component == name
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+    assert str(err.value).startswith(
+        f"component '{name}' raised ZeroDivisionError: division by zero at x=")
+    if inside is not None:
+        frames = [f.name for f in traceback.extract_tb(err.value.__traceback__)]
+        assert inside in frames
+    trace = err.value.trace
+    assert trace.termination == "FAILED:MapError"
+    assert (trace.iterations >= 1) == steps
+    (entry,) = md.multistart(make(), [start], config)
+    assert entry.x is None and not entry.converged
+    assert entry.error == f"MapError: {err.value}"
+    assert entry.iterations == trace.iterations
+
+
+def test_a_front_with_a_raising_map_records_every_start():
+    # below x = -1.5 F raises: the starts there fail, the other converges
+    problem = _undefined_past_1_5("none")
+    F = problem.F
+    problem = dataclasses.replace(problem, F=lambda x: 1 / 0 if x[0] < -1.5 else F(x))
+    archive = md.multistart(problem, [[-2.0], [0.0], [-5.0]], md.SolverConfig(beta0=0.1))
+    assert [e.converged for e in archive] == [False, True, False]
+    assert [e.error.split(" raised")[0] if e.error else None for e in archive] == \
+        ["MapError: component 'F'", None, "MapError: component 'F'"]
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_in_a_map_is_not_a_failed_start(circle2d, interrupt):
+    def F(x):
+        raise interrupt
+
+    with pytest.raises(interrupt):
+        md.multistart(dataclasses.replace(circle2d, F=F), [[2.0, 2.0]])
 
 
 def test_boundary_switch_reads_a_nan_in_the_last_g_row_as_inactive(monkeypatch):
