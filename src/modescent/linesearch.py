@@ -1,14 +1,15 @@
 """Armijo backtracking t = beta0 * beta^k and its feasibility-aware variants.
 
-One search, ``_trials``, backtracks for all three step routines: it yields
-the trial points whose retraction succeeds, and each routine orders its own
-tests.  ``armijo_step`` takes the first that passes the Armijo test.
-``feasible_armijo_step`` takes the first that passes it and whose
-inequalities hold; once a trial has passed Armijo it tests G first, so an
-infeasible trial costs no F.  ``boundary_step`` takes the first Armijo
-point and, where it crosses a new inequality, shortens it onto that
-boundary by false position with Anderson-Bjorck scaling, with the
-bracket's midpoint as the safeguard.
+One loop, ``_backtrack``, backtracks for all three step routines, and the
+rule for accepting a trial is written there once: its retraction exists,
+it passes the Armijo test, and the G rows the routine names hold within
+FEAS_TOL.  Each routine states only what differs.  ``armijo_step`` names no
+G row, so it takes the first Armijo point.  ``feasible_armijo_step`` names
+every G row; once a trial has passed Armijo the loop tests G first, so an
+infeasible trial costs no F.  ``boundary_step`` names no G row either: it
+takes the first Armijo point and, where that crosses a new inequality,
+shortens it onto that boundary by false position with Anderson-Bjorck
+scaling, with the bracket's midpoint as the safeguard.
 
 A step routine handed a direction or base point that violates its
 preconditions raises ``StepPreconditionError``, which is both a ``NoStep``
@@ -72,39 +73,51 @@ def _armijo(problem, f0, slope, sigma, t, z):
     return lhs, True
 
 
-def _trials(bundle, retract, v, beta0, beta, k_max):
-    """Yield ``(k, t, z)`` for the trials t = beta0 * beta^k, k = 0..k_max,
-    whose retracted point z of the step t v exists: the one backtracking
-    search of all three step routines, each of which orders its own tests.
+def _backtrack(bundle, slope, retract, v, beta0, beta, sigma, k_max, rows):
+    """``(k, t, z, F(z), G(z), k_armijo)`` of the first trial t = beta0 *
+    beta^k, k = 0..k_max, whose retracted point z of the step t v exists,
+    passes the Armijo test, and holds the G ``rows`` (read as
+    ``_outside_g`` reads them) within FEAS_TOL; None when no trial does.
+    This is the one backtracking loop of all three step routines.
+    ``k_armijo`` is the first k whose trial passed Armijo.
+
+    Up to the first Armijo pass every trial calls F, and only that trial
+    calls G; past it each trial tests G first and calls F only where G
+    holds.  The accepted trial is the one an F-then-G test of every trial
+    accepts.  With ``rows`` empty G is never called and G(z) is None.  The
+    Armijo test runs in Python floats; a NaN entry fails it, so the search
+    goes on.
 
     The retractions depend only on x and x + t v, so once x + t v rounds to
-    x every later trial repeats the last one: the search stops after such a
-    trial if its retraction failed or returned x itself.  The search is
-    resumed only past a rejected trial, so only the stop test reads x in
-    Python floats.
+    x every later trial repeats the last one: the search stops after a
+    rejected trial whose x + t v rounds to x and whose retraction failed or
+    returned x itself.  Only that test reads x in Python floats, so a trial
+    accepted at once pays for no ``tolist``.
     """
-    x = bundle.x
+    problem, x, f0 = bundle.problem, bundle.x, bundle.F_val.tolist()
+    k_armijo = None
     for k in range(k_max + 1):
         t = beta0 * beta ** k
         w = t * v
         z = _try_retract(retract, x, w)
         if z is not None:
-            yield k, t, z
+            if k_armijo is None:
+                lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
+                if ok:
+                    k_armijo = k
+                    g, g_max = _outside_g(problem, rows, z)
+                    ok = g_max <= FEAS_TOL
+            else:
+                g, g_max = _outside_g(problem, rows, z)
+                ok = g_max <= FEAS_TOL
+                if ok:
+                    lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
+            if ok:
+                return k, t, z, lhs, g, k_armijo
         xs = x.tolist()
         if (z is None or z.tolist() == xs) \
                 and all(xi + wi == xi for xi, wi in zip(xs, w.tolist())):
-            return
-
-
-def _first_armijo_point(bundle, slope, retract, v, beta0, beta, sigma, k_max):
-    """``(k, t, z, F(z))`` of the first trial that passes the Armijo test,
-    or None.  The test runs in Python floats; a NaN entry fails it, so the
-    search goes on."""
-    problem, f0 = bundle.problem, bundle.F_val.tolist()
-    for k, t, z in _trials(bundle, retract, v, beta0, beta, k_max):
-        lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
-        if ok:
-            return k, t, z, lhs
+            return None
     return None
 
 
@@ -112,14 +125,15 @@ def armijo_step(bundle: EvalBundle, v, retract, beta0: float, beta: float,
                 sigma: float, k_max: int = K_MAX) -> StepResult:
     """Smallest k with F(retract(x, t v)) < F(x) + sigma t DF(x) v, t = beta0 beta^k.
 
-    The inequality is strict and componentwise.  Raises ``NoStep`` when no
-    k <= k_max satisfies it (numerically degenerate tolerances).
+    The inequality is strict and componentwise.  The search is
+    ``_backtrack`` with no G row.  Raises ``NoStep`` when no k <= k_max
+    satisfies it (numerically degenerate tolerances).
     """
     slope = _descent_slope(bundle, v)
-    point = _first_armijo_point(bundle, slope, retract, v, beta0, beta, sigma, k_max)
+    point = _backtrack(bundle, slope, retract, v, beta0, beta, sigma, k_max, ())
     if point is None:
         raise NoStep(f"Armijo: no acceptable step within k_max={k_max}")
-    k, t, z, lhs = point
+    k, t, z, lhs, _, _ = point
     return StepResult(t, k, lhs, False, z)
 
 
@@ -165,10 +179,9 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
     indices of the active set the direction was computed with), the strict
     inflow condition grad(G_i) v < 0.  Takes the smallest k whose point
     satisfies both Armijo and G <= 0; the repair flag records whether
-    feasibility forced k past the plain Armijo k.  Up to the first trial
-    that passes Armijo, every trial needs F and only that one needs G; past
-    it, each trial is tested for G first and computes F only where G holds.
-    The accepted step is the one an F-then-G test of every trial accepts.
+    feasibility forced k past the plain Armijo k.  The search is
+    ``_backtrack`` over every G row: past the first Armijo pass a trial
+    computes F only where G holds.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
@@ -178,26 +191,13 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
-    retract = free_chart(problem).retract
     # every G row lies outside the chart
-    rows = None if problem.m_G else ()
-    f0, sigma = bundle.F_val.tolist(), config.sigma
-    k_armijo = None
-    for k, t, z in _trials(bundle, retract, v, config.beta0, config.beta, K_MAX):
-        if k_armijo is not None:
-            g, g_max = _outside_g(problem, rows, z)
-            if not g_max <= FEAS_TOL:
-                continue
-        lhs, ok = _armijo(problem, f0, slope, sigma, t, z)
-        if not ok:
-            continue
-        if k_armijo is None:
-            k_armijo = k
-            g, g_max = _outside_g(problem, rows, z)
-            if not g_max <= FEAS_TOL:
-                continue
-        return StepResult(t, k, lhs, k != k_armijo, z, g)
-    raise NoStep(f"feasible Armijo: no acceptable step within k_max={K_MAX}")
+    point = _backtrack(bundle, slope, free_chart(problem).retract, v, config.beta0, config.beta,
+                       config.sigma, K_MAX, None if problem.m_G else ())
+    if point is None:
+        raise NoStep(f"feasible Armijo: no acceptable step within k_max={K_MAX}")
+    k, t, z, lhs, g, k_armijo = point
+    return StepResult(t, k, lhs, k != k_armijo, z, g)
 
 
 def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) -> StepResult:
@@ -206,17 +206,18 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
 
     Requires the base point on the chart (within ``CHART_TOL``) and every
     inequality outside the chart below ``-EPS_ACT`` there, which is what
-    pinning exactly the rows with G >= -EPS_ACT leaves.  If the
-    Armijo-accepted point at step t violates an outside inequality, [0, t]
-    is shrunk, keeping a feasible lower end (at first the base point),
-    until that end lies within ``EPS_ACT`` of a crossed boundary.  The
-    bracket shrinks by ``geometry._regula_falsi``, false position with
-    Anderson-Bjorck scaling, on phi, the largest outside G along the step;
-    where phi is NaN or +inf at the upper end, or the retraction failed
-    there, the trial is the midpoint.  The Armijo inequality is re-verified
-    at the landing step.  Every trial retracts through
-    ``active_chart.retract``.  The on-chart test reads the pinned rows from
-    the bundle's G and calls H only where the problem has equalities.
+    pinning exactly the rows with G >= -EPS_ACT leaves.  The Armijo point
+    is ``_backtrack``'s with no G row.  If that point, at step t, violates
+    an outside inequality, [0, t] is shrunk, keeping a feasible lower end
+    (at first the base point), until that end lies within ``EPS_ACT`` of a
+    crossed boundary.  The bracket shrinks by ``geometry._regula_falsi``,
+    false position with Anderson-Bjorck scaling, on phi, the largest
+    outside G along the step; where phi is NaN or +inf at the upper end, or
+    the retraction failed there, the trial is the midpoint.  The Armijo
+    inequality is re-verified at the landing step.  Every trial retracts
+    through ``active_chart.retract``.  The on-chart test reads the pinned
+    rows from the bundle's G and calls H only where the problem has
+    equalities.
     """
     problem = bundle.problem
     slope = _descent_slope(bundle, v)
@@ -228,17 +229,17 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     if not all(abs(c) <= CHART_TOL for c in rows):
         raise StepPreconditionError("boundary step requires the base point on the active chart")
     outside = [i for i in range(problem.m_G) if i + 1 not in active_chart.ineq_indices]
-    max_lo = bundle.G_val[outside].max() if outside else -np.inf
+    max_lo = max((g[i] for i in outside), default=-math.inf)
     if not max_lo < -EPS_ACT:
         raise StepPreconditionError(
             "boundary step requires every inequality outside the chart below -EPS_ACT")
 
     retract = active_chart.retract
-    point = _first_armijo_point(bundle, slope, retract, v, config.beta0, config.beta,
-                               config.sigma, K_MAX)
+    point = _backtrack(bundle, slope, retract, v, config.beta0, config.beta, config.sigma,
+                       K_MAX, ())
     if point is None:
         raise NoStep(f"boundary step: Armijo failed for all k <= {K_MAX}")
-    k, t, z, lhs = point
+    k, t, z, lhs, _, _ = point
 
     g, g_max = _outside_g(problem, outside, z)
     if g_max <= FEAS_TOL:
@@ -252,7 +253,7 @@ def boundary_step(bundle: EvalBundle, v, active_chart: ManifoldChart, config) ->
     # shrink [0, t], keeping a feasible lower end, at first the base point,
     # whose G the bundle holds
     t_lo, max_lo, (z_lo, g_lo) = _regula_falsi(
-        phi, 0.0, float(max_lo), t, g_max, FEAS_TOL, EPS_ACT, (bundle.x, bundle.G_val))
+        phi, 0.0, max_lo, t, g_max, FEAS_TOL, EPS_ACT, (bundle.x, bundle.G_val))
     if max_lo < -EPS_ACT:
         raise NoStep("boundary step: could not land on the newly crossed boundary")
 

@@ -44,9 +44,7 @@ def write_json(path, doc) -> None:
 
 
 def json_float(value) -> str:
-    """``value`` (a float, or None) as ``write_json`` spells it."""
-    if value is None:
-        return "null"
+    """``value``, a float, as ``write_json`` spells it."""
     text = float.__repr__(value)
     return _NON_FINITE.get(text, text)
 

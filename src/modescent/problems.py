@@ -198,13 +198,14 @@ def _value(problem, name, x):
 
 def _call(problem, name, x, value=None):
     """``_value(problem, name, x)``, or the given ``value`` of that map at
-    ``x`` coerced the same way, checked to be finite (``EvaluationError``
-    naming the map otherwise).  A map the problem does not have gives a
-    shared read-only array with no rows, and is not called."""
+    ``x``, checked to be finite (``EvaluationError`` naming the map
+    otherwise).  A given value is a ``_value`` output already, so it is
+    not coerced again.  A map the problem does not have gives a shared
+    read-only array with no rows, and is not called."""
     fun, shape = problem._maps[name]
     if fun is None:
         return _no_rows(shape)
-    out = _value(problem, name, x) if value is None else _as_floats(name, value, shape)
+    out = _value(problem, name, x) if value is None else value
     if not all_finite(out):
         raise EvaluationError(name, x)
     return out
@@ -215,12 +216,13 @@ def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None, epsilon=None) -> 
     check: the kernel behind ``evaluate``, and what the descent loop calls
     at each iterate.
 
-    A handed-over ``F_val`` is checked like a computed one, since the Armijo
-    test lets a -inf through.  A handed-over ``G_val`` is only coerced: the
-    loop hands over only a G that its step found finite in every row, those
-    outside the step's chart by test and the chart rows because the
-    retraction holds them within FEAS_TOL, read through the same map at the
-    same point.
+    The values handed over are ``_value`` outputs of the step that
+    accepted ``x``, so neither is coerced again.  A handed-over ``F_val`` is
+    checked finite like a computed one, since the Armijo test lets a -inf
+    through.  A handed-over ``G_val`` is taken as it is: the loop hands over
+    only a G that its step found finite in every row, those outside the
+    step's chart by test and the chart rows because the retraction holds
+    them within FEAS_TOL, read through the same map at the same point.
 
     With ``epsilon`` None every map is called, in the order F, G, DF, DH,
     DG.  The descent loop passes its active-set tolerance instead: DG is
@@ -230,7 +232,7 @@ def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None, epsilon=None) -> 
     the bundle's ``DG_val`` is None.
     """
     F = _call(problem, "F", x, F_val)
-    G = _call(problem, "G", x) if G_val is None else _as_floats("G", G_val, (problem.m_G,))
+    G = _call(problem, "G", x) if G_val is None else G_val
     DF = _call(problem, "DF", x)
     DH = _call(problem, "DH", x)
     if epsilon is None:

@@ -266,12 +266,15 @@ def _sphere_rows():
     return (lambda x: np.array([x @ x - 1.0]), lambda x: 2.0 * x.reshape(1, 3))
 
 
-def test_two_row_projection_with_parallel_rows():
-    # G = 2H: the rows are parallel everywhere and J J^T is singular
+def _parallel_rows_chart():
+    # G = 2H: the rows are parallel everywhere and J J^T is exactly singular
     H, DH = _sphere_rows()
-    chart = _two_row_chart(H, DH, lambda x: 2.0 * H(x), lambda x: 2.0 * DH(x))
+    return _two_row_chart(H, DH, lambda x: 2.0 * H(x), lambda x: 2.0 * DH(x))
+
+
+def test_two_row_projection_with_parallel_rows():
     with pytest.raises(md.NoConvergence, match="singular constraint Jacobian"):
-        md.project(chart, (2.0, 0.0, 0.0))
+        md.project(_parallel_rows_chart(), (2.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("G, DG", [
@@ -311,6 +314,68 @@ def test_two_row_projection_of_a_huge_target_does_not_warn():
         warnings.simplefilter("error")
         z = md.project(chart, (1e200, 0.0, 0.0))
     assert z.tolist() == [5e199, -5e199, 0.0]
+
+
+def _equator_chart(DG=None):
+    """equator3d's sphere H = ||x||^2 - 1 with its cap G = x3 pinned: a
+    chart of two rows, the unit circle in the plane x3 = 0.  ``DG``
+    replaces the cap's Jacobian."""
+    problem = md.load_problem(DATA / "equator3d.json")
+    if DG is not None:
+        problem = dataclasses.replace(problem, DG=DG)
+    return md.ManifoldChart(problem, (1,))
+
+
+def test_two_row_projection_damps_a_newton_step(monkeypatch):
+    # the ellipse x1^2 / 4 + x2^2 = 1 in the plane x3 = 0.  From (-4, -1, 0)
+    # a full Newton step along the ellipse, of length 1, raises the merit
+    # and is halved, and the projection still lands on the nearest point.
+    # The iteration reads the Jacobian at every Newton trial, so a halved
+    # trial is the midpoint of the two points read before it: the point it
+    # starts from and the rejected full step
+    chart = _two_row_chart(lambda x: np.array([x[0] ** 2 / 4.0 + x[1] ** 2 - 1.0]),
+                           lambda x: np.array([[x[0] / 2.0, 2.0 * x[1], 0.0]]),
+                           lambda x: np.array([x[2]]), lambda x: np.array([[0.0, 0.0, 1.0]]))
+    points = []
+    jacobian = geometry.chart_jacobian
+    monkeypatch.setattr(geometry, "chart_jacobian",
+                        lambda chart, x: points.append(x) or jacobian(chart, x))
+    y = np.array([-4.0, -1.0, 0.0])
+    z = md.project(chart, y)
+    assert any(np.linalg.norm(q - a) > 0.5 and np.allclose(b, 0.5 * (a + q), rtol=1e-12, atol=0.0)
+               for a, q, b in zip(points, points[1:], points[2:]))
+    assert np.max(np.abs(chart_value(chart, z))) <= 1e-12
+    ts = np.linspace(0.0, 2 * np.pi, 200001)
+    ellipse = np.stack([2.0 * np.cos(ts), np.sin(ts), np.zeros_like(ts)], axis=1)
+    assert np.linalg.norm(z - y) <= float(np.min(np.linalg.norm(ellipse - y, axis=1))) + 1e-9
+
+
+@pytest.mark.parametrize("chart", [_ONE_ROW_CHARTS["sphere"][0], _equator_chart()],
+                         ids=["one-row", "two-row"])
+def test_projection_of_a_far_target_hits_the_presolve_cap(chart):
+    # Gauss-Newton on the sphere row halves a far target's distance per
+    # step: from 1e30 its 60 steps leave the row near 1e24, not below 1e-6
+    with pytest.raises(md.NoConvergence, match="feasibility presolve hit its cap"):
+        md.project(chart, (1e30, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("chart, y, message", [
+    # the presolve takes the sphere row below 1e-6, but the residual
+    # z - y + J^T mu sums terms near 1e10, whose rounding alone is far above
+    # its 1e-10 tolerance: no step lowers the merit
+    (_equator_chart(), (1e10, 0.0, 0.0), "damped Newton made no progress"),
+    # within 1e-6 of the chart the presolve takes no step, and the first
+    # Newton step meets the singular J J^T
+    (_parallel_rows_chart(), (1.0 + 1e-8, 0.0, 0.0),
+     r"singular KKT system \(degenerate point\)"),
+    # a cap Jacobian twenty times too steep: each Newton step removes a
+    # twentieth of the cap row, and 100 steps leave 1e-7 * 0.95^100 = 6e-10
+    (_equator_chart(DG=lambda x: np.array([[0.0, 0.0, 20.0]])), (1.0, 0.0, 1e-7),
+     "projection did not converge within 100 iterations"),
+], ids=["no-progress", "singular-kkt", "iteration-cap"])
+def test_two_row_newton_exits(chart, y, message):
+    with pytest.raises(md.NoConvergence, match=message):
+        md.project(chart, y)
 
 
 def test_multirow_charts_take_the_numpy_path(monkeypatch):
@@ -541,6 +606,30 @@ def test_feasible_start_active_set_changes(monkeypatch, start, charts, nearest):
     z = md.feasible_start(_lens_problem(), start)
     assert seen == charts
     assert z == pytest.approx(nearest, abs=1e-9)
+
+
+def test_feasible_start_that_cycles_does_not_settle(monkeypatch):
+    # G = sin(x1) from x1 = 1.8: the projection's Newton steps pass the
+    # nearest root pi and land on 2 pi, where the distance multiplier
+    # (1.8 - 2 pi) / cos(2 pi) is negative.  The row is dropped, the start
+    # violates it again, and the loop alternates until its 2 m_G + 4 passes
+    # are spent
+    problem = md.ProblemSpec(name="sine", n=1, m=1, F=lambda x: np.array([x[0]]),
+                             DF=lambda x: np.array([[1.0]]), m_G=1,
+                             G=lambda x: np.array([np.sin(x[0])]),
+                             DG=lambda x: np.array([[np.cos(x[0])]]))
+    seen = []
+    original = geometry._project_with_retries
+
+    def spy(chart, x):
+        seen.append(chart.ineq_indices)
+        return original(chart, x)
+
+    monkeypatch.setattr(geometry, "_project_with_retries", spy)
+    with pytest.raises(md.NoConvergence, match="feasible start: active set did not settle"):
+        md.feasible_start(problem, (1.8,))
+    assert seen == [(1,), ()] * 3
+    assert md.project(md.ManifoldChart(problem, (1,)), (1.8,)) == pytest.approx([2 * np.pi])
 
 
 def test_chart_validation(circle2d):
