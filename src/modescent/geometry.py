@@ -437,11 +437,17 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
     negative.  Pinning every violated row at once can ask for a chart that
     is a single degenerate point, such as where a disk touches a line
     (Nocedal & Wright, 2nd ed., sec. 16.5: add one constraint per
-    iteration).  Global minimality is not guaranteed; at
-    equidistant degenerate targets an arbitrary nearby feasible point is
-    returned.  Raises ``EvaluationError`` naming the component when H or G
-    is non-finite at ``x``, or G at a projected point: no row could count
-    as violated there, so the point would pass as feasible.
+    iteration).  Each pass is a function of its active set, so an active
+    set seen twice closes a cycle.  A cycle drops a row somewhere, and
+    only a pass that found no violated row reaches the drop, so the loop
+    then returns the projection nearest to ``x`` among the cycle's passes
+    that found no violated row: feasible, though a multiplier sign says
+    it is not the nearest point.  Global minimality is
+    not guaranteed; at equidistant degenerate targets an arbitrary nearby
+    feasible point is returned.  Raises ``EvaluationError`` naming the
+    component when H or G is non-finite at ``x``, or G at a projected
+    point: no row could count as violated there, so the point would pass
+    as feasible.
     """
     x = as_point(x, problem.n)
     h_val = _call(problem, "H", x)
@@ -453,14 +459,21 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
         return x.copy()
 
     active = _most_violated(g_val, set())
+    # active rows -> (pass number, its projection if no row was violated there)
+    passes = {}
     for _ in range(2 * problem.m_G + 4):
-        chart = ManifoldChart(problem, tuple(sorted(active)))
+        rows = tuple(sorted(active))
+        if rows in passes:
+            first = passes[rows][0]
+            return min((z for k, z in passes.values() if k >= first and z is not None),
+                       key=lambda z: np.linalg.norm(z - x))
+        chart = ManifoldChart(problem, rows)
         z = _project_with_retries(chart, x)
-        if problem.m_G > 0:
-            newly = _most_violated(_call(problem, "G", z), active)
-            if newly:
-                active |= newly
-                continue
+        newly = _most_violated(_call(problem, "G", z), active) if problem.m_G else set()
+        passes[rows] = (len(passes), None if newly else z)
+        if newly:
+            active |= newly
+            continue
         if active:
             # sign check of the distance multipliers: z - x + J^T mult = 0
             J = chart_jacobian(chart, z)

@@ -442,7 +442,10 @@ class _MonomialBasis:
     monomials, and an overflow that raises (``np.seterr`` or a warnings
     filter) stores nothing, so a repeated call raises again.  One caveat:
     a map can warn about overflow in a monomial that only another map of
-    the problem uses; its own values are not affected.
+    the problem uses.  Under the default warnings filter its own values
+    are not affected; under a filter that turns ``RuntimeWarning`` into an
+    error the warning raises in that map, ``_value`` turns it into a
+    ``MapError``, and the start fails.
     """
 
     __slots__ = ("n", "B", "_index", "_last")
@@ -478,47 +481,40 @@ def _batched_map(rows, shape, basis):
     """The map x -> array of ``shape`` whose entries, in row-major order,
     are ``c @ prod(x ** e, axis=1)`` for the (c, e) pairs of ``rows``.
 
-    Rows are grouped by their monomial count L.  A group of R rows keeps
-    its coefficients as C of shape (R, 1, L) and owns R·L consecutive
-    entries of one index into the problem's ``_MonomialBasis``, ordered
-    group by group.  A call reads the monomials at x from the basis (its
-    memo, or one ``x ** B`` and one product per basis row), takes the
-    map's entries, then ``C @ mono`` per group: numpy computes each
-    (1, L) @ (L, 1) core with the same vector dot as ``c @ mono`` of one
-    row, and each monomial is the same power and product as its own, so
-    each value is the same sum, in the same order, as one polynomial at a
-    time.  Padding rows to a common L would not be: at 16 and more terms
-    the BLAS dot changes its blocking.
+    Rows are grouped by their monomial count L.  Each group keeps its
+    coefficients C and the positions idx of its monomials in the problem's
+    ``_MonomialBasis`` as two arrays of one layout: the map's own shape
+    plus an axis of L when every row has L monomials (one group), else
+    (R, L) for the group's R rows.  A call reads the monomials at x from
+    the basis (its memo, or one ``x ** B`` and one product per basis row)
+    and takes one ``np.vecdot(C, mono.take(idx))`` per group: numpy
+    computes each row of it with the same vector dot as ``c @ mono`` of
+    one polynomial, and each monomial is the same power and product as
+    its own, so each value is the same sum, in the same order, as one
+    polynomial at a time.  Padding rows to a common L would not be: at 16
+    and more terms the BLAS dot changes its blocking.
     """
     by_count = {}
     for r, (coefs, _) in enumerate(rows):
         by_count.setdefault(len(coefs), []).append(r)
-    order, groups, start = [], [], 0
+    groups, order = [], []
     for count, members in by_count.items():
-        C = np.array([rows[r][0] for r in members], dtype=float).reshape(len(members), 1, count)
-        stop = start + len(members) * count
-        groups.append((C, start, stop, (len(members), count, 1)))
+        layout = (*shape, count) if len(by_count) == 1 else (len(members), count)
+        C = np.array([rows[r][0] for r in members], dtype=float).reshape(layout)
+        idx = basis.indices(np.concatenate([rows[r][1] for r in members])).reshape(layout)
+        groups.append((C, idx))
         order.extend(members)
-        start = stop
-    idx = basis.indices(np.concatenate([rows[r][1] for r in order]))
     at = basis.at
-
     if len(groups) == 1:
-        ((C, _, _, mono_shape),) = groups
-
-        def one_group(x):
-            mono = at(np.asarray(x, dtype=float)).take(idx).reshape(mono_shape)
-            return (C @ mono).reshape(shape)
-
-        return one_group
+        ((C, idx),) = groups
+        return lambda x: np.vecdot(C, at(np.asarray(x, dtype=float)).take(idx))
 
     # position in the group-ordered results of each row, in row order
     where = np.argsort(order)
 
     def scattered(x):
-        mono = at(np.asarray(x, dtype=float)).take(idx)
-        values = np.concatenate([(C @ mono[a:b].reshape(s)).reshape(-1)
-                                 for C, a, b, s in groups])
+        mono = at(np.asarray(x, dtype=float))
+        values = np.concatenate([np.vecdot(C, mono.take(idx)) for C, idx in groups])
         return values.take(where).reshape(shape)
 
     return scattered
@@ -532,7 +528,7 @@ def _make_poly_maps(poly_list, n, where, basis):
     coefficients times the exponent and that exponent lowered by one
     (floored at 0).  Zero coefficients are kept, so signed zeros and
     0 * inf come out as in the full sum.  Both maps group their rows by
-    monomial count and take one batched dot per group (``_batched_map``),
+    monomial count and take one ``np.vecdot`` per group (``_batched_map``),
     reading their monomials from ``basis``, which every map of the
     problem shares.
     """

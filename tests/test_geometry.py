@@ -610,10 +610,10 @@ def test_feasible_start_active_set_changes(monkeypatch, start, charts, nearest):
 
 def test_feasible_start_that_cycles_does_not_settle(monkeypatch):
     # G = sin(x1) from x1 = 1.8: the projection's Newton steps pass the
-    # nearest root pi and land on 2 pi, where the distance multiplier
-    # (1.8 - 2 pi) / cos(2 pi) is negative.  The row is dropped, the start
-    # violates it again, and the loop alternates until its 2 m_G + 4 passes
-    # are spent
+    # nearest root pi and land on 2 pi, which is feasible, but where the
+    # distance multiplier (1.8 - 2 pi) / cos(2 pi) is negative.  The row is
+    # dropped, the start violates it again, and the active set (1,) comes
+    # back: a cycle, whose one feasible projection 2 pi is the start
     problem = md.ProblemSpec(name="sine", n=1, m=1, F=lambda x: np.array([x[0]]),
                              DF=lambda x: np.array([[1.0]]), m_G=1,
                              G=lambda x: np.array([np.sin(x[0])]),
@@ -626,10 +626,10 @@ def test_feasible_start_that_cycles_does_not_settle(monkeypatch):
         return original(chart, x)
 
     monkeypatch.setattr(geometry, "_project_with_retries", spy)
-    with pytest.raises(md.NoConvergence, match="feasible start: active set did not settle"):
-        md.feasible_start(problem, (1.8,))
-    assert seen == [(1,), ()] * 3
-    assert md.project(md.ManifoldChart(problem, (1,)), (1.8,)) == pytest.approx([2 * np.pi])
+    z = md.feasible_start(problem, (1.8,))
+    assert seen == [(1,), ()]
+    assert abs(z[0] - 2 * np.pi) <= FEAS_TOL
+    assert np.sin(z[0]) <= FEAS_TOL
 
 
 def test_chart_validation(circle2d):

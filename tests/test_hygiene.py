@@ -88,10 +88,12 @@ def test_every_private_function_parameter_is_read():
     assert not unread, f"parameters never read: {unread}"
 
 
-@pytest.mark.parametrize("name", ["direction.py", "linesearch.py"])
+@pytest.mark.parametrize("name", ["direction.py", "linesearch.py", "problems.py"])
 def test_iteration_products_are_spelled_dot(name):
     # ndarray.dot makes the same BLAS call as @ on 1-D and 2-D operands
-    # (tests/test_products.py) at about half the dispatch cost
+    # (tests/test_products.py) at about half the dispatch cost; the compiled
+    # maps of problems.py take np.vecdot, whose rows are the same 1-D dots,
+    # where a stacked @ would cost reshapes and a slower dispatch
     tree = ast.parse((PACKAGE / name).read_text(), filename=name)
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]

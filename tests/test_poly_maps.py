@@ -4,7 +4,7 @@ evaluator in ``oracles.poly_maps``.
 For n >= 2 the values and Jacobians must be the same bytes: the six maps
 of a problem take the same powers and products from one shared table of
 its distinct monomials, group their rows (polynomials or Jacobian
-entries) by monomial count, and take one batched dot per group, which
+entries) by monomial count, and take one ``np.vecdot`` per group, which
 numpy computes row by row with the same vector dot as one polynomial at a
 time.  The shared monomials are memoised for the last point, keyed on its
 bytes; the memo tests walk through repeated, neighbouring, signed-zero and
@@ -120,6 +120,45 @@ def _map_pairs(doc):
 @settings(max_examples=60, deadline=None)
 @given(grouped_problems())
 def test_grouped_maps_match_reference_bytes(case):
+    doc, x = case
+    for compiled, reference in _map_pairs(doc):
+        got, want = compiled(x), reference(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def long_polynomials(draw):
+    """1 to 4 objectives of BLOCK to 40 monomials in n = 2..4 variables:
+    either all of one count, so each map is one group laid out in its own
+    shape plus a monomial axis, or of at least two counts, so the maps
+    take one vecdot per group and scatter the rows back.  Coefficients
+    (one in four a signed zero or a unit) and exponents 0..3 come from a
+    drawn seed, which keeps the examples fast."""
+    n = draw(st.integers(2, 4))
+    first = draw(st.integers(BLOCK, 40))
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        counts = [first] * k
+    else:
+        counts = [first, draw(st.integers(BLOCK, 40).filter(lambda c: c != first))]
+        counts += [draw(st.integers(BLOCK, 40)) for _ in range(k - 2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def poly(count):
+        coefs = np.where(rng.random(count) < 0.25,
+                         rng.choice([0.0, -0.0, 1.0, -1.0], count), rng.uniform(-5.0, 5.0, count))
+        return [list(pair) for pair in zip(coefs.tolist(), rng.integers(0, 4, (count, n)).tolist())]
+
+    x = np.array(draw(st.lists(COORD, min_size=n, max_size=n)), dtype=float)
+    return {"n": n, "m": len(counts), "objectives": [poly(c) for c in counts]}, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_polynomials())
+def test_long_polynomials_match_reference_bytes(case):
+    # at BLOCK and more terms the BLAS dot blocks its sum; each vecdot row
+    # must still be the sum one polynomial's dot takes
     doc, x = case
     for compiled, reference in _map_pairs(doc):
         got, want = compiled(x), reference(x)

@@ -10,6 +10,12 @@ negative zero.  ``dot`` returns that product, -0.0, and ``@`` adds it to
 +0.0.  The iteration reads such results only through comparisons with zero
 and through the sign of a zero weight in ``DirectionResult.lam``, which no
 output holds.
+
+The compiled maps of a problem file take one ``np.vecdot`` per group of
+polynomials with the same monomial count.  Each of its rows must be the
+1-D dot of that row's coefficients and monomials, so that every value is
+the sum one polynomial at a time takes; a single product of -0.0 comes out
++0.0, as from ``@``.
 """
 
 import numpy as np
@@ -64,3 +70,24 @@ def test_dot_and_matmul_agree_bitwise(operands):
     differ = [name for name, case in cases.items() if not _agree(*case)]
     assert not differ, f"ndarray.dot and @ round differently on {differ}"
 
+
+@st.composite
+def _groups(draw):
+    """A group's coefficients and its monomials, both in a drawn layout of
+    one or two leading axes (the map's shape) and L entries per row, L up
+    to 300, from a drawn seed."""
+    layout = (*draw(st.sampled_from([(1,), (2,), (5,), (2, 3), (3, 4)])), draw(st.integers(0, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _entries(rng, layout), _entries(rng, layout)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_groups())
+def test_vecdot_rows_are_one_dimensional_dots(group):
+    C, M = group
+    got = np.vecdot(C, M)
+    length = C.shape[-1]
+    rows = list(zip(C.reshape(got.size, length), M.reshape(got.size, length)))
+    assert got.shape == C.shape[:-1]
+    assert got.reshape(-1).tobytes() == np.array([c @ m for c, m in rows]).tobytes()
+    assert _agree(got.reshape(-1), [c.dot(m) for c, m in rows], length)
