@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ModescentError, RankError
-from .problems import EvalBundle, all_finite
+from .problems import EvalBundle, active_indices, all_finite
 
 # rank cutoff relative to the largest singular value
 RANK_RTOL = 1e-10
@@ -60,6 +60,11 @@ class SubproblemKind(Enum):
     EQUALITY_ICS = "SP2"
 
 
+# read once: each read of an Enum member is an attribute lookup through
+# the class, about 0.1 us
+_EQUALITY_ICS = SubproblemKind.EQUALITY_ICS
+
+
 @dataclass(slots=True)
 class DirectionResult:
     """Solution of one direction subproblem.
@@ -85,8 +90,7 @@ def active_set(bundle: EvalBundle, epsilon: float) -> tuple:
     # written so that a NaN tolerance fails it
     if not (epsilon >= 0):
         raise ValueError("active-set tolerance must be >= 0")
-    # Python floats; a NaN entry fails the test and is not active
-    return tuple([i for i, g in enumerate(bundle.G_val.tolist(), 1) if g >= -epsilon])
+    return active_indices(bundle.G_val, epsilon)
 
 
 def _householder_kernel(row) -> np.ndarray:
@@ -315,16 +319,20 @@ def solve_direction(bundle: EvalBundle, kind: SubproblemKind,
     v = -(basis @ point).  Without equality rows the kernel is the whole
     space and the generators are used as they are.
 
+    The active set is the bundle's own ``active`` when the bundle was
+    scanned at ``epsilon`` (the descent loop's bundles, for SP1), and
+    ``active_set(bundle, epsilon)`` otherwise.
+
     This is the one place that decides a direction overflowed: it raises
     ``ModescentError`` naming the subproblem when the projected generators
     are not finite, or when the value alpha is not (a NaN slope that
     ``max`` would drop counts), so every returned alpha is finite.
     """
-    act = active_set(bundle, epsilon)
+    act = bundle.active if bundle.active_epsilon == epsilon else active_set(bundle, epsilon)
     gens, eq_rows = bundle.DF_val, bundle.DH_val
     if act:
         act_rows = bundle.DG_val.take([i - 1 for i in act], axis=0)
-        if kind is SubproblemKind.EQUALITY_ICS:
+        if kind is _EQUALITY_ICS:
             eq_rows = np.concatenate((eq_rows, act_rows))
         else:
             gens = np.concatenate((gens, act_rows))

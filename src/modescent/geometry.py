@@ -14,7 +14,7 @@ the k x k system with numpy.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class ManifoldChart:
 
     problem: ProblemSpec
     ineq_indices: tuple = ()
+    # H's rows plus the pinned ones, worked out once: retract reads it at
+    # every trial point
+    n_rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # operator.index refuses 1.5 and "1", which int() would read as row
@@ -53,10 +56,7 @@ class ManifoldChart:
         if any(i < 1 or i > self.problem.m_G for i in idx):
             raise ValueError("inequality index out of range for chart")
         object.__setattr__(self, "ineq_indices", idx)
-
-    @property
-    def n_rows(self) -> int:
-        return self.problem.m_H + len(self.ineq_indices)
+        object.__setattr__(self, "n_rows", self.problem.m_H + len(idx))
 
     def retract(self, x, w) -> np.ndarray:
         """The point x + w, retracted onto the chart by ``project``: x + w

@@ -110,10 +110,13 @@ class EvalBundle:
     chart).  Not frozen: the descent loop builds one per iteration, and a
     frozen dataclass pays one ``object.__setattr__`` per field.
 
-    ``DG_val`` is None in the descent loop's bundles at points where no
-    inequality is active at the loop's tolerance epsilon, since nothing
-    reads it there (``_evaluate`` with an ``epsilon``); ``evaluate`` always
-    fills it.
+    In the descent loop's bundles (``_evaluate`` with an ``epsilon``),
+    ``active`` is the tuple of 1-based indices of the G rows active at the
+    loop's tolerance, ``active_indices(G_val, active_epsilon)``, found in
+    the scan that decides on DG; ``solve_direction`` reads it when asked
+    for that tolerance.  ``DG_val`` is None there at points where the tuple
+    is empty, since nothing reads it.  ``evaluate`` always fills ``DG_val``
+    and leaves ``active`` and ``active_epsilon`` None.
     """
 
     problem: ProblemSpec
@@ -123,6 +126,16 @@ class EvalBundle:
     DF_val: Array
     DH_val: Array
     DG_val: Array | None
+    active: tuple | None = None
+    active_epsilon: float | None = None
+
+
+def active_indices(G_val, epsilon) -> tuple:
+    """Indices i (1-based) of the rows with G_val[i - 1] >= -epsilon: the
+    one spelling of the epsilon-active rule.  ``epsilon`` is not checked."""
+    low = -epsilon
+    # Python floats; a NaN entry fails the test and is not active
+    return tuple([i for i, g in enumerate(G_val.tolist(), 1) if g >= low])
 
 
 def all_finite(a) -> bool:
@@ -225,28 +238,25 @@ def _evaluate(problem: ProblemSpec, x, F_val=None, G_val=None, epsilon=None) -> 
     them within FEAS_TOL, read through the same map at the same point.
 
     With ``epsilon`` None every map is called, in the order F, G, DF, DH,
-    DG.  The descent loop passes its active-set tolerance instead: DG is
-    then called, and checked, only where some G row is >= -epsilon (a NaN
-    row is not), since the subproblems and steps read DG only at rows
-    active at that tolerance; elsewhere, and always without inequalities,
-    the bundle's ``DG_val`` is None.
+    DG.  The descent loop passes its active-set tolerance instead, >= 0:
+    one scan of G finds the rows >= -epsilon (a NaN row is not one), and
+    the bundle keeps them, with the tolerance, as ``active``.  DG is then
+    called, and checked, only where that tuple is not empty, since the
+    subproblems and steps read DG only at rows active at that tolerance;
+    elsewhere, and always without inequalities, the bundle's ``DG_val`` is
+    None.  Without equalities DH is the shared no-rows array, with no
+    call.
     """
     F = _call(problem, "F", x, F_val)
     G = _call(problem, "G", x) if G_val is None else G_val
     DF = _call(problem, "DF", x)
-    DH = _call(problem, "DH", x)
+    DH = _call(problem, "DH", x) if problem.m_H else _no_rows((0, problem.n))
     if epsilon is None:
-        DG = _call(problem, "DG", x)
-    else:
-        DG = None
-        low = -epsilon
-        # Python floats; a NaN entry fails the test, as in active_set
-        for g in G.tolist():
-            if g >= low:
-                DG = _call(problem, "DG", x)
-                break
-    # positional, in field order: problem, x, F, G, DF, DH, DG
-    return EvalBundle(problem, x, F, G, DF, DH, DG)
+        # positional, in field order: problem, x, F, G, DF, DH, DG
+        return EvalBundle(problem, x, F, G, DF, DH, _call(problem, "DG", x))
+    active = active_indices(G, epsilon)
+    DG = _call(problem, "DG", x) if active else None
+    return EvalBundle(problem, x, F, G, DF, DH, DG, active, epsilon)
 
 
 def evaluate(problem: ProblemSpec, x) -> EvalBundle:
@@ -296,37 +306,49 @@ def fd_audit(problem: ProblemSpec, x, h: float = 1e-6) -> float:
 
 def _circle2d() -> ProblemSpec:
     # Two shifted quadratics, feasible set = exterior of the unit circle.
+    # Each map reads its point once, as Python floats: ``**`` on a float
+    # calls the same libm pow as on a numpy scalar, so the values are the
+    # same bytes, but a square that overflows raises OverflowError (a
+    # MapError through _value) where numpy would warn and return inf.
     def F(x):
-        q = (x[0] - 2.0) ** 2
-        return np.array([q + (x[1] - 1.0) ** 2, q + (x[1] + 1.0) ** 2])
+        x0, x1 = x.tolist()
+        q = (x0 - 2.0) ** 2
+        return np.array([q + (x1 - 1.0) ** 2, q + (x1 + 1.0) ** 2])
 
     def DF(x):
-        d = 2.0 * (x[0] - 2.0)
-        return np.array([[d, 2.0 * (x[1] - 1.0)], [d, 2.0 * (x[1] + 1.0)]])
+        x0, x1 = x.tolist()
+        d = 2.0 * (x0 - 2.0)
+        return np.array([[d, 2.0 * (x1 - 1.0)], [d, 2.0 * (x1 + 1.0)]])
 
     def G(x):
-        return np.array([-x[0] ** 2 - x[1] ** 2 + 1.0])
+        x0, x1 = x.tolist()
+        return np.array([-x0 ** 2 - x1 ** 2 + 1.0])
 
     def DG(x):
-        return np.array([[-2.0 * x[0], -2.0 * x[1]]])
+        x0, x1 = x.tolist()
+        return np.array([[-2.0 * x0, -2.0 * x1]])
 
     return ProblemSpec(name="circle2d", n=2, m=2, F=F, DF=DF, m_G=1, G=G, DG=DG,
                        box=((-3.0, 3.0), (-3.0, 3.0)))
 
 
 def _sphere3d() -> ProblemSpec:
-    # Minimize the height coordinate on the unit sphere.
+    # Minimize the height coordinate on the unit sphere.  Python floats, as
+    # in _circle2d.
     def F(x):
-        return np.array([x[2]])
+        _, _, x2 = x.tolist()
+        return np.array([x2])
 
     def DF(x):
         return np.array([[0.0, 0.0, 1.0]])
 
     def H(x):
-        return np.array([x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - 1.0])
+        x0, x1, x2 = x.tolist()
+        return np.array([x0 ** 2 + x1 ** 2 + x2 ** 2 - 1.0])
 
     def DH(x):
-        return np.array([[2.0 * x[0], 2.0 * x[1], 2.0 * x[2]]])
+        x0, x1, x2 = x.tolist()
+        return np.array([[2.0 * x0, 2.0 * x1, 2.0 * x2]])
 
     return ProblemSpec(name="sphere3d", n=3, m=1, F=F, DF=DF, m_H=1, H=H, DH=DH,
                        box=((-2.0, 2.0),) * 3)
@@ -530,7 +552,9 @@ def _make_poly_maps(poly_list, n, where, basis):
     0 * inf come out as in the full sum.  Both maps group their rows by
     monomial count and take one ``np.vecdot`` per group (``_batched_map``),
     reading their monomials from ``basis``, which every map of the
-    problem shares.
+    problem shares.  A coefficient times exponent that overflows raises
+    ``ValueError`` naming its monomial, with no warning: no Jacobian entry
+    could hold it, so the file is malformed.
     """
     rows, entries = [], []
     for i, poly in enumerate(poly_list):
@@ -539,7 +563,15 @@ def _make_poly_maps(poly_list, n, where, basis):
         for j in range(n):
             de = expos.copy()
             de[:, j] = np.maximum(de[:, j] - 1.0, 0.0)
-            entries.append((coefs * expos[:, j], de))
+            # an overflow is refused below, by the monomial it comes from
+            with np.errstate(over="ignore"):
+                dc = coefs * expos[:, j]
+            for k, c in enumerate(dc.tolist()):
+                if not math.isfinite(c):
+                    raise ValueError(f"{where}[{i}][{k}]: coefficient {coefs[k]:g} times "
+                                     f"exponent {expos[k, j]:g} of x{j + 1} overflows in the "
+                                     "Jacobian")
+            entries.append((dc, de))
     return (_batched_map(rows, (len(rows),), basis),
             _batched_map(entries, (len(rows), n), basis))
 

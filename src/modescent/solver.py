@@ -20,6 +20,8 @@ ITER_CAP = "ITER_CAP"
 # a point is critical once the boundary-leaving value alpha1 >= -TOL_ALPHA,
 # and -||v||^2 / 2 of its direction >= -2 TOL_ALPHA agrees
 TOL_ALPHA = 1e-8
+# read once, as in direction: an Enum member read costs about 0.1 us
+_SP1, _SP2 = SubproblemKind.OBJECTIVE_ICS, SubproblemKind.EQUALITY_ICS
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,10 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     ``epsilon``, the only ones where SP1, SP2 or the feasible step read
     it: a DG that is not finite elsewhere does not fail the run, and one
     that is not finite where it is read raises ``EvaluationError``
-    naming ``DG``.  Records hold the iterate arrays themselves; the
-    returned point and ``trace.final_x`` are copies of their own.
+    naming ``DG``.  The bundle keeps the rows that scan found active, and
+    SP1, solved at ``epsilon``, takes its active set from there.  Records
+    hold the iterate arrays themselves; the returned point and
+    ``trace.final_x`` are copies of their own.
     """
     trace = IterateTrace(problem_name=problem.name, config=config)
     try:
@@ -188,7 +192,7 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
             # tolerance epsilon
             if follow and not at_cap and bundle.DG_val is not None:
                 try:
-                    d2 = solve_direction(bundle, SubproblemKind.EQUALITY_ICS, EPS_ACT)
+                    d2 = solve_direction(bundle, _SP2, EPS_ACT)
                 except RankError:
                     # more pinned rows than the tangent space holds, or
                     # dependent ones: no boundary direction exists here
@@ -203,7 +207,7 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                     step = boundary_step(bundle, d.v, chart, config)
             alpha2 = d2.alpha if d2 is not None else None
             if step is None:
-                d = solve_direction(bundle, SubproblemKind.OBJECTIVE_ICS, epsilon)
+                d = solve_direction(bundle, _SP1, epsilon)
                 critical = d.alpha >= -TOL_ALPHA
                 if critical:
                     half_sq = -0.5 * float(d.v.dot(d.v))

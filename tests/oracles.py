@@ -176,6 +176,43 @@ def poly_maps(polys, n):
     return fun, jac
 
 
+def registry_maps(name):
+    """The maps of the registered problem ``name`` ("circle2d" or
+    "sphere3d") in numpy-scalar arithmetic: each reads ``x[i]`` as a numpy
+    float and squares it with numpy's ``**``, as the registry spelled them
+    before its maps read their point as Python floats."""
+    if name == "circle2d":
+        def F(x):
+            q = (x[0] - 2.0) ** 2
+            return np.array([q + (x[1] - 1.0) ** 2, q + (x[1] + 1.0) ** 2])
+
+        def DF(x):
+            d = 2.0 * (x[0] - 2.0)
+            return np.array([[d, 2.0 * (x[1] - 1.0)], [d, 2.0 * (x[1] + 1.0)]])
+
+        def G(x):
+            return np.array([-x[0] ** 2 - x[1] ** 2 + 1.0])
+
+        def DG(x):
+            return np.array([[-2.0 * x[0], -2.0 * x[1]]])
+
+        return {"F": F, "DF": DF, "G": G, "DG": DG}
+
+    def F(x):
+        return np.array([x[2]])
+
+    def DF(x):
+        return np.array([[0.0, 0.0, 1.0]])
+
+    def H(x):
+        return np.array([x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - 1.0])
+
+    def DH(x):
+        return np.array([[2.0 * x[0], 2.0 * x[1], 2.0 * x[2]]])
+
+    return {"F": F, "DF": DF, "H": H, "DH": DH}
+
+
 def _row_value(chart, z):
     p = chart.problem
     if p.m_H:

@@ -28,6 +28,9 @@ STEEP_SPHERE_FILE = Path(__file__).parent / "data" / "steep_sphere3d.json"
 # four objectives with gradients near 1.5e308: the edge differences of the
 # four-generator hull overflow
 STEEP4_FILE = Path(__file__).parent / "data" / "steep4.json"
+# octant3d with 1e308 x1^2 in its first objective: the Jacobian coefficient
+# 2e308 overflows
+HUGE_COEFFICIENT_FILE = Path(__file__).parent / "data" / "huge_coefficient3d.json"
 # equator3d with every objective x1^1000000: F and DF overflow at most box points
 HUGE_POWER_FILE = Path(__file__).parent / "data" / "huge_power3d.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
@@ -516,6 +519,25 @@ def test_malformed_problem_file_is_usage_error(tmp_path, capsys, command, case):
     extra = ["--x0", "1,1", "--out", str(tmp_path / "run")] if command == "solve" else []
     assert main([command, "--problem-file", str(path), *extra]) == 64
     assert location in capsys.readouterr().err
+
+
+def test_front_of_a_coefficient_that_overflows_is_a_usage_error(tmp_path, capsys):
+    # refused at load, by the monomial, with no overflow warning: under
+    # pytest's filterwarnings = error the warning would escape main
+    rc = main(["front", "--problem-file", str(HUGE_COEFFICIENT_FILE), "--grid", "2x2x2",
+               "--out", str(tmp_path / "front")])
+    assert rc == 64
+    assert "objectives[0][0]: coefficient 1e+308 times exponent 2 of x1" in capsys.readouterr().err
+    assert not (tmp_path / "front").exists()
+
+
+def test_solve_of_a_square_that_overflows_names_the_map(tmp_path, capsys):
+    # one line on stderr, the MapError's, and no numpy warning
+    rc = main(["solve", "--problem", "circle2d", "--x0=1e200,0", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: component 'G' raised OverflowError")
+    assert err.count("\n") == 1
 
 
 def test_solve_runtime_error_exit_code(tmp_path):

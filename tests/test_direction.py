@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 import modescent as md
 from modescent import direction
 from modescent.direction import KKT_TOL, SubproblemKind, _min_norm_faces
+from modescent.problems import _evaluate
 
-from conftest import make_vertex_problem
+from conftest import make_box_problem, make_vertex_problem
 from oracles import grid_min_norm, origin_in_hull, support_min_norm
 
 DATA = Path(__file__).parent / "data"
@@ -41,6 +42,28 @@ def test_active_set_threshold():
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError):
             md.active_set(b, bad)
+
+
+@pytest.mark.parametrize("epsilon, active, scans", [
+    (1e-2, (1, 2), 0), (1e-4, (2,), 1), (0.0, (), 1)])
+@pytest.mark.parametrize("kind", list(SubproblemKind))
+def test_solve_direction_scans_again_only_at_another_tolerance(monkeypatch, epsilon, active,
+                                                              scans, kind):
+    # a loop bundle scanned at 1e-2 holds both rows of the box (G = -1e-3
+    # and -1e-6); asked for that tolerance solve_direction takes them from
+    # the bundle, asked for another it calls active_set, and either way it
+    # solves the subproblem of the bundle that evaluate builds
+    calls = []
+    monkeypatch.setattr(direction, "active_set",
+                        lambda b, eps: calls.append(eps) or md.active_set(b, eps))
+    problem, x = make_box_problem(), np.array([1.0 - 1e-6, 1e-3])
+    bundle = _evaluate(problem, x, None, None, 1e-2)
+    assert bundle.active == (1, 2)
+    d = md.solve_direction(bundle, kind, epsilon)
+    assert d.active_set == active
+    assert calls == [epsilon] * scans
+    want = md.solve_direction(md.evaluate(problem, x), kind, epsilon)
+    assert d.v.tobytes() == want.v.tobytes() and d.alpha == want.alpha
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,32 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     assert dict(calls) == {"F": 193, "DF": 131, "G": 665, "DG": 74}
 
 
+def test_circle2d_eta1_scans_the_active_set_for_sp2_only(circle2d, monkeypatch):
+    # the same solve: each evaluation scans G at epsilon once, to decide on
+    # DG, and the bundle keeps the rows it found, so the 107 SP1 solves
+    # read their active set from it; active_set runs only for the 41 SP2
+    # solves, at the pinning tolerance EPS_ACT (148 calls with SP1
+    # scanning G again)
+    kinds, scans = [], []
+    solve_direction, active_set = md.direction.solve_direction, md.direction.active_set
+
+    def counted_solve(bundle, kind, epsilon=0.0):
+        kinds.append(kind)
+        return solve_direction(bundle, kind, epsilon)
+
+    def counted_scan(bundle, epsilon):
+        scans.append((kinds[-1], epsilon))
+        return active_set(bundle, epsilon)
+
+    monkeypatch.setattr(md.solver, "solve_direction", counted_solve)
+    monkeypatch.setattr(md.direction, "active_set", counted_scan)
+    _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
+    assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
+    sp1, sp2 = md.SubproblemKind.OBJECTIVE_ICS, md.SubproblemKind.EQUALITY_ICS
+    assert (kinds.count(sp1), kinds.count(sp2)) == (107, 41)
+    assert scans == [(sp2, md.geometry.EPS_ACT)] * 41
+
+
 def test_psi_map_calls_are_pinned(sphere3d):
     # one psi retraction on the sphere with counted maps: it calls H at x
     # and at x + w, twice per bracket doubling and once per Anderson-Bjorck

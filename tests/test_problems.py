@@ -1,14 +1,18 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
 from modescent.problems import _as_floats, _evaluate
 from conftest import with_counted_maps
-from oracles import central_diff_jacobian
+from oracles import central_diff_jacobian, registry_maps
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_evaluate_circle_values(circle2d):
@@ -356,3 +360,85 @@ def test_evaluate_names_a_map_of_the_wrong_size(circle2d, component):
     with pytest.raises(md.MapShapeError) as err:
         md.evaluate(p, [2.0, 0.0])
     assert err.value.component == component
+
+
+# ---------------------------------------------------------------------------
+# the registry maps, in Python floats
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["circle2d", "sphere3d"]),
+       st.lists(st.floats(-1e150, 1e150), min_size=3, max_size=3))
+@example("circle2d", [0.0, -0.0, 0.0])
+@example("circle2d", [-0.0, 0.0, 0.0])
+@example("sphere3d", [-0.0, -0.0, -0.0])
+@example("sphere3d", [1e150, -1e150, 1e150])
+# one square at a time where d * d and pow(d, 2) differ in the last bit,
+# at points where no other term rounds the difference away: x1^2 and x2^2
+# in G, (x1 - 2)^2, (x2 - 1)^2 and (x2 + 1)^2 in F, each x_i^2 in H
+@example("circle2d", [1.2912141186208117, 0.0, 0.0])
+@example("circle2d", [0.0, 1.2912141186208117, 0.0])
+@example("circle2d", [2.60540469980098, 1.0, 0.0])
+@example("circle2d", [2.0, 1.6457183044504486, 0.0])
+@example("circle2d", [2.0, -0.13004595381925427, 0.0])
+@example("sphere3d", [1.2912141186208117, 0.0, 0.0])
+@example("sphere3d", [0.0, 1.2912141186208117, 0.0])
+@example("sphere3d", [0.0, 0.0, 1.2912141186208117])
+def test_registry_maps_match_their_numpy_scalar_spelling(name, coordinates):
+    # Python's float ** and numpy's scalar ** both call libm's pow, so the
+    # maps that read their point as Python floats return the same bytes as
+    # the numpy-scalar spelling, signed zeros included, up to |x_i| = 1e150
+    # (squares up to 1e300, no overflow)
+    problem = md.registry_get(name)
+    x = np.array(coordinates[:problem.n])
+    for component, reference in registry_maps(name).items():
+        got, want = getattr(problem, component)(x), reference(x)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), component
+        assert got.tobytes() == want.tobytes(), component
+
+
+def test_a_malformed_file_is_refused_before_a_coefficient_overflows():
+    # 1e308 x1^2: its Jacobian entry 2e308 x1 has no finite coefficient, so
+    # the file is refused by the monomial, with no overflow warning (which
+    # pytest's filterwarnings = error would raise instead of ValueError)
+    with pytest.raises(ValueError) as err:
+        md.load_problem(DATA / "huge_coefficient3d.json")
+    assert str(err.value) == ("objectives[0][0]: coefficient 1e+308 times exponent 2 of x1 "
+                              "overflows in the Jacobian")
+
+
+# ---------------------------------------------------------------------------
+# the loop bundle's active set
+
+
+def _g_rows_problem(k):
+    """F = (x1) in the plane with k inequality rows, whose G the tests hand
+    over to ``_evaluate`` and whose DG is finite."""
+    return md.ProblemSpec(name="rows", n=2, m=1, F=lambda x: np.array([x[0]]),
+                          DF=lambda x: np.array([[1.0, 0.0]]), m_G=k,
+                          G=lambda x: np.zeros(k), DG=lambda x: np.ones((k, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, 1e-9, 1e-4]), st.floats(0.0, 10.0)), st.data())
+def test_the_loop_bundle_keeps_the_active_set_of_its_scan(epsilon, data):
+    # the scan that decides on DG finds the rows >= -epsilon, rows at
+    # exactly -epsilon and both zeros included and NaN rows left out, and
+    # the bundle keeps them with the tolerance: the same tuple as
+    # active_set, and as numpy's comparison of the rows
+    row = st.one_of(st.just(-epsilon), st.sampled_from([0.0, -0.0, math.nan]),
+                    st.floats(-2.0 * epsilon - 1.0, 1.0))
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    G = np.array(rows)
+    bundle = _evaluate(_g_rows_problem(len(rows)), np.zeros(2), None, G, epsilon)
+    assert bundle.active == md.active_set(bundle, epsilon)
+    assert bundle.active == tuple((np.flatnonzero(G >= -epsilon) + 1).tolist())
+    assert bundle.active_epsilon == epsilon
+    assert (bundle.DG_val is None) == (not bundle.active)
+
+
+def test_evaluate_keeps_no_active_set():
+    # the checked entry scans nothing: every bundle it builds holds DG
+    bundle = md.evaluate(_g_rows_problem(2), (0.0, 0.0))
+    assert (bundle.active, bundle.active_epsilon) == (None, None)
+    assert bundle.DG_val.shape == (2, 2)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -309,6 +310,23 @@ def test_a_front_with_a_raising_map_records_every_start():
     assert [e.converged for e in archive] == [False, True, False]
     assert [e.error.split(" raised")[0] if e.error else None for e in archive] == \
         ["MapError: component 'F'", None, "MapError: component 'F'"]
+
+
+def test_a_square_that_overflows_fails_the_start_as_a_map_error(circle2d):
+    # the registry maps square Python floats, which raise OverflowError
+    # where numpy's scalars would warn and return inf: the start fails with
+    # the map named, its trace attached, and no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(md.MapError) as err:
+            md.solve_constrained(circle2d, (1e200, 0.0))
+    assert caught == []
+    assert err.value.component == "G"
+    assert isinstance(err.value.__cause__, OverflowError)
+    assert str(err.value).startswith("component 'G' raised OverflowError: ")
+    trace = err.value.trace
+    assert trace.termination == "FAILED:MapError"
+    assert trace.final_x.tolist() == [1e200, 0.0] and trace.records == []
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
