@@ -337,9 +337,16 @@ def audit(problem_name, problem_file):
 
 
 def main(argv=None):
-    """Entry point returning the process exit code."""
+    """Entry point returning the process exit code.
+
+    Every command runs under ``np.errstate(all="ignore")``, as
+    ``multistart`` runs its starts: the run's own checks, and the audit's,
+    which fail on NaN, name every overflow, so numpy's warning would only
+    repeat it on stderr, or under ``python -W error`` end in a traceback.
+    """
     try:
-        result = cli.main(args=argv, standalone_mode=False, prog_name="modescent")
+        with np.errstate(all="ignore"):
+            result = cli.main(args=argv, standalone_mode=False, prog_name="modescent")
     except click.UsageError as err:
         click.echo(f"usage error: {err.format_message()}", err=True)
         if err.ctx is not None:

@@ -269,14 +269,7 @@ def _min_norm(G):
         lam = np.array([1.0 - theta, theta])
         return lam, lam.dot(G)
 
-    if k == 3:
-        lam = _min_norm_three(G)
-    else:
-        # an overflow in the face solves comes out as NaN weights, which
-        # solve_direction names; numpy's warning would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam = _min_norm_faces(G)
-    lam = np.array(lam)
+    lam = np.array(_min_norm_three(G) if k == 3 else _min_norm_faces(G))
     return lam, lam.dot(G)
 
 

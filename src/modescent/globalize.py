@@ -115,23 +115,32 @@ def grid_points(box, counts) -> np.ndarray:
 def multistart(problem: ProblemSpec, starts, config: SolverConfig = SolverConfig()) -> list:
     """Run the constrained solver from every start point and return one
     ``ArchiveEntry`` per start, in start order.  Individual run failures are
-    recorded as failed entries, not raised."""
+    recorded as failed entries, not raised.
+
+    The starts run under ``np.errstate(all="ignore")``, whatever the
+    caller's numpy error state and warnings filter: the run's own checks
+    (the finiteness of every map value, of alpha and of the projected
+    generators, and the step tests, which fail on NaN) name every
+    overflow, so a numpy warning would only repeat it, and a warnings
+    filter that raises it would fail a start that converges otherwise.
+    """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     archive: list = []
-    for x0 in starts:
-        try:
-            x, trace = solve_constrained(problem, x0, config)
-        except ModescentError as err:
-            # solve_constrained attaches its partial trace to every error
+    with np.errstate(all="ignore"):
+        for x0 in starts:
+            try:
+                x, trace = solve_constrained(problem, x0, config)
+            except ModescentError as err:
+                # solve_constrained attaches its partial trace to every error
+                archive.append(ArchiveEntry(
+                    start=x0.copy(), x=None, F=None, alpha=None, converged=False,
+                    iterations=err.trace.iterations, error=f"{type(err).__name__}: {err}"))
+                continue
+            # the record's F is the trace's own copy, and the trace ends here
             archive.append(ArchiveEntry(
-                start=x0.copy(), x=None, F=None, alpha=None, converged=False,
-                iterations=err.trace.iterations, error=f"{type(err).__name__}: {err}"))
-            continue
-        archive.append(ArchiveEntry(
-            start=x0.copy(), x=x, F=trace.records[-1].F.copy(),
-            alpha=trace.final_alpha,
-            converged=trace.termination == TERMINATED_CRITICAL,
-            iterations=trace.iterations))
+                start=x0.copy(), x=x, F=trace.records[-1].F, alpha=trace.final_alpha,
+                converged=trace.termination == TERMINATED_CRITICAL,
+                iterations=trace.iterations))
     return archive
 
 

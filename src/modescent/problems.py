@@ -462,12 +462,9 @@ class _MonomialBasis:
     key and the monomials as one tuple, replaced whole after the power has
     succeeded: a thread never reads one point's key with another point's
     monomials, and an overflow that raises (``np.seterr`` or a warnings
-    filter) stores nothing, so a repeated call raises again.  One caveat:
-    a map can warn about overflow in a monomial that only another map of
-    the problem uses.  Under the default warnings filter its own values
-    are not affected; under a filter that turns ``RuntimeWarning`` into an
-    error the warning raises in that map, ``_value`` turns it into a
-    ``MapError``, and the start fails.
+    filter) stores nothing, so a repeated call raises again.  A map can
+    overflow in a monomial that only another map of the problem uses; its
+    own values are not affected.
     """
 
     __slots__ = ("n", "B", "_index", "_last")

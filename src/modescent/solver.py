@@ -154,6 +154,10 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
     Returns ``(final_point, IterateTrace)``; a ``ModescentError`` raised by
     the feasibility solve or inside the loop carries the partial trace as
     ``err.trace``.
+    The solve runs under its caller's numpy error state, as the maps do.
+    The run's own checks name every overflow, so ``multistart`` and the
+    command line run their solves under ``np.errstate(all="ignore")``; a
+    caller that wants no numpy warning beside the error does the same.
 
     Each iterate is evaluated once, through the unchecked kernel
     ``problems._evaluate``: the iterate is the array the feasible start or

@@ -319,8 +319,7 @@ def test_audit_fails_a_chart_with_no_samples(capsys):
 
 def test_audit_fails_on_a_nan_residual(capsys):
     # max(0.0, nan) is 0.0: an audit accumulating through max passed here
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["audit", "--problem-file", str(STEEP_FILE)]) == 1
+    assert main(["audit", "--problem-file", str(STEEP_FILE)]) == 1
     assert "min-norm dual certificate: worst residual nan: FAIL" in capsys.readouterr().out
 
 
@@ -333,9 +332,7 @@ def test_audit_worst_keeps_nan_wherever_it_comes():
 
 def test_front_of_the_steep_problem_records_every_start_failed(tmp_path):
     out = tmp_path / "front"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2",
-                   "--out", str(out)])
+    rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2", "--out", str(out)])
     assert rc == 1
     entries = json.loads((out / "archive.json").read_text())["entries"]
     assert len(entries) == 4
@@ -345,9 +342,7 @@ def test_front_of_the_steep_problem_records_every_start_failed(tmp_path):
 
 def test_front_of_the_steep_problem_names_the_overflow(tmp_path):
     out = tmp_path / "front"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2",
-                   "--out", str(out)])
+    rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2", "--out", str(out)])
     assert rc == 1
     entries = json.loads((out / "archive.json").read_text())["entries"]
     assert [entry["error"] for entry in entries] == [
@@ -359,9 +354,8 @@ def test_front_of_the_steep_sphere_names_the_overflow(tmp_path):
     # half the starts overflow in the projected generators, the others in
     # the two-generator form; neither escapes the multistart as a traceback
     out = tmp_path / "front"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["front", "--problem-file", str(STEEP_SPHERE_FILE), "--grid", "2x2x2",
-                   "--out", str(out)])
+    rc = main(["front", "--problem-file", str(STEEP_SPHERE_FILE), "--grid", "2x2x2",
+               "--out", str(out)])
     assert rc == 1
     errors = [entry["error"] for entry in
               json.loads((out / "archive.json").read_text())["entries"]]
@@ -376,10 +370,8 @@ def test_front_and_audit_of_four_steep_objectives_name_the_overflow(tmp_path, ca
     # the hull's edges overflow: its face gets NaN weights, where lstsq
     # raised LinAlgError out of the multistart and the audit
     out = tmp_path / "front"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["front", "--problem-file", str(STEEP4_FILE), "--grid", "2x2",
-                   "--out", str(out)])
-        assert main(["audit", "--problem-file", str(STEEP4_FILE)]) == 1
+    rc = main(["front", "--problem-file", str(STEEP4_FILE), "--grid", "2x2", "--out", str(out)])
+    assert main(["audit", "--problem-file", str(STEEP4_FILE)]) == 1
     assert rc == 1
     errors = [entry["error"] for entry in
               json.loads((out / "archive.json").read_text())["entries"]]
@@ -389,8 +381,8 @@ def test_front_and_audit_of_four_steep_objectives_name_the_overflow(tmp_path, ca
 
 
 def test_front_and_audit_of_four_steep_objectives_warn_nothing(tmp_path, capsys):
-    # outside np.errstate: the face solve's overflow is named once, from the
-    # value alpha, without a numpy RuntimeWarning on stderr as well
+    # the face solve's overflow is named once, from the value alpha, without
+    # a numpy RuntimeWarning on stderr as well
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["front", "--problem-file", str(STEEP4_FILE), "--grid", "3x3",

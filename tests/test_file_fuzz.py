@@ -8,8 +8,9 @@ made ragged, a wrong variable or objective count, an empty polynomial, or
 one of 40 terms.  It then runs ``cli.main`` in process with ``solve``,
 ``front`` on a grid of one or two points per coordinate, and ``audit``.
 Each must return 0, 1, 2 or 64, and write no traceback to stderr.  The
-calls run under the default warnings filter, as the command does: a
-warning is shown, not raised (here it is recorded and dropped).
+calls run under a warnings filter that raises every warning, as
+``python -W error`` does, so a warning that would end such a command in a
+traceback fails the example.
 """
 
 import contextlib
@@ -127,8 +128,8 @@ def _run(argv):
     escapes ``main`` is written to stderr as its traceback."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-            warnings.catch_warnings(record=True):
-        warnings.simplefilter("default")
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
             rc = main(argv)
         except BaseException:

@@ -1,6 +1,8 @@
 import json
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from conftest import CIRCLE_CONFIG, make_infeasible_problem
 from oracles import (archive_to_dict, deduplicate_by_dist, deduplicate_by_norm, dist_to_arc,
                      dist_to_critical_set, dist_to_segment, pairwise_dominance_flags,
                      write_archive_csv_reference, write_archive_json_reference)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _archive_from_F(values):
@@ -258,6 +262,33 @@ def test_multistart_records_failures():
     assert not entry.converged
     assert entry.x is None
     assert "NoConvergence" in entry.error
+
+
+@pytest.mark.parametrize("name, counts", [("steep2d", (2, 2)), ("steep_sphere3d", (2, 2, 2))])
+def test_multistart_records_an_overflow_under_an_error_filter(name, counts):
+    # the run's checks name the overflow; numpy's warning, raised by the
+    # filter, would escape the multistart instead
+    problem = md.load_problem(DATA / f"{name}.json")
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        archive = md.multistart(problem, md.grid_points(problem.box, counts))
+    assert np.geterr() == state
+    assert len(archive) == math.prod(counts)
+    assert all(e.x is None and "direction subproblem SP1 overflowed" in e.error
+               for e in archive)
+
+
+def test_multistart_of_an_overflow_in_another_map_converges_under_an_error_filter():
+    # H reads the monomial table the objectives share, where x1^1000000
+    # overflows; numpy's warning, raised by the filter, would fail every
+    # start as a MapError of H
+    problem = md.load_problem(DATA / "huge_power3d.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        archive = md.multistart(problem, md.grid_points(problem.box, (2, 2, 2)))
+    assert len(archive) == 8
+    assert all(e.converged for e in archive)
 
 
 def test_multistart_filter_keeps_only_segment(circle2d):

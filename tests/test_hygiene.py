@@ -2,8 +2,9 @@
 no module imports a name it never uses, no private module-level function
 or class outlives its last caller, no private module-level function takes
 a parameter it never reads, the public name list holds only names the
-package defines, the descent iteration spells no product ``@``, and only
-``problems`` calls a problem map."""
+package defines, the descent iteration spells no product ``@``, only
+``problems`` calls a problem map, and only the two drivers and two
+guarded load and projection steps set numpy's floating-point state."""
 
 import ast
 from pathlib import Path
@@ -116,3 +117,31 @@ def test_only_problems_calls_a_problem_map(path):
     assert not calls, f"{path.name}: problem maps called on lines {calls}"
     names = {*_referenced_names(tree), *(name for name, _ in _imported_names(tree))}
     assert "_as_floats" not in names, f"{path.name}: references _as_floats"
+
+
+# the functions that may use np.errstate: the two drivers, under which every
+# solve runs, and two steps whose behaviour when called directly tests pin
+ERRSTATE_OWNERS = {("cli.py", "main"), ("globalize.py", "multistart"),
+                   ("geometry.py", "project"), ("problems.py", "_make_poly_maps")}
+
+
+def _errstate_uses(node, owner=None):
+    """(innermost enclosing function name or None, line) of every use of
+    the name ``errstate`` under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if (isinstance(node, ast.Attribute) and node.attr == "errstate"
+            or isinstance(node, ast.Name) and node.id == "errstate"):
+        yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _errstate_uses(child, owner)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_the_drivers_set_numpy_error_state(path):
+    # the run's own checks name every overflow, so a kernel needs no guard of
+    # its own, and a single library solve keeps its caller's error state
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = [(owner, line) for owner, line in _errstate_uses(tree)
+             if (path.name, owner) not in ERRSTATE_OWNERS]
+    assert not stray, f"{path.name}: np.errstate outside its owners at {stray}"
