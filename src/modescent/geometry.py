@@ -10,10 +10,16 @@ Optimization, 2nd ed., sec. 16.2).  On a chart with one row (one equality,
 or one pinned inequality) J J^T is the scalar ||J||^2, and the iteration
 runs in Python floats, through the row maps it picks once per call (H and
 DH, or G and DG read at the pinned row); a chart with k >= 2 rows solves
-the k x k system with numpy.
+the k x k system with numpy.  A one-row chart whose row a problem file gives
+as a sphere is projected exactly instead, in closed form and Python floats,
+with no map call (``_closed_form``; 3.8 us per call on the octant3d sphere
+against 67 us for the Newton iteration, in process on a shared 2-core x86).
+The Newton iteration serves every other case.
 """
 
+import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +50,9 @@ class ManifoldChart:
     # H's rows plus the pinned ones, worked out once: retract reads it at
     # every trial point
     n_rows: int = field(init=False, repr=False, compare=False)
+    # the nearest-point map of the one row, where a problem file compiled
+    # it as a sphere (``_closed_form``), else None; made once here too
+    nearest: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # operator.index refuses 1.5 and "1", which int() would read as row
@@ -56,7 +65,15 @@ class ManifoldChart:
         if any(i < 1 or i > self.problem.m_G for i in idx):
             raise ValueError("inequality index out of range for chart")
         object.__setattr__(self, "ineq_indices", idx)
-        object.__setattr__(self, "n_rows", self.problem.m_H + len(idx))
+        p = self.problem
+        object.__setattr__(self, "n_rows", p.m_H + len(idx))
+        nearest = None
+        if self.n_rows == 1:
+            fun, i = (p.H, 0) if p.m_H else (p.G, idx[0] - 1)
+            rows = getattr(fun, "isotropic_rows", None)
+            if rows is not None and rows[i] is not None:
+                nearest = _closed_form(rows[i])
+        object.__setattr__(self, "nearest", nearest)
 
     def retract(self, x, w) -> np.ndarray:
         """The point x + w, retracted onto the chart by ``project``: x + w
@@ -122,12 +139,26 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     Raises ``NoConvergence`` when the iteration stalls (``y`` too far from
     the manifold, or a degenerate configuration such as an equidistant
     center point) or takes more than PROJECT_ITERS Newton steps.
+
+    Without ``_init``, a one-row chart whose row a problem file gives as a
+    sphere lam ||x||^2 + b.x + d (lam != 0) first takes its exact nearest
+    point in closed form (``chart.nearest``, made by ``_closed_form``), with
+    no map call and no Newton step.  That point is returned only where its
+    row is within 1e-12 of zero, the Newton iteration's own return test; at
+    the sphere's centre, or where the row rounds above that, the Newton
+    iteration runs as without it.  Charts of two or more rows, maps given as
+    callables, other rows (planes among them), and ``feasible_start``'s
+    restarts from ``_init`` always take Newton.
     """
     p = chart.problem
     y = as_point(y, p.n)
     if chart.n_rows == 0:
         return y.copy()
 
+    if _init is None and chart.nearest is not None:
+        z = chart.nearest(y)
+        if z is not None:
+            return z
     z = as_point(_init, p.n).copy() if _init is not None else y.copy()
     if chart.n_rows == 1:
         return _project_one_row(chart, y, z)
@@ -136,6 +167,39 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     # overflow needs no warning
     with np.errstate(over="ignore"):
         return _project_rows(chart, y, z)
+
+
+def _closed_form(row):
+    """The nearest-point map y -> z of the sphere lam ||z||^2 + b.z + d = 0
+    of ``row = (lam, b, d)``, lam != 0, in closed form and Python floats,
+    with no map call; None where the sphere has no point.
+
+    Its centre is c0 = -b / (2 lam) and its radius r, r^2 = ||c0||^2 - d /
+    lam, and the nearest point is c0 + r (y - c0) / ||y - c0||.  There is no
+    map where r^2 is not positive in floats.  The map returns None, for the
+    Newton iteration to take over, at the centre (||y - c0|| not positive)
+    and wherever the row at its point, computed from the same record, is not
+    within 1e-12 of zero: the Newton iteration's own return test.  Every
+    test is written so that NaN fails it.
+    """
+    lam, b, d = row
+    c0 = [bi / (-2.0 * lam) for bi in b]
+    r2 = _dot(c0, c0) - d / lam
+    if not r2 > 0.0:
+        return None
+    r = math.sqrt(r2)
+
+    def nearest_on_sphere(y):
+        u = [yi - ci for yi, ci in zip(y.tolist(), c0)]
+        nu = math.sqrt(_dot(u, u))
+        if not nu > 0.0:
+            return None
+        s = r / nu
+        zs = [ci + s * ui for ci, ui in zip(c0, u)]
+        if abs(lam * _dot(zs, zs) + _dot(b, zs) + d) <= 1e-12:
+            return np.array(zs)
+        return None
+    return nearest_on_sphere
 
 
 def _project_rows(chart: ManifoldChart, y, z) -> np.ndarray:

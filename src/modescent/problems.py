@@ -552,6 +552,13 @@ def _make_poly_maps(poly_list, n, where, basis):
     problem shares.  A coefficient times exponent that overflows raises
     ``ValueError`` naming its monomial, with no warning: no Jacobian entry
     could hold it, so the file is malformed.
+
+    The value map carries ``isotropic_rows``, each row's ``_isotropic``
+    record, worked out here once: ``geometry.project`` reads it to put a
+    point on a sphere row in closed form.  It is an attribute of
+    the map, not of the problem, so a map that ``dataclasses.replace``
+    swaps for another callable takes no stale record with it, and a
+    ``functools.wraps`` wrapper, which copies the attribute, keeps it.
     """
     rows, entries = [], []
     for i, poly in enumerate(poly_list):
@@ -569,8 +576,30 @@ def _make_poly_maps(poly_list, n, where, basis):
                                      f"exponent {expos[k, j]:g} of x{j + 1} overflows in the "
                                      "Jacobian")
             entries.append((dc, de))
-    return (_batched_map(rows, (len(rows),), basis),
-            _batched_map(entries, (len(rows), n), basis))
+    value = _batched_map(rows, (len(rows),), basis)
+    value.isotropic_rows = tuple(_isotropic(coefs, expos) for coefs, expos in rows)
+    return value, _batched_map(entries, (len(rows), n), basis)
+
+
+def _isotropic(coefs, expos):
+    """``(lam, b, d)``, with ``b`` a tuple of n floats, where the row of
+    ``coefs`` and exponent table ``expos`` reads lam ||x||^2 + b.x + d with
+    lam != 0 (a sphere); None for any other row, a plane among them.
+    Repeated monomials add up.  Any monomial besides the constant, the n
+    linear ones and the n squares makes the row None, even with a zero
+    coefficient, and so does a row whose squares differ in coefficient."""
+    n = expos.shape[1]
+    terms = {}
+    for c, e in zip(coefs.tolist(), expos.tolist()):
+        terms[tuple(e)] = terms.get(tuple(e), 0.0) + c
+    unit = np.eye(n).tolist()
+    d = terms.pop((0.0,) * n, 0.0)
+    b = tuple(terms.pop(tuple(e), 0.0) for e in unit)
+    squares = {terms.pop(tuple(2.0 * v for v in e), 0.0) for e in unit}
+    if terms or len(squares) != 1:
+        return None
+    (lam,) = squares
+    return (lam, b, d) if lam else None
 
 
 def load_problem(source) -> ProblemSpec:

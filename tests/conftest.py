@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -36,12 +37,15 @@ def rng():
 
 def with_counted_maps(problem, names):
     """``problem`` with the named maps wrapped to count their calls, and the
-    counter they add to."""
+    counter they add to.  Each wrapper is a ``functools.wraps`` of its map,
+    so it keeps the map's attributes, and a compiled value map its
+    ``isotropic_rows``: the counted problem projects as the problem does."""
     calls = collections.Counter()
 
     def counted(name):
         fun = getattr(problem, name)
 
+        @functools.wraps(fun)
         def wrapped(x):
             calls[name] += 1
             return fun(x)

@@ -80,6 +80,11 @@ def test_tangent_basis_no_rows_is_identity():
     assert np.array_equal(md.tangent_basis(np.zeros((0, 2))), np.eye(2))
 
 
+def test_tangent_basis_rejects_a_one_dimensional_row():
+    with pytest.raises(ValueError, match="2-d array"):
+        md.tangent_basis(np.array([1.0, 0.0]))
+
+
 def test_tangent_basis_two_rows():
     B = md.tangent_basis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert B.shape == (3, 1)
@@ -170,6 +175,17 @@ def test_min_norm_derived_pair_matches_grid_oracle():
     assert p == pytest.approx([-8.0, 0.0], abs=1e-10)
     _, p_oracle = grid_min_norm(G, step=1e-4, polish=False)
     assert np.linalg.norm(p - p_oracle) <= 1e-3
+
+
+def test_min_norm_rejects_no_generators():
+    with pytest.raises(ValueError, match="at least one generator"):
+        md.min_norm_in_hull(np.zeros((0, 2)))
+
+
+def test_min_norm_rejects_a_nan_generator_given_as_a_vector():
+    # a 1-d array is one generator, checked like a row
+    with pytest.raises(ValueError, match="non-finite"):
+        md.min_norm_in_hull([np.nan, 1.0])
 
 
 def test_min_norm_singleton():

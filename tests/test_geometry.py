@@ -12,7 +12,7 @@ import modescent as md
 from modescent import geometry
 from modescent.geometry import FEAS_TOL, chart_jacobian, chart_value
 
-from conftest import make_nan_equality_problem
+from conftest import make_nan_equality_problem, with_counted_maps
 from oracles import project_one_row
 
 DATA = Path(__file__).parent / "data"
@@ -378,16 +378,195 @@ def test_two_row_newton_exits(chart, y, message):
         md.project(chart, y)
 
 
-def test_multirow_charts_take_the_numpy_path(monkeypatch):
+def test_multirow_charts_take_the_numpy_path(monkeypatch, sphere3d):
+    # octant3d with its cap pinned has two rows: the numpy path.  A sphere
+    # given as a callable has one row and no record: the Python-float
+    # Newton iteration.  The octant3d sphere, compiled from its file, is
+    # projected in closed form: neither that iteration nor a chart map runs
     calls = []
     one_row = geometry._project_one_row
     monkeypatch.setattr(geometry, "_project_one_row",
                         lambda chart, y, z: calls.append(chart) or one_row(chart, y, z))
-    octant = md.load_problem(DATA / "octant3d.json")
+    octant, counts = with_counted_maps(md.load_problem(DATA / "octant3d.json"),
+                                       ("H", "DH", "G", "DG"))
     md.project(md.ManifoldChart(octant, (1,)), (0.5, 0.5, 1.0))
     assert calls == []
-    md.project(md.ManifoldChart(octant, ()), (0.5, 0.5, 1.0))
-    assert len(calls) == 1
+    sphere = md.ManifoldChart(sphere3d, ())
+    md.project(sphere, (0.5, 0.5, 1.0))
+    assert calls == [sphere]
+    counts.clear()
+    z = md.project(md.ManifoldChart(octant, ()), (0.5, 0.5, 1.0))
+    assert calls == [sphere] and not counts
+    assert z == pytest.approx(np.array([0.5, 0.5, 1.0]) / np.sqrt(1.5), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# closed-form projection onto sphere rows of problem files
+
+
+def _row_chart(n, row, pinned):
+    """The one-row chart of the polynomial ``row`` (a problem file's list of
+    [coefficient, exponents] pairs), as the file's equality or as its
+    inequality pinned, with F = (x_1)."""
+    key = "inequalities" if pinned else "equalities"
+    problem = md.load_problem({"n": n, "m": 1, "objectives": [[[1, [1] + [0] * (n - 1)]]],
+                               key: [row]})
+    return md.ManifoldChart(problem, (1,) if pinned else ())
+
+
+def _isotropic_row(lam, b, d):
+    """lam ||x||^2 + b.x + d as a problem file's row."""
+    n = len(b)
+    unit = np.eye(n, dtype=int)
+    return ([[lam, (2 * e).tolist()] for e in unit] + [[bj, e.tolist()] for bj, e in zip(b, unit)]
+            + [[d, [0] * n]])
+
+
+@st.composite
+def _isotropic_targets(draw):
+    # a sphere of either orientation (lam of either sign) and a target
+    # 0.05 to 3 radii from its centre
+    n = draw(st.integers(2, 4))
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    lam = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    centre, r = vector(-1.0, 1.0), draw(st.floats(0.25, 2.0))
+    b, d = -2.0 * lam * centre, lam * (centre @ centre - r * r)
+    u = vector(-1.0, 1.0)
+    norm = float(np.linalg.norm(u))
+    if norm < 0.1:
+        u, norm = np.eye(n)[0], 1.0
+    y = centre + draw(st.floats(0.05, 3.0)) * r * u / norm
+    chart = _row_chart(n, _isotropic_row(lam, b.tolist(), d), draw(st.booleans()))
+    return chart, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_isotropic_targets())
+def test_sphere_rows_project_in_closed_form(case):
+    chart, y = case
+    z = chart.nearest(y)
+    assert z is not None
+    assert np.array_equal(md.project(chart, y), z)
+    # on the chart, through the compiled map, to the Newton iteration's
+    # return tolerance, and z - y parallel to the row's gradient
+    assert abs(float(chart_value(chart, z)[0])) <= 1e-12
+    J = chart_jacobian(chart, z)[0]
+    mu = float(J @ (y - z)) / float(J @ J)
+    assert np.max(np.abs(z - y + mu * J)) <= 1e-10
+    # the point the Newton iteration converges to, where it does
+    try:
+        newton = geometry._project_one_row(chart, y, y.copy())
+    except md.NoConvergence:
+        return
+    assert np.max(np.abs(z - newton)) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
+
+
+def _outcome(project, *args):
+    """The bytes of the point ``project(*args)`` returns, or its error's
+    type and message."""
+    try:
+        return project(*args).tobytes()
+    except md.NoConvergence as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("chart, y", [
+    # an ellipse: x1^2 + 2 x2^2 - 1
+    (_row_chart(2, [[1, [2, 0]], [2, [0, 2]], [-1, [0, 0]]], False), (1.5, 0.7)),
+    # a cross term: x1^2 + x2^2 + x1 x2 - 1
+    (_row_chart(2, [[1, [2, 0]], [1, [0, 2]], [1, [1, 1]], [-1, [0, 0]]], True), (1.5, 0.7)),
+    # a cross term with a zero coefficient still makes the row Newton's
+    (_row_chart(2, [[1, [2, 0]], [1, [0, 2]], [0, [1, 1]], [-1, [0, 0]]], False), (1.5, 0.7)),
+    # x1^3, a row of degree 3
+    (md.ManifoldChart(md.load_problem(DATA / "cubic_chart.json"), ()), (0.5, 0.3)),
+    # a plane: x1 + x2 - 1
+    (_row_chart(2, [[1, [1, 0]], [1, [0, 1]], [-1, [0, 0]]], True), (1.5, 0.7)),
+    # a constant row
+    (_row_chart(2, [[1, [0, 0]]], False), (0.5, 0.3)),
+], ids=["ellipse", "cross-term", "zero-cross-term", "cubic", "plane", "constant"])
+def test_other_rows_take_the_newton_iteration(chart, y):
+    y = np.array(y)
+    assert chart.nearest is None
+    assert _outcome(md.project, chart, y) == _outcome(geometry._project_one_row, chart, y, y.copy())
+
+
+def test_a_target_at_the_centre_takes_the_newton_iteration():
+    # the sphere's centre is equidistant from every point of it: the closed
+    # form gives none, and the Newton iteration fails as it does without it,
+    # or, from feasible_start's nudged start, converges
+    chart = md.ManifoldChart(md.load_problem(DATA / "octant3d.json"), ())
+    y = np.zeros(3)
+    assert chart.nearest(y) is None
+    expected = _outcome(geometry._project_one_row, chart, y, y.copy())
+    assert expected[0] is md.NoConvergence
+    assert _outcome(md.project, chart, y) == expected
+    init = np.array([1e-3, 0.0, 0.0])
+    nudged = _outcome(partial(md.project, _init=init), chart, y)
+    assert nudged == _outcome(geometry._project_one_row, chart, y, init)
+
+
+def test_a_sphere_of_no_points_takes_the_newton_iteration():
+    # ||x||^2 + 1 = 0: r^2 = -1, so the chart has no closed form
+    chart = _row_chart(2, _isotropic_row(1.0, [0.0, 0.0], 1.0), False)
+    y = np.array([0.5, 0.3])
+    assert chart.problem.H.isotropic_rows == ((1.0, (0.0, 0.0), 1.0),)
+    assert chart.nearest is None
+    assert _outcome(md.project, chart, y) == _outcome(geometry._project_one_row, chart, y, y.copy())
+
+
+def test_a_point_whose_row_rounds_off_the_chart_takes_the_newton_iteration():
+    # the circle of centre (1e8, 0) and radius 2: its row x1^2 - 2e8 x1 +
+    # x2^2 + 1e16 - 4 cancels terms of 1e16, so at the closed form's point
+    # from (1e8 - 3, 3) it rounds far above 1e-12, and the Newton iteration
+    # takes over
+    chart = _row_chart(2, _isotropic_row(1.0, [-2e8, 0.0], 1e16 - 4.0), False)
+    y = np.array([1e8 - 3.0, 3.0])
+    assert chart.nearest(y) is None
+    assert _outcome(md.project, chart, y) == _outcome(geometry._project_one_row, chart, y, y.copy())
+
+
+def test_the_record_belongs_to_the_compiled_map():
+    # a map swapped for another callable takes no record with it; a
+    # functools.wraps wrapper of the compiled map keeps it
+    octant = md.load_problem(DATA / "octant3d.json")
+    assert octant.H.isotropic_rows == ((1.0, (0.0, 0.0, 0.0), -1.0),)
+    # the cap x3 - 0.5 is a plane: no record
+    assert octant.G.isotropic_rows == (None,)
+    assert md.ManifoldChart(octant, ()).nearest is not None
+    # two rows: the numpy Newton iteration
+    assert md.ManifoldChart(octant, (1,)).nearest is None
+    swapped = dataclasses.replace(octant, H=lambda x: octant.H(x))
+    assert md.ManifoldChart(swapped, ()).nearest is None
+    wrapped, _ = with_counted_maps(octant, ("H",))
+    assert md.ManifoldChart(wrapped, ()).nearest is not None
+
+
+_FAR_DISK = (np.array([0.75, 1.25]), 0.5)
+
+
+@pytest.mark.parametrize("y", [(-3.0, 3.0), (-1.0, 2.0), (-2.0, 2.5), (3.0, -3.0)])
+def test_far_targets_project_onto_the_disk_of_a_problem_file(y):
+    # the disk of centre (0.75, 1.25) and radius 0.5 as the inequality of
+    # far_disk2d.json: the Newton iteration stalls from these targets
+    chart = md.ManifoldChart(md.load_problem(DATA / "far_disk2d.json"), (1,))
+    centre, r = _FAR_DISK
+    y = np.array(y)
+    nearest = centre + r * (y - centre) / np.linalg.norm(y - centre)
+    assert np.max(np.abs(md.project(chart, y) - nearest)) <= 1e-12
+
+
+def test_every_exterior_start_of_the_far_disk_is_made_feasible():
+    problem = md.load_problem(DATA / "far_disk2d.json")
+    centre, r = _FAR_DISK
+    starts = np.random.default_rng(0).uniform(-4.0, 4.0, (1600, 2))
+    exterior = starts[np.linalg.norm(starts - centre, axis=1) > r]
+    assert len(exterior) == 1586
+    for x in exterior:
+        nearest = centre + r * (x - centre) / np.linalg.norm(x - centre)
+        assert np.max(np.abs(md.feasible_start(problem, x) - nearest)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +787,12 @@ def test_feasible_start_active_set_changes(monkeypatch, start, charts, nearest):
     assert z == pytest.approx(nearest, abs=1e-9)
 
 
-def test_feasible_start_that_cycles_does_not_settle(monkeypatch):
+def test_feasible_start_cycle_returns_its_nearest_feasible_pass(monkeypatch):
     # G = sin(x1) from x1 = 1.8: the projection's Newton steps pass the
     # nearest root pi and land on 2 pi, which is feasible, but where the
     # distance multiplier (1.8 - 2 pi) / cos(2 pi) is negative.  The row is
     # dropped, the start violates it again, and the active set (1,) comes
-    # back: a cycle, whose one feasible projection 2 pi is the start
+    # back: a cycle, which returns its one feasible projection, 2 pi
     problem = md.ProblemSpec(name="sine", n=1, m=1, F=lambda x: np.array([x[0]]),
                              DF=lambda x: np.array([[1.0]]), m_G=1,
                              G=lambda x: np.array([np.sin(x[0])]),

@@ -237,6 +237,11 @@ def test_grid_points_layout(circle2d):
     assert mid[0] == pytest.approx([0.0, 0.0])
 
 
+def test_grid_points_rejects_a_count_of_zero(circle2d):
+    with pytest.raises(ValueError, match="grid counts must be >= 1"):
+        md.grid_points(circle2d.box, (3, 0))
+
+
 def test_multistart_small_grid_lands_on_critical_set(circle2d):
     cfg = md.SolverConfig(**CIRCLE_CONFIG, eta=1.0)
     starts = md.grid_points(circle2d.box, (5, 5))

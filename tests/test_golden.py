@@ -192,26 +192,26 @@ def test_sphere3d_map_calls_are_pinned(sphere3d):
 
 def test_octant3d_map_calls_are_pinned():
     # one solve of the octant3d golden front with counted polynomial maps;
-    # every trial point is projected onto the sphere, so H counts the
-    # projections plus the feasibility check of the start, DH the
-    # projections plus one call per evaluate, and the cap inequality is
-    # tested once per trial point.  The cap is never active at epsilon at an
-    # iterate, so no evaluation calls DG (47 with DG at every evaluation)
+    # every trial point is projected onto the sphere in closed form, with no
+    # map call, so H is called once, by the feasibility check of the start,
+    # DH once per evaluate, and the cap inequality is tested once per trial
+    # point (H 133 and DH 179 with the Newton projection at every trial).
+    # The cap is never active at epsilon at an iterate, so no evaluation
+    # calls DG (47 with DG at every evaluation)
     spec, calls = with_counted_maps(md.load_problem(OCTANT_FILE),
                                     ("F", "DF", "G", "DG", "H", "DH"))
     _, trace = md.solve_constrained(spec, (0.5, -0.5, -0.7),
                                     md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 46
     assert trace.branch_counts() == {"SP1-step": 46}
-    assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "H": 133, "DH": 179}
+    assert dict(calls) == {"F": 47, "DF": 47, "G": 49, "H": 1, "DH": 47}
 
 
 def test_octant3d_monomial_powers_are_pinned(monkeypatch):
     # the same solve: the six maps share one memo of their monomials, so
-    # the 455 map calls raise x to the problem's exponent table only at
-    # the 132 points where the previous call was elsewhere (502 calls with
-    # the 47 DG calls of an evaluation at every iterate, each at the point
-    # of the DH call before it)
+    # the 191 map calls raise x to the problem's exponent table only at
+    # the 48 points where the previous call was elsewhere (455 calls and
+    # 132 powers with the Newton projection at every trial point)
     powers = []
     monomials = md.problems._monomials
 
@@ -223,5 +223,5 @@ def test_octant3d_monomial_powers_are_pinned(monkeypatch):
     spec, calls = with_counted_maps(md.load_problem(OCTANT_FILE),
                                     ("F", "DF", "G", "DG", "H", "DH"))
     md.solve_constrained(spec, (0.5, -0.5, -0.7), md.SolverConfig(beta0=0.1, eta=1.0))
-    assert sum(calls.values()) == 455
-    assert len(powers) == 132
+    assert sum(calls.values()) == 191
+    assert len(powers) == 48

@@ -71,6 +71,31 @@ def test_empty_polynomial_is_zero_with_zero_gradient():
     assert DF(x).tolist() == [[0.0, 0.0, 0.0], [0.25, 0.0, 2.0 * 1.5 * 3 * 0.25]]
 
 
+@pytest.mark.parametrize("row, record", [
+    # repeated monomials add up: 0.5 x1^2 + 0.5 x1^2 + x2^2 - 1
+    ([[0.5, [2, 0]], [0.5, [2, 0]], [1, [0, 2]], [-1, [0, 0]]], (1.0, (0.0, 0.0), -1.0)),
+    # a sphere that opens downward: -x1^2 - x2^2 + 2 x2
+    ([[-1, [2, 0]], [-1, [0, 2]], [2, [0, 1]]], (-1.0, (0.0, 2.0), 0.0)),
+    # a plane, squares that cancel (which leave a plane), unequal squares, a
+    # lone square, a cross term, a cubic, a constant and the empty
+    # polynomial are no sphere
+    ([[1, [0, 1]], [-0.5, [0, 0]]], None),
+    ([[1, [2, 0]], [1, [0, 2]], [-1, [2, 0]], [-1, [0, 2]], [2, [1, 0]]], None),
+    ([[1, [2, 0]], [2, [0, 2]], [-1, [0, 0]]], None),
+    ([[1, [2, 0]], [-1, [0, 0]]], None),
+    ([[1, [2, 0]], [1, [0, 2]], [1, [1, 1]]], None),
+    ([[1, [2, 0]], [1, [0, 2]], [0, [3, 0]]], None),
+    ([[1, [0, 0]]], None),
+    ([], None),
+])
+def test_value_maps_record_their_sphere_rows(row, record):
+    problem = md.load_problem({"n": 2, "m": 1, "objectives": [[[1, [1, 0]]]],
+                               "equalities": [row], "inequalities": [row, [[1, [1, 0]]]]})
+    assert problem.H.isotropic_rows == (record,)
+    assert problem.G.isotropic_rows == (record, None)
+    assert not hasattr(problem.DH, "isotropic_rows")
+
+
 # the BLAS vector dot changes its blocking at 16 terms
 BLOCK = 16
 

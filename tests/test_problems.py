@@ -165,6 +165,16 @@ def test_fd_audit_rejects_bad_step(circle2d):
         md.fd_audit(circle2d, (0.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(m_H=-1), "non-negative"),
+    (dict(m_H=1, H=lambda x: np.array([x @ x - 1.0])), "H and DH must be supplied"),
+], ids=["negative-count", "H-without-DH"])
+def test_problem_spec_rejects_bad_constraint_maps(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        md.ProblemSpec(name="bad", n=2, m=1, F=lambda x: x[:1], DF=lambda x: np.eye(2)[:1],
+                       **kwargs)
+
+
 def test_registry_contents():
     assert md.registry_names() == ["circle2d", "sphere3d"]
     c = md.registry_get("circle2d")
