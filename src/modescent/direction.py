@@ -18,9 +18,10 @@ Finiteness is checked once per array: ``tangent_basis`` and
 ``evaluate`` has checked, straight to the unchecked kernels
 ``_tangent_basis`` and ``_min_norm``; only the projection of the
 generators onto the tangent space, a new array that can overflow, goes
-through ``min_norm_in_hull``.  The min-norm kernels never raise on finite
-generators: where their arithmetic overflows the weights come out NaN, and
-``solve_direction`` names the overflow once, from the value alpha.
+through ``min_norm_in_hull``, which takes that float64 matrix as it is.
+The min-norm kernels never raise on finite generators: where their
+arithmetic overflows the weights come out NaN, and ``solve_direction``
+names the overflow once, from the value alpha.
 """
 
 import math
@@ -30,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ModescentError, RankError
-from .problems import EvalBundle, active_indices, all_finite
+from .problems import _FLOAT, EvalBundle, active_indices, all_finite
 
 # rank cutoff relative to the largest singular value
 RANK_RTOL = 1e-10
@@ -109,13 +110,14 @@ def _householder_kernel(row) -> np.ndarray:
     s = math.hypot(*a)
     beta = s * (s + abs(a[0]))
     u = [aj / beta for aj in a[1:]]
-    v0 = a[0] + math.copysign(s, a[0])
-    cols = [[-v0 * uj for uj in u]]
-    for i, ai in enumerate(a[1:]):
-        col = [-ai * uj for uj in u]
-        col[i] += 1.0
-        cols.append(col)
-    return np.array(cols)
+    # a becomes v; row i of the basis is -v_i u, plus e_(i-1) for i >= 1,
+    # and entry (i, i - 1) of the flat list is every n-th from n - 1 on
+    a[0] += math.copysign(s, a[0])
+    n = len(a)
+    flat = [-vi * uj for vi in a for uj in u]
+    for i in range(n - 1, n * (n - 1), n):
+        flat[i] += 1.0
+    return np.array(flat).reshape(n, n - 1)
 
 
 def _tangent_basis(A) -> np.ndarray:
@@ -168,8 +170,15 @@ def _min_norm_three(G):
     X = _EDGES.dot(G)
     K = X.dot(X.T).tolist()
     # the affine-hull minimiser, from the 2x2 normal equations at the vertex
-    # opposite the longest edge (the widest angle, best conditioned)
-    i, j, k, ru, su, rw, sw = _VERTICES[max(range(3), key=lambda v: K[5 - v][5 - v])]
+    # opposite the longest edge (the widest angle, best conditioned), picked
+    # as max picks: the first of equal lengths, and a NaN only where it
+    # comes first
+    vertex, top = 0, K[5][5]
+    if K[4][4] > top:
+        vertex, top = 1, K[4][4]
+    if K[3][3] > top:
+        vertex = 2
+    i, j, k, ru, su, rw, sw = _VERTICES[vertex]
     if not K[5 - i][5 - i] < math.inf:
         # the longest edge overflowed, or its square: NaN weights
         return [math.nan] * 3
@@ -283,14 +292,21 @@ def min_norm_in_hull(generators):
     go to ``_min_norm_three`` and four or more through ``_min_norm_faces``.
     Where the differences of the generators (or, for three, the squared
     length of an edge) overflow, the weights and the point are NaN: no form
-    raises on finite generators.  Raises ``ValueError`` on no generator or
-    a non-finite entry; the kernel behind it, ``_min_norm``, checks nothing,
+    raises on finite generators.  A vector is one generator, and an empty
+    one none; a base-class float64 matrix is taken as it is, and any other
+    input is coerced to one.  Raises ``ValueError`` on no generator or a
+    non-finite entry; the kernel behind it, ``_min_norm``, checks nothing,
     and ``solve_direction`` calls it directly on the rows ``evaluate`` has
     checked.
     """
-    G = np.asarray(generators, dtype=float)
-    if G.ndim == 1:
-        G = G.reshape(1, -1)
+    G = generators
+    # a base-class float64 matrix, such as solve_direction's projected
+    # generators, is what the coercion would return unchanged
+    if type(G) is not np.ndarray or G.dtype is not _FLOAT or G.ndim != 2:
+        G = np.asarray(generators, dtype=float)
+        if G.ndim == 1:
+            # one generator, or none where the vector is empty
+            G = G.reshape(1, -1) if G.size else G.reshape(0, 0)
     if G.shape[0] < 1:
         raise ValueError("need at least one generator")
     if not all_finite(G):

@@ -485,6 +485,123 @@ def feasible_armijo_reference(bundle, v, active, config):
 
 
 # ---------------------------------------------------------------------------
+# reference spellings of kernels rewritten for speed
+#
+# Each is the earlier, plainer spelling of a production kernel, kept so that
+# tests can require the rewrite to return the same bytes.  Unlike the oracles
+# above they are not independent: they share the kernels' constants and
+# floating-point steps, and differ only in how the work is laid out.
+
+
+def householder_kernel_reference(row):
+    """``direction._householder_kernel`` built column by column as nested
+    lists: row 0 is -v0 u, row i >= 1 is -a_i u with 1 added at column
+    i - 1."""
+    import math
+
+    from modescent.errors import RankError
+
+    a = row.tolist()
+    scale = max(map(abs, a))
+    if scale == 0.0:
+        raise RankError("equality constraint rows are numerically rank deficient")
+    a = [ai / scale for ai in a]
+    s = math.hypot(*a)
+    beta = s * (s + abs(a[0]))
+    u = [aj / beta for aj in a[1:]]
+    v0 = a[0] + math.copysign(s, a[0])
+    cols = [[-v0 * uj for uj in u]]
+    for i, ai in enumerate(a[1:]):
+        col = [-ai * uj for uj in u]
+        col[i] += 1.0
+        cols.append(col)
+    return np.array(cols)
+
+
+def min_norm_three_reference(G):
+    """``direction._min_norm_three`` with its vertex picked by ``max`` over
+    a key function."""
+    import math
+
+    from modescent.direction import _AFFINE_RTOL, _EDGES, _VERTICES
+
+    X = _EDGES.dot(G)
+    K = X.dot(X.T).tolist()
+    i, j, k, ru, su, rw, sw = _VERTICES[max(range(3), key=lambda v: K[5 - v][5 - v])]
+    if not K[5 - i][5 - i] < math.inf:
+        return [math.nan] * 3
+    uu, ww, uw = K[ru][ru], K[rw][rw], su * sw * K[ru][rw]
+    bu, bw = su * K[i][ru], sw * K[i][rw]
+    det = uu * ww - uw * uw
+    if det > _AFFINE_RTOL * uu * ww:
+        b = (uw * bu - uu * bw) / det
+        a = -(bu + uw * b) / uu
+        c = 1.0 - a - b
+        if a >= 0.0 and b >= 0.0 and c >= 0.0:
+            lam = [0.0, 0.0, 0.0]
+            lam[i], lam[j], lam[k] = c, a, b
+            return lam
+    best = None
+    for i, j, k, ru, su, rw, sw in _VERTICES:
+        den, t = K[ru][ru], su * K[i][ru]
+        theta = 0.0 if den == 0.0 else min(max(-t / den, 0.0), 1.0)
+        gap = sw * K[i][rw] + theta * (su * sw * K[ru][rw] - t - theta * den)
+        if best is None or gap > best[0]:
+            best = (gap, i, j, theta)
+    _, i, j, theta = best
+    lam = [0.0, 0.0, 0.0]
+    lam[i], lam[j] = 1.0 - theta, theta
+    return lam
+
+
+def closed_form_reference(row):
+    """``geometry._closed_form`` with every sum taken by a ``_dot`` helper:
+    left to right from 0.0, products only."""
+    import math
+
+    def dot(a, b):
+        s = 0.0
+        for ai, bi in zip(a, b):
+            s += ai * bi
+        return s
+
+    lam, b, d = row
+    c0 = [bi / (-2.0 * lam) for bi in b]
+    r2 = dot(c0, c0) - d / lam
+    if not r2 > 0.0:
+        return None
+    r = math.sqrt(r2)
+
+    def nearest_on_sphere(y):
+        u = [yi - ci for yi, ci in zip(y.tolist(), c0)]
+        nu = math.sqrt(dot(u, u))
+        if not nu > 0.0:
+            return None
+        s = r / nu
+        zs = [ci + s * ui for ci, ui in zip(c0, u)]
+        if abs(lam * dot(zs, zs) + dot(b, zs) + d) <= 1e-12:
+            return np.array(zs)
+        return None
+    return nearest_on_sphere
+
+
+def min_norm_in_hull_reference(generators):
+    """``direction.min_norm_in_hull`` with every input coerced by
+    ``np.asarray`` and a vector read as one row, an empty vector too."""
+    from modescent.direction import _min_norm
+    from modescent.problems import all_finite
+
+    G = np.asarray(generators, dtype=float)
+    if G.ndim == 1:
+        G = G.reshape(1, -1)
+    if G.shape[0] < 1:
+        raise ValueError("need at least one generator")
+    if not all_finite(G):
+        raise ValueError("generators contain non-finite entries")
+    return _min_norm(G)
+
+
+# ---------------------------------------------------------------------------
 # closed-form geometry of the circle test problem
 
 ARC_HALF_ANGLE = np.arctan(0.5)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import modescent as md
-from modescent import direction, globalize
+from modescent import direction, geometry, globalize, linesearch
 from modescent.cli import _worst, front, main, solve
 
 from oracles import dist_to_critical_set, pairwise_dominance_flags
@@ -245,6 +245,52 @@ def test_equator_front_runs_four_generator_hulls(tmp_path, monkeypatch):
         x = np.array([float(r["x1"]), float(r["x2"]), float(r["x3"])])
         theta = np.clip(np.arctan2(x[1], x[0]), 0.0, np.pi / 2)
         assert np.linalg.norm(x - (np.cos(theta), np.sin(theta), 0.0)) <= 1e-3
+
+
+def _spy_everywhere(monkeypatch, module, name, make):
+    """Replace ``module.name`` by ``make(original)`` in every modescent
+    module that holds it, as the benchmark's probe wraps its layers."""
+    original = getattr(module, name)
+    spy = make(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "modescent" or mod_name.startswith("modescent.")) \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+
+
+def test_octant_front_reaches_the_traced_entries(tmp_path, monkeypatch):
+    # the benchmark times its layers by wrapping module-level entries: each
+    # feasible Armijo step must project through geometry.project, and each
+    # SP1 direction must take its hull through direction.min_norm_in_hull,
+    # not through the kernels behind them, or those spans read nothing
+    calls = collections.Counter()
+    steps, solves = [], []
+
+    def counted(key, record=None, kind=None):
+        # counts the calls of ``key``; with ``record``, also the calls each
+        # one made inside it, by key
+        def make(original):
+            def spy(*args, **kwargs):
+                calls[key] += 1
+                before = calls.copy()
+                out = original(*args, **kwargs)
+                if record is not None and (kind is None or args[1] is kind):
+                    record.append(calls - before)
+                return out
+            return spy
+        return make
+
+    _spy_everywhere(monkeypatch, geometry, "project", counted("project"))
+    _spy_everywhere(monkeypatch, direction, "min_norm_in_hull", counted("hull"))
+    _spy_everywhere(monkeypatch, linesearch, "feasible_armijo_step", counted("step", steps))
+    _spy_everywhere(monkeypatch, direction, "solve_direction",
+                    counted("solve", solves, direction.SubproblemKind.OBJECTIVE_ICS))
+    assert main(["front", "--problem-file", str(OCTANT_FILE), "--grid", "2x2x2",
+                 "--beta0", "0.1", "--eta", "1", "--out", str(tmp_path / "octant")]) == 0
+    assert steps and solves
+    assert all(step["project"] >= 1 for step in steps)
+    # one sphere row on every chart: one projected hull per direction
+    assert all(solve["hull"] == 1 for solve in solves)
 
 
 def test_front_json_is_its_own_json_dump(tmp_path):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
-from modescent import direction
+from modescent import direction, geometry
 from modescent.direction import KKT_TOL, SubproblemKind, _min_norm_faces
 from modescent.problems import _evaluate
 
 from conftest import make_box_problem, make_vertex_problem
-from oracles import grid_min_norm, origin_in_hull, support_min_norm
+from oracles import (closed_form_reference, grid_min_norm, householder_kernel_reference,
+                     min_norm_in_hull_reference, min_norm_three_reference, origin_in_hull,
+                     support_min_norm)
 
 DATA = Path(__file__).parent / "data"
 
@@ -322,6 +324,172 @@ def test_min_norm_affine_solve_only_from_four_generators(monkeypatch, rng):
     # four generators take the affine-hull minimiser of _min_norm_faces
     with pytest.raises(AssertionError, match="affine"):
         md.min_norm_in_hull(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+
+
+def test_min_norm_rejects_an_empty_vector():
+    # a vector is one generator, but an empty one is none, as a (0, d)
+    # matrix is, not one generator of dimension 0
+    for generators in ([], np.zeros(0)):
+        with pytest.raises(ValueError, match="at least one generator"):
+            md.min_norm_in_hull(generators)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_min_norm_of_zero_dimensional_generators(k):
+    # a tangent space of dimension 0 projects every generator to a (k, 0)
+    # hull; its minimum-norm point is the empty point, with simplex weights
+    for generators in (np.zeros((k, 0)), [[]] * k):
+        lam, p = md.min_norm_in_hull(generators)
+        assert lam.shape == (k,) and p.shape == (0,)
+        assert min(lam) >= 0.0 and math.fsum(lam) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# rewritten kernels against their reference spellings, byte for byte
+
+def _outcome(fun, *args):
+    """What ``fun(*args)`` gives, as comparable bytes: each returned array's
+    type, dtype, shape and bytes (a list counts as a float64 array), None,
+    or the raised error's type and message."""
+    try:
+        out = fun(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+    def key(value):
+        if value is None:
+            return None
+        a = value if isinstance(value, np.ndarray) else np.array(value, dtype=float)
+        return type(a), a.dtype.str, a.shape, a.tobytes()
+    return tuple(map(key, out)) if isinstance(out, tuple) else key(out)
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+# signed zeros, small integers, plain floats and magnitudes near 1e300 and
+# 1e-300, where a square or a product of entries leaves the float range
+_WIDE_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.floats(-10.0, 10.0),
+    st.tuples(_SIGN, st.floats(1e299, 1e301)).map(math.prod),
+    st.tuples(_SIGN, st.floats(1e-301, 1e-299)).map(math.prod),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(_WIDE_ENTRY, min_size=n, max_size=n)))
+@example([0.0, 1.0, -2.0])
+@example([-0.0, 0.5, 0.5])
+@example([-0.0, -3.0, 4.0, 1e-300])
+@example([-2.0, 1.0, -3.0, 4.0])
+@example([1e300, -1.5e300, 5e299])
+@example([-1e-300, 3e-300])
+@example([0.0, -0.0])
+@example([-7.0])
+def test_householder_kernel_matches_its_reference_bitwise(row):
+    row = np.array(row)
+    assert _outcome(direction._householder_kernel, row) \
+        == _outcome(householder_kernel_reference, row)
+
+
+@st.composite
+def _three_edge_rows(draw):
+    # small integers tie edge lengths often, and a triangle mirrored about
+    # an axis ties two of them exactly in any row order; 1e308 overflows an
+    # edge or its square to inf; inf and NaN entries make NaN edge lengths
+    if draw(st.booleans()):
+        a, b, c = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+        return np.array(draw(st.permutations([[a, b], [-a, b], [0.0, c]])))
+    d = draw(st.integers(1, 3))
+    entry = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 1e154, 2.0]),
+        st.sampled_from([0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+        st.floats(-10.0, 10.0),
+    ]))
+    return np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                  min_size=3, max_size=3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_three_edge_rows())
+@example(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(0.75)]]))
+@example(np.array([[0.0709297482015403, 2.702782177955612],
+                   [-0.0709297482015403, 2.702782177955612], [0.0, -2.135042323682198]]))
+@example(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+@example(np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]))
+@example(np.array([[math.nan, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+@example(np.array([[1.0, 0.0], [math.inf, 0.0], [0.0, 1.0]]))
+def test_min_norm_three_matches_its_reference_bitwise(G):
+    # tied, infinite and NaN edge lengths pick the same vertex as max does
+    with np.errstate(all="ignore"):
+        assert _outcome(direction._min_norm_three, G) == _outcome(min_norm_three_reference, G)
+
+
+@st.composite
+def _sphere_rows_and_targets(draw):
+    n = draw(st.integers(1, 4))
+    wide = st.one_of(st.floats(-4.0, 4.0), _WIDE_ENTRY)
+    lam = draw(st.one_of(st.floats(0.25, 4.0), _WIDE_ENTRY).filter(lambda v: v != 0.0))
+    b = tuple(draw(st.lists(wide, min_size=n, max_size=n)))
+    d = draw(wide)
+    y = np.array(draw(st.lists(wide, min_size=n, max_size=n)))
+    return (lam, b, d), y
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sphere_rows_and_targets())
+@example(((1.0, (0.0, 0.0, 0.0), -1.0), np.array([0.5, 0.6, 0.7])))
+@example(((1.0, (0.0, 0.0, 0.0), -1.0), np.zeros(3)))
+@example(((-2.0, (1.0, -0.0), 3.0), np.array([-0.0, 2.0])))
+@example(((1.0, (-2e8, 0.0), 1e16 - 4.0), np.array([3.0, 1.0])))
+@example(((-1.0, (0.0, 0.0, 94906266.0), 1.0), np.array([0.0, 0.0, 58205779.0])))
+def test_nearest_on_sphere_matches_its_reference_bitwise(case):
+    row, y = case
+    ours, ref = geometry._closed_form(row), closed_form_reference(row)
+    assert (ours is None) == (ref is None)
+    if ours is not None:
+        assert _outcome(ours, y) == _outcome(ref, y)
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+@st.composite
+def _hull_inputs(draw):
+    # the forms a caller can hand min_norm_in_hull; base-class float64
+    # matrices take its fast path, every other form its coercion
+    k, d = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1e300, math.nan]))
+    G = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                               min_size=k, max_size=k)), dtype=float).reshape(k, d)
+    with np.errstate(over="ignore"):
+        single = G.astype(np.float32)
+    forms = [G, G.tolist(), single, G.view(_Subclass), np.asfortranarray(G), G[::-1],
+             G.astype(">f8")]
+    if d:
+        # an empty vector is not one of them: it reads as no generator
+        # (test_min_norm_rejects_an_empty_vector), where the reference
+        # reads one of dimension 0
+        forms += [G[0], G[0].tolist(), single[0]]
+    return draw(st.sampled_from(forms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hull_inputs())
+def test_min_norm_in_hull_fast_path_matches_the_coercing_path_bitwise(generators):
+    with np.errstate(all="ignore"):
+        assert _outcome(md.min_norm_in_hull, generators) \
+            == _outcome(min_norm_in_hull_reference, generators)
+        # and a C-ordered matrix gives what a fresh array of its values
+        # gives; the point lam.dot(G) follows the memory layout of G, so a
+        # reversed or Fortran-ordered one may differ from it in the last bit
+        if isinstance(generators, np.ndarray) and generators.ndim == 2 \
+                and generators.flags.c_contiguous:
+            assert _outcome(md.min_norm_in_hull, generators) \
+                == _outcome(min_norm_in_hull_reference, generators.tolist())
 
 
 # ---------------------------------------------------------------------------
