@@ -18,7 +18,8 @@ Finiteness is checked once per array: ``tangent_basis`` and
 ``evaluate`` has checked, straight to the unchecked kernels
 ``_tangent_basis`` and ``_min_norm``; only the projection of the
 generators onto the tangent space, a new array that can overflow, goes
-through ``min_norm_in_hull``, which takes that float64 matrix as it is.
+through ``min_norm_in_hull``, which takes that C-ordered float64 matrix
+as it is.
 The min-norm kernels never raise on finite generators: where their
 arithmetic overflows the weights come out NaN, and ``solve_direction``
 names the overflow once, from the value alpha.
@@ -293,17 +294,20 @@ def min_norm_in_hull(generators):
     Where the differences of the generators (or, for three, the squared
     length of an edge) overflow, the weights and the point are NaN: no form
     raises on finite generators.  A vector is one generator, and an empty
-    one none; a base-class float64 matrix is taken as it is, and any other
-    input is coerced to one.  Raises ``ValueError`` on no generator or a
-    non-finite entry; the kernel behind it, ``_min_norm``, checks nothing,
-    and ``solve_direction`` calls it directly on the rows ``evaluate`` has
-    checked.
+    one none; a base-class float64 matrix in C order is taken as it is, and
+    any other input is coerced to one, in C order: the point ``lam.dot(G)``
+    follows the memory layout of G in its last bit, so a Fortran-ordered,
+    reversed or strided matrix gives what its C copy gives.  Raises
+    ``ValueError`` on no generator or a non-finite entry; the kernel behind
+    it, ``_min_norm``, checks nothing, and ``solve_direction`` calls it
+    directly on the rows ``evaluate`` has checked.
     """
     G = generators
-    # a base-class float64 matrix, such as solve_direction's projected
-    # generators, is what the coercion would return unchanged
-    if type(G) is not np.ndarray or G.dtype is not _FLOAT or G.ndim != 2:
-        G = np.asarray(generators, dtype=float)
+    # a base-class float64 matrix in C order, such as solve_direction's
+    # projected generators, is what the coercion would return unchanged
+    if type(G) is not np.ndarray or G.dtype is not _FLOAT or G.ndim != 2 \
+            or not G.flags.c_contiguous:
+        G = np.asarray(generators, dtype=float, order="C")
         if G.ndim == 1:
             # one generator, or none where the vector is empty
             G = G.reshape(1, -1) if G.size else G.reshape(0, 0)

@@ -125,6 +125,14 @@ def _dot(a, b):
     return s
 
 
+def _row_multiplier(J, jj, y, z):
+    """The multiplier mu of one chart row at z for the target y, the
+    least-squares solution J (y - z) / jj of J^T mu = y - z, where jj is
+    ||J||^2: J, y and z are lists of Python floats.  0 where jj is not
+    positive (a NaN jj too), ``lstsq``'s minimum-norm answer."""
+    return _dot(J, [yi - zi for yi, zi in zip(y, z)]) / jj if jj > 0.0 else 0.0
+
+
 def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     """Nearest-point projection of ``y`` onto the chart manifold.
 
@@ -135,8 +143,12 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     initialized at ``y``, with damped steps on a merit-function increase.
     Each Newton step solves [I J^T; J 0][dz; dmu] = -[r1; c] as
     (J J^T) dmu = c - J r1, dz = -r1 - J^T dmu.  The multiplier starts at
-    the least-squares solution of J^T mu = y - z.  A one-row chart takes
-    ``_project_one_row``, the same iteration in Python floats.
+    the least-squares solution of J^T mu = y - z.  It returns once every
+    row c_i is within 1e-12 of zero and within 1e-12 ||J_i|| of it (a
+    first-order distance to the row's surface of at most 1e-12), and r1 is
+    within 1e-10; rows with ||J_i|| >= 1 meet the second bound with the
+    first.  A one-row chart takes ``_project_one_row``, the same iteration
+    in Python floats.
     Raises ``NoConvergence`` when the iteration stalls (``y`` too far from
     the manifold, or a degenerate configuration such as an equidistant
     center point) or takes more than PROJECT_ITERS Newton steps.
@@ -145,11 +157,11 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     sphere lam ||x||^2 + b.x + d (lam != 0) first takes its exact nearest
     point in closed form (``chart.nearest``, made by ``_closed_form``), with
     no map call and no Newton step.  That point is returned only where its
-    row is within 1e-12 of zero, the Newton iteration's own return test; at
-    the sphere's centre, or where the row rounds above that, the Newton
-    iteration runs as without it.  Charts of two or more rows, maps given as
-    callables, other rows (planes among them), and ``feasible_start``'s
-    restarts from ``_init`` always take Newton.
+    row is within 1e-12 of zero, the Newton iteration's bound on the row
+    value; at the sphere's centre, or where the row rounds above that, the
+    Newton iteration runs as without it.  Charts of two or more rows, maps
+    given as callables, other rows (planes among them), and
+    ``feasible_start``'s restarts from ``_init`` always take Newton.
     """
     p = chart.problem
     y = as_point(y, p.n)
@@ -180,8 +192,8 @@ def _closed_form(row):
     map where r^2 is not positive in floats.  The map returns None, for the
     Newton iteration to take over, at the centre (||y - c0|| not positive)
     and wherever the row at its point, computed from the same record, is not
-    within 1e-12 of zero: the Newton iteration's own return test.  Every
-    test is written so that NaN fails it.
+    within 1e-12 of zero: the Newton iteration's bound on the row value.
+    Every test is written so that NaN fails it.
     """
     lam, b, d = row
     c0 = [bi / (-2.0 * lam) for bi in b]
@@ -241,7 +253,9 @@ def _project_rows(chart: ManifoldChart, y, z) -> np.ndarray:
     mu, *_ = np.linalg.lstsq(J.T, y - z, rcond=None)
     r1 = z - y + J.T @ mu
     for _ in range(PROJECT_ITERS):
-        if abs(c).max() <= 1e-12 and abs(r1).max() <= 1e-10:
+        if (abs(c).max() <= 1e-12 and abs(r1).max() <= 1e-10
+                and all(ci * ci <= 1e-24 * _dot(Ji, Ji)
+                        for ci, Ji in zip(c.tolist(), J.tolist()))):
             return z
         try:
             dmu = _gram_solve(J, c - J @ r1)
@@ -319,10 +333,10 @@ def _project_one_row(chart: ManifoldChart, y, z) -> np.ndarray:
     else:
         raise NoConvergence("projection: feasibility presolve hit its cap")
 
-    mu = _dot(J, [yi - zi for yi, zi in zip(ys, zs)]) / jj if jj > 0.0 else 0.0
+    mu = _row_multiplier(J, jj, ys, zs)
     r1 = [zi - yi + Ji * mu for zi, yi, Ji in zip(zs, ys, J)]
     for _ in range(PROJECT_ITERS):
-        if abs(c) <= 1e-12 and all(abs(ri) <= 1e-10 for ri in r1):
+        if abs(c) <= 1e-12 and c * c <= 1e-24 * jj and all(abs(ri) <= 1e-10 for ri in r1):
             return z
         if jj == 0.0:
             raise NoConvergence("projection: singular KKT system (degenerate point)")
@@ -455,25 +469,35 @@ def retract_psi(chart: ManifoldChart, x, w) -> np.ndarray:
     raise NoConvergence("retract_psi: no sign change within the bracket growth limit")
 
 
-# (problem, chart) of the chart without pinned inequalities, for the last
-# problem asked for: it depends on nothing else, and a front asks for it once
-# per step with one problem
-_free = (None, None)
+# (problem, {pinned rows: chart}) of the last problem asked for: a chart
+# depends on nothing else, and a front asks for its charts with one problem
+_charts = (None, {})
 
 
-def free_chart(problem: ProblemSpec) -> ManifoldChart:
-    """``ManifoldChart(problem, ())``, built once per problem instead of once
-    per step.
+def _chart(problem: ProblemSpec, rows: tuple) -> ManifoldChart:
+    """``ManifoldChart(problem, rows)``, built the first time a problem asks
+    for the row tuple and then reused, instead of once per pass or step.
 
-    The cache is read once per call, so a thread that meets another
-    thread's problem there builds its own chart instead of returning the
-    other's.
+    The one chart cache: ``feasible_start``'s passes, the feasible Armijo
+    step and the solver's boundary steps take their charts from it.  It
+    keys on ``rows`` as given, and ``(True,) == (1,)``, so it stays
+    internal: its callers hand it the sorted tuples of valid 1-based rows
+    that active sets are, and only ``ManifoldChart`` checks an index.  A
+    lookup costs 0.1 to 0.2 us, where building a chart costs 2.5 to 3.7 us
+    (circle2d and octant3d charts, in process, best of seven timeit
+    repeats, shared 2-core x86).  The cache holds the charts of one
+    problem at a time and is read once per call, so a thread that meets
+    another thread's problem there builds its own charts instead of
+    returning the other's.
     """
-    global _free
-    cached = _free
+    global _charts
+    cached = _charts
     if cached[0] is not problem:
-        cached = _free = (problem, ManifoldChart(problem, ()))
-    return cached[1]
+        cached = _charts = (problem, {})
+    chart = cached[1].get(rows)
+    if chart is None:
+        chart = cached[1][rows] = ManifoldChart(problem, rows)
+    return chart
 
 
 def _project_with_retries(chart: ManifoldChart, x):
@@ -521,6 +545,17 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
     component when H or G is non-finite at ``x``, or G at a projected
     point: no row could count as violated there, so the point would pass
     as feasible.
+
+    The sign check solves z - x + J^T mult = 0 for the multipliers of the
+    pass's chart at its projection z.  On a chart of one pinned row and no
+    equality, the multiplier is the scalar J (x - z) / ||J||^2 in Python
+    floats (``_row_multiplier``, the projection's own first multiplier),
+    with J read from one DG call; a chart of k >= 2 rows solves for them
+    with ``np.linalg.lstsq``.  On circle2d the one-row check costs about
+    3 us, where ``lstsq`` took about 15 us (both with the DG call, in
+    process, best of seven timeit repeats, shared 2-core x86).  Each pass
+    takes its chart from the problem's chart cache (``_chart``), so no
+    row set that an earlier pass, start or step has met is built again.
     """
     x = as_point(x, problem.n)
     h_val = _call(problem, "H", x)
@@ -540,7 +575,7 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
             first = passes[rows][0]
             return min((z for k, z in passes.values() if k >= first and z is not None),
                        key=lambda z: np.linalg.norm(z - x))
-        chart = ManifoldChart(problem, rows) if rows else free_chart(problem)
+        chart = _chart(problem, rows)
         z = _project_with_retries(chart, x)
         newly = _most_violated(_call(problem, "G", z), active) if problem.m_G else set()
         passes[rows] = (len(passes), None if newly else z)
@@ -549,9 +584,15 @@ def feasible_start(problem: ProblemSpec, x) -> np.ndarray:
             continue
         if active:
             # sign check of the distance multipliers: z - x + J^T mult = 0
-            J = chart_jacobian(chart, z)
-            mult, *_ = np.linalg.lstsq(J.T, x - z, rcond=None)
-            nu = mult[problem.m_H:]
+            if chart.n_rows == 1:
+                # one pinned row and no equality: DG's row, read through
+                # the one DG call that chart_jacobian would make
+                J = _value(problem, "DG", z)[rows[0] - 1].tolist()
+                nu = [_row_multiplier(J, _dot(J, J), x.tolist(), z.tolist())]
+            else:
+                J = chart_jacobian(chart, z)
+                mult, *_ = np.linalg.lstsq(J.T, x - z, rcond=None)
+                nu = mult[problem.m_H:]
             drop = {i for i, v in zip(sorted(active), nu) if v < -FEAS_TOL}
             if drop:
                 active -= drop

@@ -40,6 +40,11 @@ def dominance_flags(archive: list) -> list:
     NaN component never takes part in a domination.  For N valued entries
     with m objectives the pass makes O(N^2 m) comparisons in numpy, _BLOCK
     candidate dominators at a time, and holds O(_BLOCK N) extra memory.
+
+    Exact for the floats given, so two entries that converged to one point
+    within about 1e-15 are flagged by whichever copy rounds lower in some
+    objective, and a last-bit move can flip such a flag; ``deduplicate``'s
+    front, one copy per point, is what stays put.
     """
     flags: list = [None] * len(archive)
     valued = [i for i, e in enumerate(archive) if e.F is not None]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NoStep, StepPreconditionError
-from .geometry import CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, _regula_falsi, free_chart
+from .geometry import CHART_TOL, EPS_ACT, FEAS_TOL, ManifoldChart, _chart, _regula_falsi
 from .problems import EvalBundle, _value
 
 # largest backtracking exponent k of a step t = beta0 * beta^k
@@ -191,8 +191,8 @@ def feasible_armijo_step(bundle: EvalBundle, v, active: tuple, config) -> StepRe
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities"
             )
 
-    # every G row lies outside the chart
-    point = _backtrack(bundle, slope, free_chart(problem).retract, v, config.beta0, config.beta,
+    # every G row lies outside the chart, which pins none
+    point = _backtrack(bundle, slope, _chart(problem, ()).retract, v, config.beta0, config.beta,
                        config.sigma, K_MAX, None if problem.m_G else ())
     if point is None:
         raise NoStep(f"feasible Armijo: no acceptable step within k_max={K_MAX}")

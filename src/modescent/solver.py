@@ -10,7 +10,7 @@ import numpy as np
 
 from .direction import SubproblemKind, solve_direction
 from .errors import IllConditionedDirection, ModescentError, RankError
-from .geometry import EPS_ACT, ManifoldChart, feasible_start, free_chart
+from .geometry import EPS_ACT, _chart, feasible_start
 from .linesearch import boundary_step, feasible_armijo_step
 from .output import config_to_dict, fmt, write_csv, write_json
 from .problems import ProblemSpec, _evaluate, as_point
@@ -205,10 +205,8 @@ def solve_constrained(problem: ProblemSpec, x_init, config: SolverConfig = Solve
                 # a step, so it falls through to the boundary-leaving branch
                 if d2 is not None and d2.alpha <= -eta and d2.alpha < -TOL_ALPHA:
                     d, branch = d2, "SP2-step"
-                    # a chart that pins nothing is the problem's cached one
-                    chart = ManifoldChart(problem, d.active_set) if d.active_set \
-                        else free_chart(problem)
-                    step = boundary_step(bundle, d.v, chart, config)
+                    # each row set's chart is built once per problem
+                    step = boundary_step(bundle, d.v, _chart(problem, d.active_set), config)
             alpha2 = d2.alpha if d2 is not None else None
             if step is None:
                 d = solve_direction(bundle, _SP1, epsilon)

@@ -269,7 +269,8 @@ def project_one_row(chart, y, init=None):
     mu = J @ (y - z) / jj if jj > 0.0 else np.zeros(1)
     r1 = z - y + J.T @ mu
     for _ in range(100):
-        if abs(c).max() <= 1e-12 and abs(r1).max() <= 1e-10:
+        if (abs(c).max() <= 1e-12 and abs(r1).max() <= 1e-10
+                and float(c @ c) <= 1e-24 * float(J[0] @ J[0])):
             return z
         jj = float(J[0] @ J[0])
         if jj == 0.0:
@@ -447,7 +448,7 @@ def feasible_armijo_reference(bundle, v, active, config):
     import math
 
     from modescent.errors import NoConvergence, NoStep, StepPreconditionError
-    from modescent.geometry import FEAS_TOL, free_chart
+    from modescent.geometry import FEAS_TOL, _chart
 
     problem, x = bundle.problem, bundle.x
     slope = bundle.DF_val.dot(v).tolist()
@@ -458,7 +459,7 @@ def feasible_armijo_reference(bundle, v, active, config):
         if bundle.DG_val[i - 1].dot(v) >= 0.0:
             raise StepPreconditionError(
                 f"feasible Armijo step requires grad(G_{i}) v < 0 for active inequalities")
-    retract = free_chart(problem).retract
+    retract = _chart(problem, ()).retract
     f0 = bundle.F_val.tolist()
     k_armijo = None
     for k in range(61):
@@ -587,11 +588,12 @@ def closed_form_reference(row):
 
 def min_norm_in_hull_reference(generators):
     """``direction.min_norm_in_hull`` with every input coerced by
-    ``np.asarray`` and a vector read as one row, an empty vector too."""
+    ``np.asarray`` to a C-ordered array and a vector read as one row, an
+    empty vector too."""
     from modescent.direction import _min_norm
     from modescent.problems import all_finite
 
-    G = np.asarray(generators, dtype=float)
+    G = np.asarray(generators, dtype=float, order="C")
     if G.ndim == 1:
         G = G.reshape(1, -1)
     if G.shape[0] < 1:

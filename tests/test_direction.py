@@ -467,8 +467,10 @@ def _hull_inputs(draw):
                                min_size=k, max_size=k)), dtype=float).reshape(k, d)
     with np.errstate(over="ignore"):
         single = G.astype(np.float32)
+    # a strided view of G's values: every other column of G's columns doubled
+    strided = np.repeat(G, 2, axis=1)[:, ::2]
     forms = [G, G.tolist(), single, G.view(_Subclass), np.asfortranarray(G), G[::-1],
-             G.astype(">f8")]
+             strided, G.astype(">f8")]
     if d:
         # an empty vector is not one of them: it reads as no generator
         # (test_min_norm_rejects_an_empty_vector), where the reference
@@ -477,17 +479,24 @@ def _hull_inputs(draw):
     return draw(st.sampled_from(forms))
 
 
+_LAYOUT_CASE = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, -2.0], [0.0, 0.0], [0.0, 0.0]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_hull_inputs())
+# the point lam.dot(G) follows the memory layout of G: for this matrix the
+# product of the Fortran-ordered copy differs from the C one in the last bit
+@example(np.asfortranarray(_LAYOUT_CASE))
+@example(np.repeat(_LAYOUT_CASE, 2, axis=1)[:, ::2])
+@example(_LAYOUT_CASE[::-1])
 def test_min_norm_in_hull_fast_path_matches_the_coercing_path_bitwise(generators):
     with np.errstate(all="ignore"):
         assert _outcome(md.min_norm_in_hull, generators) \
             == _outcome(min_norm_in_hull_reference, generators)
-        # and a C-ordered matrix gives what a fresh array of its values
-        # gives; the point lam.dot(G) follows the memory layout of G, so a
-        # reversed or Fortran-ordered one may differ from it in the last bit
-        if isinstance(generators, np.ndarray) and generators.ndim == 2 \
-                and generators.flags.c_contiguous:
+        # and a matrix of any layout gives what a fresh C array of its
+        # values gives: a Fortran-ordered, reversed or strided one is copied
+        # to C order first
+        if isinstance(generators, np.ndarray) and generators.ndim == 2:
             assert _outcome(md.min_norm_in_hull, generators) \
                 == _outcome(min_norm_in_hull_reference, generators.tolist())
 

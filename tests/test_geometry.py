@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import modescent as md
 from modescent import geometry
@@ -445,6 +447,11 @@ def _isotropic_targets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_isotropic_targets())
+# the sphere 0.25 ||x||^2 - 0.25, where ||J|| = 0.5: from this target the
+# Newton iteration once returned with its row at 7.5e-13, 1.5e-12 from the
+# sphere, until its return test bounded |c| / ||J|| too
+@example((_row_chart(4, _isotropic_row(0.25, [0.0] * 4, -0.25), False),
+          np.array([0.3318673516133211, 0.0, 0.0, 0.0])))
 def test_sphere_rows_project_in_closed_form(case):
     chart, y = case
     z = chart.nearest(y)
@@ -755,14 +762,7 @@ def _lens_problem():
     # Circle 2's row is scaled by 20.  Unscaled, the most violated row is
     # always the circle of the farther centre, and feasible_start, pinning
     # that row first, never pins a row it must drop again.
-    return md.load_problem({
-        "n": 2, "m": 1,
-        "objectives": [[[1.0, [1, 0]]]],
-        "inequalities": [
-            [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 0]]],
-            [[20.0, [2, 0]], [20.0, [0, 2]], [-72.0, [1, 0]], [44.8, [0, 0]]],
-        ],
-    })
+    return md.load_problem(DATA / "lens2d.json")
 
 
 @pytest.mark.parametrize("start, charts, nearest", [
@@ -809,6 +809,141 @@ def test_feasible_start_cycle_returns_its_nearest_feasible_pass(monkeypatch):
     assert seen == [(1,), ()]
     assert abs(z[0] - 2 * np.pi) <= FEAS_TOL
     assert np.sin(z[0]) <= FEAS_TOL
+
+
+@st.composite
+def _pinned_disks_and_targets(draw):
+    # a disk's row, feasible inside (side 1) or outside (side -1), as a
+    # problem file's inequality or as callables, and a target 0.01 to 10
+    # radii from the centre
+    n = draw(st.integers(2, 3))
+    side = draw(st.sampled_from([1.0, -1.0]))
+    centre = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    r = draw(st.floats(0.25, 2.0))
+    if draw(st.booleans()):
+        row = _isotropic_row(side, (-2.0 * side * centre).tolist(),
+                             side * (float(centre @ centre) - r * r))
+        chart = _row_chart(n, row, True)
+    else:
+        problem = md.ProblemSpec(
+            name="disk", n=n, m=1, F=lambda x: x[:1].copy(), DF=lambda x: np.eye(1, n),
+            m_G=1, G=lambda x: np.array([side * (float((x - centre) @ (x - centre)) - r * r)]),
+            DG=lambda x: (2.0 * side) * (x - centre).reshape(1, n))
+        chart = md.ManifoldChart(problem, (1,))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    norm = float(np.linalg.norm(u))
+    if norm < 0.1:
+        u, norm = np.eye(n)[0], 1.0
+    return chart, centre + draw(st.floats(0.01, 10.0)) * r * u / norm
+
+
+def _lstsq_multiplier(J, y, z):
+    mult, *_ = np.linalg.lstsq(J.reshape(1, -1).T, y - z, rcond=None)
+    return float(mult[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pinned_disks_and_targets())
+def test_one_row_multiplier_matches_lstsq(case):
+    # feasible_start's sign check on a one-row chart takes J (x - z) / ||J||^2
+    # in Python floats, where a chart of k rows solves J^T mu = x - z by
+    # lstsq; every multiplier the one-row formula gives, in the sign check
+    # or as a projection's first multiplier, is lstsq's to 1e-12 relative
+    chart, x = case
+    taken = []
+    original = geometry._row_multiplier
+
+    def spy(J, jj, y, z):
+        mu = original(J, jj, y, z)
+        taken.append((np.array(J), np.array(y), np.array(z), mu))
+        return mu
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_row_multiplier", spy)
+        try:
+            z = md.project(chart, x)
+        except md.NoConvergence:
+            z = None
+        if z is not None:
+            J = chart_jacobian(chart, z)[0]
+            taken.append((J, x, z, geometry._row_multiplier(
+                J.tolist(), geometry._dot(J.tolist(), J.tolist()), x.tolist(), z.tolist())))
+        try:
+            md.feasible_start(chart.problem, x)
+        except md.NoConvergence:
+            pass
+    for J, y, z, mu in taken:
+        # every projection here, and so every multiplier, is toward x
+        assert np.array_equal(y, x)
+        ref = _lstsq_multiplier(J, y, z)
+        assert abs(mu - ref) <= 1e-12 * abs(ref)
+        if abs(mu) > 1e-12 * float(np.linalg.norm(y - z)) / float(np.linalg.norm(J)):
+            assert (mu > 0.0) == (ref > 0.0)
+
+
+def test_one_row_multiplier_of_a_zero_gradient_is_zero():
+    # lstsq's minimum-norm answer, below no drop threshold: a pinned row
+    # whose gradient vanishes at the projection is kept
+    y, z = [1.0, 2.0], [0.5, -0.25]
+    assert geometry._row_multiplier([0.0, 0.0], 0.0, y, z) == 0.0
+    assert _lstsq_multiplier(np.zeros(2), np.array(y), np.array(z)) == 0.0
+    assert not geometry._row_multiplier([0.0, 0.0], 0.0, y, z) < -FEAS_TOL
+    assert geometry._row_multiplier([math.nan, 0.0], math.nan, y, z) == 0.0
+
+
+def test_chart_cache_builds_one_chart_per_problem_and_rows(circle2d, monkeypatch):
+    monkeypatch.setattr(geometry, "_charts", (None, {}))
+    chart = geometry._chart(circle2d, (1,))
+    assert chart.problem is circle2d and chart.ineq_indices == (1,)
+    # an equal tuple that is another object reads the same chart
+    assert geometry._chart(circle2d, tuple([1])) is chart
+    assert geometry._chart(circle2d, ()).ineq_indices == ()
+    # another problem, even one with the same maps, gets charts of its own
+    other = dataclasses.replace(circle2d)
+    assert geometry._chart(other, (1,)).problem is other
+    assert geometry._chart(circle2d, (1,)).problem is circle2d
+
+
+def test_chart_cache_gives_each_thread_its_own_problems_charts(circle2d, monkeypatch):
+    # threads on different problems share the cache and keep replacing it;
+    # each call reads it once, so no thread gets another problem's chart
+    monkeypatch.setattr(geometry, "_charts", (None, {}))
+    problems = [dataclasses.replace(circle2d) for _ in range(4)]
+    wrong = []
+    start = threading.Barrier(len(problems), timeout=60)
+
+    def work(problem):
+        start.wait()
+        for i in range(5000):
+            rows = ((), (1,))[i % 2]
+            chart = geometry._chart(problem, rows)
+            if chart.problem is not problem or chart.ineq_indices != rows:
+                wrong.append(rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(p,)) for p in problems]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+@pytest.mark.parametrize("rows, error", [
+    ((True,), TypeError), ((np.True_,), TypeError), ((1, 1), ValueError), ((2,), ValueError),
+    ((0,), ValueError)])
+def test_chart_cache_leaves_public_charts_checked(circle2d, monkeypatch, rows, error):
+    # (True,) == (1,) as a dict key, so a cache the public chart read would
+    # hand back the chart of row 1; ManifoldChart builds and checks its own
+    monkeypatch.setattr(geometry, "_charts", (None, {}))
+    geometry._chart(circle2d, (1,))
+    with pytest.raises(error):
+        md.ManifoldChart(circle2d, rows)
 
 
 def test_chart_validation(circle2d):

@@ -158,12 +158,11 @@ def test_circle2d_eta1_finiteness_checks_are_pinned(circle2d, monkeypatch):
     assert len(checks) == 336
 
 
-def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypatch):
-    # the chart without pinned inequalities is built once per problem, not
-    # once per step: the SP1 steps and the 17 of the 24 SP2 steps that pin
-    # none share it.  Each of the other 7 SP2 steps
-    # builds the chart of its own active set.  The cache starts empty here,
-    # so the free chart is built once.
+def test_circle2d_eta1_builds_each_chart_once(circle2d, monkeypatch):
+    # a chart is built once per problem and row set, not once per step: the
+    # SP1 steps and the 17 of the 24 SP2 steps that pin nothing share the
+    # free chart, and the other 7 SP2 steps, which pin circle 1, share the
+    # chart of (1,).  The cache starts empty here, so each is built once.
     built = []
     post_init = md.ManifoldChart.__post_init__
 
@@ -171,10 +170,11 @@ def test_circle2d_eta1_builds_a_chart_per_boundary_step_only(circle2d, monkeypat
         built.append(chart.ineq_indices)
         post_init(chart)
     monkeypatch.setattr(md.ManifoldChart, "__post_init__", counted)
-    monkeypatch.setattr(md.geometry, "_free", (None, None))
+    monkeypatch.setattr(md.geometry, "_charts", (None, {}))
     _, trace = md.solve_constrained(circle2d, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert sorted(built) == [()] + [(1,)] * 7
+    assert sum(r.active_set == (1,) for r in trace.records if r.branch == "SP2-step") == 7
+    assert sorted(built) == [(), (1,)]
 
 
 def test_sphere3d_map_calls_are_pinned(sphere3d):
