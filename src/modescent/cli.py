@@ -1,8 +1,8 @@
 """Command-line front end: solve, front (multistart + filter), audit.
 
 Exit codes: 0 success (critical point reached / checks passed), 1 runtime
-error, failed audit, or a front in which every start failed, 2 iteration
-cap, 64 usage error.
+error, output that cannot be written, failed audit, or a front in which
+every start failed, 2 iteration cap, 64 usage error.
 """
 
 import platform
@@ -173,6 +173,9 @@ def front(problem_name, problem_file, grid, x0, outdir, **config_kwargs):
         starts = _parse_x0(x0, problem.n).reshape(1, -1)
     else:
         raise click.UsageError(f"--x0 needs a grid of all 1s, got {grid!r}")
+    # before the starts run, so that an --out that cannot be made costs no solve
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     archive = multistart(problem, starts, config)
     nondominated = nondominated_filter(archive)
@@ -184,8 +187,6 @@ def front(problem_name, problem_file, grid, x0, outdir, **config_kwargs):
     archive_flags = [None if e.F is None else id(e) not in kept for e in archive]
     front_flags = [False] * len(front_archive)
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name, arch, flags in (("archive", archive, archive_flags),
                               ("front", front_archive, front_flags)):
@@ -352,6 +353,11 @@ def main(argv=None):
         if err.ctx is not None:
             click.echo(err.ctx.get_usage(), err=True)
         return 64
+    except OSError as err:
+        # an output that cannot be written, such as an --out below a file:
+        # the error names its path
+        click.echo(f"error: {err}", err=True)
+        return 1
     except click.exceptions.Exit as err:
         return err.exit_code
     except click.Abort:

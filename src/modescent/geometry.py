@@ -133,7 +133,7 @@ def _row_multiplier(J, jj, y, z):
     return _dot(J, [yi - zi for yi, zi in zip(y, z)]) / jj if jj > 0.0 else 0.0
 
 
-def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
+def project(chart: ManifoldChart, y) -> np.ndarray:
     """Nearest-point projection of ``y`` onto the chart manifold.
 
     Lagrange-Newton iteration on the stationarity system
@@ -153,26 +153,31 @@ def project(chart: ManifoldChart, y, *, _init=None) -> np.ndarray:
     the manifold, or a degenerate configuration such as an equidistant
     center point) or takes more than PROJECT_ITERS Newton steps.
 
-    Without ``_init``, a one-row chart whose row a problem file gives as a
-    sphere lam ||x||^2 + b.x + d (lam != 0) first takes its exact nearest
-    point in closed form (``chart.nearest``, made by ``_closed_form``), with
-    no map call and no Newton step.  That point is returned only where its
-    row is within 1e-12 of zero, the Newton iteration's bound on the row
-    value; at the sphere's centre, or where the row rounds above that, the
-    Newton iteration runs as without it.  Charts of two or more rows, maps
-    given as callables, other rows (planes among them), and
-    ``feasible_start``'s restarts from ``_init`` always take Newton.
+    A one-row chart whose row a problem file gives as a sphere
+    lam ||x||^2 + b.x + d (lam != 0) first takes its exact nearest point in
+    closed form (``chart.nearest``, made by ``_closed_form``), with no map
+    call and no Newton step.  That point is returned only where its row is
+    within 1e-12 of zero, the Newton iteration's bound on the row value; at
+    the sphere's centre, or where the row rounds above that, the Newton
+    iteration runs as without it.  Charts of two or more rows, maps given as
+    callables and other rows (planes among them) always take Newton, and so
+    do ``feasible_start``'s restarts, which call ``_project_newton``.
     """
-    p = chart.problem
-    y = as_point(y, p.n)
+    y = as_point(y, chart.problem.n)
     if chart.n_rows == 0:
         return y.copy()
 
-    if _init is None and chart.nearest is not None:
+    if chart.nearest is not None:
         z = chart.nearest(y)
         if z is not None:
             return z
-    z = as_point(_init, p.n).copy() if _init is not None else y.copy()
+    return _project_newton(chart, y, y.copy())
+
+
+def _project_newton(chart: ManifoldChart, y, z) -> np.ndarray:
+    """``project``'s Newton iteration toward ``y``, started at ``z``, on a
+    chart with at least one row.  y and z are float arrays of the problem's
+    dimension, and the point returned may be z itself."""
     if chart.n_rows == 1:
         return _project_one_row(chart, y, z)
     # on a far target the merit c.c overflows to inf; the damping tests
@@ -510,7 +515,7 @@ def _project_with_retries(chart: ManifoldChart, x):
         init = x.copy()
         init[j] += 1e-3 * max(1.0, abs(x[j]))
         try:
-            return project(chart, x, _init=init)
+            return _project_newton(chart, x, init)
         except NoConvergence:
             continue
     raise NoConvergence("feasible start: projection failed from all retry seeds")

@@ -2,7 +2,9 @@ import collections
 import csv
 import dataclasses
 import json
+import math
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import modescent as md
-from modescent import direction, geometry, globalize, linesearch
+from modescent import cli, direction, geometry, globalize, linesearch
 from modescent.cli import _worst, front, main, solve
 
 from oracles import dist_to_critical_set, pairwise_dominance_flags
@@ -33,6 +35,8 @@ STEEP4_FILE = Path(__file__).parent / "data" / "steep4.json"
 HUGE_COEFFICIENT_FILE = Path(__file__).parent / "data" / "huge_coefficient3d.json"
 # equator3d with every objective x1^1000000: F and DF overflow at most box points
 HUGE_POWER_FILE = Path(__file__).parent / "data" / "huge_power3d.json"
+FAR_DISK_FILE = Path(__file__).parent / "data" / "far_disk2d.json"
+LENS_FILE = Path(__file__).parent / "data" / "lens2d.json"
 CIRCLE_ARGS = ["--beta", "0.5", "--beta0", "0.1", "--eps", "1e-4"]
 
 
@@ -215,7 +219,28 @@ def test_front_makes_one_dominance_pass(tmp_path, monkeypatch):
     assert front_rows and {r["dominated"] for r in front_rows} == {"false"}
 
 
-def test_equator_front_runs_four_generator_hulls(tmp_path, monkeypatch):
+def _points(path, n):
+    """The points x1..xn of the rows of a written archive or front CSV."""
+    with open(path, newline="") as fh:
+        return [tuple(float(r[f"x{i}"]) for i in range(1, n + 1)) for r in csv.DictReader(fh)]
+
+
+def _converged_points(path, n, count):
+    """``_points`` of an archive CSV of ``count`` rows, every one of them a
+    converged run."""
+    with open(path, newline="") as fh:
+        assert [r["converged"] for r in csv.DictReader(fh)] == ["true"] * count
+    return _points(path, n)
+
+
+def _is_own_json_dump(path):
+    """Whether the file holds what json.dump(indent=2, sort_keys=True)
+    writes for the document it holds."""
+    text = path.read_text()
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_equator_front_runs_four_generator_hulls(tmp_path, monkeypatch, capsys):
     # three objectives and the equator's cap x3 <= 0: every SP1 solve with
     # the cap active takes the min-norm point of four projected gradients,
     # which must meet its certificate at KKT_TOL as the docstring states
@@ -234,17 +259,18 @@ def test_equator_front_runs_four_generator_hulls(tmp_path, monkeypatch):
     out = tmp_path / "equator"
     assert main(["front", "--problem-file", str(EQUATOR_FILE), "--grid", "2x2x2",
                  "--beta0", "0.1", "--eta", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     assert counts[4] > 0
-    with open(out / "archive.csv", newline="") as fh:
-        assert [r["converged"] for r in csv.DictReader(fh)] == ["true"] * 8
-    with open(out / "front.csv", newline="") as fh:
-        front_rows = list(csv.DictReader(fh))
-    assert front_rows
+    # the boundary steps land on the cap by false position: every point is
+    # on the sphere and under the cap x3 <= 0
+    assert all(abs(x1 * x1 + x2 * x2 + x3 * x3 - 1.0) <= 1e-9 and x3 <= 1e-9
+               for x1, x2, x3 in _converged_points(out / "archive.csv", 3, 8))
+    front_points = _points(out / "front.csv", 3)
+    assert front_points
     # the Pareto set is the quarter of the equator with x1, x2 >= 0
-    for r in front_rows:
-        x = np.array([float(r["x1"]), float(r["x2"]), float(r["x3"])])
+    for x in front_points:
         theta = np.clip(np.arctan2(x[1], x[0]), 0.0, np.pi / 2)
-        assert np.linalg.norm(x - (np.cos(theta), np.sin(theta), 0.0)) <= 1e-3
+        assert np.linalg.norm(np.subtract(x, (np.cos(theta), np.sin(theta), 0.0))) <= 1e-3
 
 
 def _spy_everywhere(monkeypatch, module, name, make):
@@ -258,7 +284,7 @@ def _spy_everywhere(monkeypatch, module, name, make):
             monkeypatch.setattr(mod, name, spy)
 
 
-def test_octant_front_reaches_the_traced_entries(tmp_path, monkeypatch):
+def test_octant_front_reaches_the_traced_entries(tmp_path, monkeypatch, capsys):
     # the benchmark times its layers by wrapping module-level entries: each
     # feasible Armijo step must project through geometry.project, and each
     # SP1 direction must take its hull through direction.min_norm_in_hull,
@@ -285,8 +311,14 @@ def test_octant_front_reaches_the_traced_entries(tmp_path, monkeypatch):
     _spy_everywhere(monkeypatch, linesearch, "feasible_armijo_step", counted("step", steps))
     _spy_everywhere(monkeypatch, direction, "solve_direction",
                     counted("solve", solves, direction.SubproblemKind.OBJECTIVE_ICS))
+    out = tmp_path / "octant"
     assert main(["front", "--problem-file", str(OCTANT_FILE), "--grid", "2x2x2",
-                 "--beta0", "0.1", "--eta", "1", "--out", str(tmp_path / "octant")]) == 0
+                 "--beta0", "0.1", "--eta", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    # every point is on the sphere and under the cap x3 <= 0.5, as the
+    # one-row projection promises
+    assert all(abs(x1 * x1 + x2 * x2 + x3 * x3 - 1.0) <= 1e-9 and x3 <= 0.5 + 1e-9
+               for x1, x2, x3 in _converged_points(out / "archive.csv", 3, 8))
     assert steps and solves
     assert all(step["project"] >= 1 for step in steps)
     # one sphere row on every chart: one projected hull per direction
@@ -299,9 +331,7 @@ def test_front_json_is_its_own_json_dump(tmp_path):
     out = tmp_path / "front5"
     assert main(["front", "--problem", "circle2d", "--grid", "5x5", "--beta0", "0.1",
                  "--eta", "1", "--out", str(out)]) == 0
-    for name in ("archive.json", "front.json"):
-        text = (out / name).read_text()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert _is_own_json_dump(out / "archive.json") and _is_own_json_dump(out / "front.json")
 
 
 def test_front_single_cell_grid_uses_anchor(tmp_path):
@@ -386,23 +416,25 @@ def test_front_of_the_steep_problem_records_every_start_failed(tmp_path):
     assert all(entry["error"] for entry in entries)
 
 
-def test_front_of_the_steep_problem_names_the_overflow(tmp_path):
+def test_front_of_the_steep_problem_names_the_overflow(tmp_path, capsys):
     out = tmp_path / "front"
     rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2", "--out", str(out)])
     assert rc == 1
+    assert capsys.readouterr().err == ""
     entries = json.loads((out / "archive.json").read_text())["entries"]
     assert [entry["error"] for entry in entries] == [
         "ModescentError: direction subproblem SP1 overflowed: its value alpha is nan, "
         "not finite"] * 4
 
 
-def test_front_of_the_steep_sphere_names_the_overflow(tmp_path):
+def test_front_of_the_steep_sphere_names_the_overflow(tmp_path, capsys):
     # half the starts overflow in the projected generators, the others in
     # the two-generator form; neither escapes the multistart as a traceback
     out = tmp_path / "front"
     rc = main(["front", "--problem-file", str(STEEP_SPHERE_FILE), "--grid", "2x2x2",
                "--out", str(out)])
     assert rc == 1
+    assert capsys.readouterr().err == ""
     errors = [entry["error"] for entry in
               json.loads((out / "archive.json").read_text())["entries"]]
     assert sorted(errors) == [
@@ -423,7 +455,9 @@ def test_front_and_audit_of_four_steep_objectives_name_the_overflow(tmp_path, ca
               json.loads((out / "archive.json").read_text())["entries"]]
     assert errors == ["ModescentError: direction subproblem SP1 overflowed: its value alpha "
                       "is nan, not finite"] * 4
-    assert "min-norm dual certificate: worst residual nan: FAIL" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "min-norm dual certificate: worst residual nan: FAIL" in captured.out
+    assert captured.err == ""
 
 
 def test_front_and_audit_of_four_steep_objectives_warn_nothing(tmp_path, capsys):
@@ -437,14 +471,13 @@ def test_front_and_audit_of_four_steep_objectives_warn_nothing(tmp_path, capsys)
     assert capsys.readouterr().err == ""
 
 
-def test_audit_of_a_check_that_raises_fails_without_a_traceback():
+def test_audit_of_a_check_that_raises_fails_without_a_traceback(capsys):
     # fd_audit and evaluate raise EvaluationError at box samples: each such
     # check reports FAIL with the error, and the retraction check still runs
-    proc = subprocess.run([sys.executable, "-m", "modescent.cli", "audit", "--problem-file",
-                           str(HUGE_POWER_FILE)], capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
+    assert main(["audit", "--problem-file", str(HUGE_POWER_FILE)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.out.splitlines()
     assert [line.split(": ")[0] for line in lines] == [
         "[huge-power3d] derivative audit", "[huge-power3d] retraction slope (project, chart H)",
         "[huge-power3d] retraction slope (project, chart (1,))",
@@ -491,10 +524,11 @@ def test_infinite_beta0_is_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_audit_passes_on_four_generator_hulls():
+def test_audit_passes_on_four_generator_hulls(capsys):
     # equator3d has three objectives and one inequality, so the dual
     # certificate is checked, at KKT_TOL, on hulls of four generators
     assert main(["audit", "--problem-file", str(EQUATOR_FILE)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_audit_problem_and_problem_file_is_usage_error():
@@ -502,8 +536,9 @@ def test_audit_problem_and_problem_file_is_usage_error():
                  "--problem-file", str(OCTANT_FILE)]) == 64
 
 
-def test_audit_all_registered_by_default():
+def test_audit_all_registered_by_default(capsys):
     assert main(["audit"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_problem_file_flow(tmp_path):
@@ -592,8 +627,117 @@ def test_solve_runtime_error_exit_code(tmp_path):
     assert rc == 1
 
 
+def _sphere3d_front(out):
+    # sphere3d's registry maps take the one-row Newton projection; the grid
+    # holds the sphere's centre, which the nudged retries rescue
+    assert all(abs(x1 * x1 + x2 * x2 + x3 * x3 - 1.0) <= 1e-9
+               for x1, x2, x3 in _converged_points(out / "archive.csv", 3, 27))
+
+
+def _paper_circle_front(out):
+    # SP2 steps that pin no inequality land on the circle through the
+    # cached free chart: every point is outside the unit disk, and every
+    # front point within 1e-3 of the critical segment x1 = 2, |x2| <= 1
+    assert all(1.0 - x1 * x1 - x2 * x2 <= 1e-9
+               for x1, x2 in _converged_points(out / "archive.csv", 2, 36))
+    front_points = _points(out / "front.csv", 2)
+    assert front_points
+    assert all(math.hypot(x1 - 2.0, max(abs(x2) - 1.0, 0.0)) <= 1e-3 for x1, x2 in front_points)
+
+
+def _default_circle_front(out):
+    # the front's entries are written as not dominated, and the archive
+    # JSON files are written without json.dump, in its bytes
+    with open(out / "front.csv", newline="") as fh:
+        flags = [r["dominated"] for r in csv.DictReader(fh)]
+    assert flags and set(flags) == {"false"}
+    assert _is_own_json_dump(out / "archive.json") and _is_own_json_dump(out / "front.json")
+
+
+def _huge_power_front(out):
+    # x1^1000000 overflows in the monomial table the sphere equality
+    # shares, and still every start converges
+    entries = json.loads((out / "archive.json").read_text())["entries"]
+    assert [e["converged"] for e in entries] == [True] * 8
+
+
+def _far_disk_front(out):
+    # starts up to 10 radii from the disk of centre (0.75, 1.25) and radius
+    # 0.5 are projected onto it in closed form, so all of them converge
+    assert all(x1 * x1 + x2 * x2 - 1.5 * x1 - 2.5 * x2 + 1.875 <= 1e-9
+               for x1, x2 in _converged_points(out / "archive.csv", 2, 64))
+
+
+def _lens_front(out):
+    # feasible starts pin one row, pin both, and drop one again by its
+    # distance multiplier's sign; all of them converge inside both disks
+    assert all(x1 * x1 + x2 * x2 - 1.0 <= 1e-9
+               and 20.0 * x1 * x1 + 20.0 * x2 * x2 - 72.0 * x1 + 44.8 <= 1e-9
+               for x1, x2 in _converged_points(out / "archive.csv", 2, 36))
+
+
+OUT, OUT_BELOW_A_FILE = "{tmp}/out", "{tmp}/file/sub"
+
+
+def _case(name, argv, code, stderr="", stdout=None, check=None):
+    """One command line: its exit code, a regex that its whole stderr
+    matches, one that its whole stdout matches (None: any), and a check of
+    the files it writes to OUT."""
+    return pytest.param(argv, code, stderr, stdout, check, id=name)
+
+
+COMMAND_LINES = [
+    _case("audit-octant3d", ["audit", "--problem-file", OCTANT_FILE], 0),
+    _case("solve-circle2d", ["solve", "--problem", "circle2d", "--x0=-2,0.5", "--out", OUT], 0),
+    _case("solve-steep2d", ["solve", "--problem-file", STEEP_FILE, "--x0=0.5,0.5", "--out", OUT],
+          1, r"error: direction subproblem SP1 overflowed[^\n]*\n", ""),
+    _case("front-circle2d-paper", ["front", "--problem", "circle2d", "--grid", "6x6",
+                                   "--beta0", "0.1", "--eta", "1", "--out", OUT],
+          0, check=_paper_circle_front),
+    _case("front-circle2d-default", ["front", "--problem", "circle2d", "--grid", "4x4",
+                                     "--out", OUT], 0, check=_default_circle_front),
+    _case("front-huge-power3d", ["front", "--problem-file", HUGE_POWER_FILE, "--grid", "2x2x2",
+                                 "--out", OUT], 0, check=_huge_power_front),
+    _case("front-far-disk2d", ["front", "--problem-file", FAR_DISK_FILE, "--grid", "8x8",
+                               "--out", OUT], 0, check=_far_disk_front),
+    _case("front-lens2d", ["front", "--problem-file", LENS_FILE, "--grid", "6x6", "--out", OUT],
+          0, check=_lens_front),
+    _case("front-sphere3d", ["front", "--problem", "sphere3d", "--grid", "3x3x3",
+                             "--beta0", "0.1", "--out", OUT], 0, check=_sphere3d_front),
+    # an --out that cannot be made is one error line naming it, before any solve
+    _case("solve-out-below-a-file", ["solve", "--problem", "circle2d", "--x0=-2,0.5",
+                                     "--out", OUT_BELOW_A_FILE], 1, r"error: [^\n]*/file/sub'\n", ""),
+    _case("front-out-below-a-file", ["front", "--problem", "circle2d", "--grid", "2x2",
+                                     "--out", OUT_BELOW_A_FILE], 1, r"error: [^\n]*/file/sub'\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr, stdout, check", COMMAND_LINES)
+def test_command_line(tmp_path, capsys, argv, code, stderr, stdout, check):
+    # pyproject's filterwarnings = error makes any warning a command issues
+    # an exception out of main, as python -W error makes it a traceback
+    (tmp_path / "file").write_text("")
+    assert main([str(a).format(tmp=tmp_path) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert re.fullmatch(stderr, captured.err), captured.err
+    assert stdout is None or re.fullmatch(stdout, captured.out), captured.out
+    if check is not None:
+        check(tmp_path / "out")
+
+
+def test_front_makes_its_out_before_any_start(tmp_path, monkeypatch, capsys):
+    # an --out that cannot be made costs no solve
+    monkeypatch.setattr(cli, "multistart", lambda *args: pytest.fail("a start ran"))
+    (tmp_path / "file").write_text("")
+    assert main(["front", "--problem", "circle2d", "--grid", "2x2",
+                 "--out", str(tmp_path / "file" / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "modescent.cli", "--help"],
+    # the one check of the process itself: the module runs as a script,
+    # under -W error, and its exit code is main's
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "modescent.cli", "--help"],
                           capture_output=True, text=True)
-    assert proc.returncode == 0
+    assert proc.returncode == 0 and proc.stderr == ""
     assert "solve" in proc.stdout and "front" in proc.stdout and "audit" in proc.stdout

@@ -205,14 +205,14 @@ def test_one_row_projection_restarts_from_init(circle_chart):
     y, init = np.zeros(2), np.array([1e-3, 0.0])
     with pytest.raises(md.NoConvergence):
         md.project(circle_chart, y)
-    z = md.project(circle_chart, y, _init=init)
+    z = geometry._project_newton(circle_chart, y, init)
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
     assert z == pytest.approx(project_one_row(circle_chart, y, init), abs=1e-12)
-    # _init is only the start: elsewhere the nearest point does not move
+    # init is only the start: elsewhere the nearest point does not move
     chart = _ONE_ROW_CHARTS["sphere"][0]
     y = np.array([2.0, 0.5, 0.0])
     init = y + [2e-3, 0.0, 0.0]
-    z = md.project(chart, y, _init=init)
+    z = geometry._project_newton(chart, y, init)
     assert z == pytest.approx(y / np.linalg.norm(y), abs=1e-9)
     assert z == pytest.approx(project_one_row(chart, y, init), abs=1e-12)
 
@@ -511,7 +511,7 @@ def test_a_target_at_the_centre_takes_the_newton_iteration():
     assert expected[0] is md.NoConvergence
     assert _outcome(md.project, chart, y) == expected
     init = np.array([1e-3, 0.0, 0.0])
-    nudged = _outcome(partial(md.project, _init=init), chart, y)
+    nudged = _outcome(geometry._project_newton, chart, y, init)
     assert nudged == _outcome(geometry._project_one_row, chart, y, init)
 
 

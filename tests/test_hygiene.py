@@ -3,10 +3,12 @@ no module imports a name it never uses, no private module-level function
 or class outlives its last caller, no private module-level function takes
 a parameter it never reads, the public name list holds only names the
 package defines, the descent iteration spells no product ``@``, only
-``problems`` calls a problem map, and only the two drivers and two
-guarded load and projection steps set numpy's floating-point state."""
+``problems`` calls a problem map, only the two drivers and two guarded
+load and projection steps set numpy's floating-point state, and the CI
+workflow runs no command line of its own."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -122,7 +124,7 @@ def test_only_problems_calls_a_problem_map(path):
 # the functions that may use np.errstate: the two drivers, under which every
 # solve runs, and two steps whose behaviour when called directly tests pin
 ERRSTATE_OWNERS = {("cli.py", "main"), ("globalize.py", "multistart"),
-                   ("geometry.py", "project"), ("problems.py", "_make_poly_maps")}
+                   ("geometry.py", "_project_newton"), ("problems.py", "_make_poly_maps")}
 
 
 def _errstate_uses(node, owner=None):
@@ -145,3 +147,16 @@ def test_only_the_drivers_set_numpy_error_state(path):
     stray = [(owner, line) for owner, line in _errstate_uses(tree)
              if (path.name, owner) not in ERRSTATE_OWNERS]
     assert not stray, f"{path.name}: np.errstate outside its owners at {stray}"
+
+
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_the_workflow_runs_no_command_line():
+    # tests/test_cli.py runs every command-line case in process, under the
+    # tier-1 command; a CI step of its own would be a second harness that
+    # the tier-1 command never runs
+    command = re.compile(r"modescent\.cli|\bmodescent\s+(?:solve|front|audit)\b")
+    lines = [number for number, line in enumerate(WORKFLOW.read_text().splitlines(), 1)
+             if command.search(line)]
+    assert not lines, f"{WORKFLOW.name} runs the command line on lines {lines}"
