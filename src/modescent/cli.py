@@ -126,6 +126,10 @@ def solve(problem_name, problem_file, x0, outdir, **config_kwargs):
     problem = _resolve_problem(problem_name, problem_file)
     config = _build_config(**config_kwargs)
     start = _parse_x0(x0, problem.n)
+    # before the solve, as in front, so that an --out that cannot be made
+    # costs no solve
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     try:
         x, trace = solve_constrained(problem, start, config)
@@ -133,8 +137,6 @@ def solve(problem_name, problem_file, x0, outdir, **config_kwargs):
         click.echo(f"error: {err}", err=True)
         return 1
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "trace.csv"
     json_path = outdir / "trace.json"
     write_trace_csv(trace, csv_path)

@@ -10,12 +10,13 @@ Optimization, 2nd ed., sec. 16.2).  On a chart with one row (one equality,
 or one pinned inequality) J J^T is the scalar ||J||^2, and the iteration
 runs in Python floats, through the row maps it picks once per call (H and
 DH, or G and DG read at the pinned row); a chart with k >= 2 rows solves
-the k x k system with numpy.  A one-row chart whose row a problem file gives
-as a sphere is projected exactly instead, in closed form and Python floats,
-with no map call (``_closed_form``; 2.7 us per call on the octant3d sphere
-against 38 us for the Newton iteration, best of seven timeit repeats in
-process on a shared 2-core x86).
-The Newton iteration serves every other case.
+the k x k system with numpy.  A one-row chart whose row map declares it a
+sphere (``isotropic_rows``: a problem file's compiled map, or circle2d's G
+and sphere3d's H in the registry) is projected exactly instead, in closed
+form and Python floats, with no map call (``_closed_form``; 2.7 us per call
+on the octant3d sphere against 38 us for the Newton iteration, best of seven
+timeit repeats in process on a shared 2-core x86).  The Newton iteration
+serves every other case.
 """
 
 import math
@@ -51,8 +52,8 @@ class ManifoldChart:
     # H's rows plus the pinned ones, worked out once: retract reads it at
     # every trial point
     n_rows: int = field(init=False, repr=False, compare=False)
-    # the nearest-point map of the one row, where a problem file compiled
-    # it as a sphere (``_closed_form``), else None; made once here too
+    # the nearest-point map of the one row, where its map declares it a
+    # sphere (``_closed_form``), else None; made once here too
     nearest: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,15 +154,17 @@ def project(chart: ManifoldChart, y) -> np.ndarray:
     the manifold, or a degenerate configuration such as an equidistant
     center point) or takes more than PROJECT_ITERS Newton steps.
 
-    A one-row chart whose row a problem file gives as a sphere
-    lam ||x||^2 + b.x + d (lam != 0) first takes its exact nearest point in
-    closed form (``chart.nearest``, made by ``_closed_form``), with no map
-    call and no Newton step.  That point is returned only where its row is
-    within 1e-12 of zero, the Newton iteration's bound on the row value; at
-    the sphere's centre, or where the row rounds above that, the Newton
-    iteration runs as without it.  Charts of two or more rows, maps given as
-    callables and other rows (planes among them) always take Newton, and so
-    do ``feasible_start``'s restarts, which call ``_project_newton``.
+    A one-row chart whose row map declares the row a sphere
+    lam ||x||^2 + b.x + d (lam != 0) in its ``isotropic_rows`` (a problem
+    file's compiled map, circle2d's G, sphere3d's H) first takes its exact
+    nearest point in closed form (``chart.nearest``, made by
+    ``_closed_form``), with no map call and no Newton step.  That point is
+    returned only where its row is within 1e-12 of zero, the Newton
+    iteration's bound on the row value; at the sphere's centre, or where the
+    row rounds above that, the Newton iteration runs as without it.  Charts
+    of two or more rows, hand-written maps with no record and other rows
+    (planes among them) always take Newton, and so do ``feasible_start``'s
+    restarts, which call ``_project_newton``.
     """
     y = as_point(y, chart.problem.n)
     if chart.n_rows == 0:

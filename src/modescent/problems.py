@@ -328,6 +328,9 @@ def _circle2d() -> ProblemSpec:
         x0, x1 = x.tolist()
         return np.array([[-2.0 * x0, -2.0 * x1]])
 
+    # G's row as lam ||x||^2 + b.x + d, the record ``_make_poly_maps`` puts
+    # on a compiled map: the disk's boundary projects in closed form
+    G.isotropic_rows = ((-1.0, (0.0, 0.0), 1.0),)
     return ProblemSpec(name="circle2d", n=2, m=2, F=F, DF=DF, m_G=1, G=G, DG=DG,
                        box=((-3.0, 3.0), (-3.0, 3.0)))
 
@@ -350,6 +353,8 @@ def _sphere3d() -> ProblemSpec:
         x0, x1, x2 = x.tolist()
         return np.array([[2.0 * x0, 2.0 * x1, 2.0 * x2]])
 
+    # H's row as lam ||x||^2 + b.x + d, as in _circle2d
+    H.isotropic_rows = ((1.0, (0.0, 0.0, 0.0), -1.0),)
     return ProblemSpec(name="sphere3d", n=3, m=1, F=F, DF=DF, m_H=1, H=H, DH=DH,
                        box=((-2.0, 2.0),) * 3)
 

@@ -54,6 +54,14 @@ def with_counted_maps(problem, names):
     return dataclasses.replace(problem, **{name: counted(name) for name in names}), calls
 
 
+def with_plain_map(problem, name):
+    """``problem`` with its map ``name`` behind a plain wrapper, which keeps
+    no ``isotropic_rows``: a registry sphere then takes the Newton
+    projection, as any map given as a callable does."""
+    fun = getattr(problem, name)
+    return dataclasses.replace(problem, **{name: lambda x: fun(x)})
+
+
 def solve_outcome(problem, start, config):
     """One ``solve_constrained`` run as comparable values: the type and
     message of its error (None when it returns), its termination, the bytes

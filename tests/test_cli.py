@@ -406,22 +406,15 @@ def test_audit_worst_keeps_nan_wherever_it_comes():
         assert np.isnan(_worst(values))
 
 
-def test_front_of_the_steep_problem_records_every_start_failed(tmp_path):
-    out = tmp_path / "front"
-    rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2", "--out", str(out)])
-    assert rc == 1
-    entries = json.loads((out / "archive.json").read_text())["entries"]
-    assert len(entries) == 4
-    assert not any(entry["converged"] for entry in entries)
-    assert all(entry["error"] for entry in entries)
-
-
 def test_front_of_the_steep_problem_names_the_overflow(tmp_path, capsys):
+    # every start fails, and each of the 4 entries names the overflow
     out = tmp_path / "front"
     rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == ""
     entries = json.loads((out / "archive.json").read_text())["entries"]
+    assert len(entries) == 4
+    assert not any(entry["converged"] for entry in entries)
     assert [entry["error"] for entry in entries] == [
         "ModescentError: direction subproblem SP1 overflowed: its value alpha is nan, "
         "not finite"] * 4
@@ -628,8 +621,9 @@ def test_solve_runtime_error_exit_code(tmp_path):
 
 
 def _sphere3d_front(out):
-    # sphere3d's registry maps take the one-row Newton projection; the grid
-    # holds the sphere's centre, which the nudged retries rescue
+    # sphere3d's registry H declares its sphere, so projections take the
+    # closed form; the grid holds the sphere's centre, where it has no
+    # point and the nudged Newton retries rescue the start
     assert all(abs(x1 * x1 + x2 * x2 + x3 * x3 - 1.0) <= 1e-9
                for x1, x2, x3 in _converged_points(out / "archive.csv", 3, 27))
 
@@ -730,6 +724,15 @@ def test_front_makes_its_out_before_any_start(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "multistart", lambda *args: pytest.fail("a start ran"))
     (tmp_path / "file").write_text("")
     assert main(["front", "--problem", "circle2d", "--grid", "2x2",
+                 "--out", str(tmp_path / "file" / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_makes_its_out_before_the_solve(tmp_path, monkeypatch, capsys):
+    # an --out that cannot be made costs no solve
+    monkeypatch.setattr(cli, "solve_constrained", lambda *args: pytest.fail("the solve ran"))
+    (tmp_path / "file").write_text("")
+    assert main(["solve", "--problem", "circle2d", "--x0=-2,0.5",
                  "--out", str(tmp_path / "file" / "sub")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 

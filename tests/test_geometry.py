@@ -14,7 +14,7 @@ import modescent as md
 from modescent import geometry
 from modescent.geometry import FEAS_TOL, chart_jacobian, chart_value
 
-from conftest import make_nan_equality_problem, with_counted_maps
+from conftest import make_nan_equality_problem, with_counted_maps, with_plain_map
 from oracles import project_one_row
 
 DATA = Path(__file__).parent / "data"
@@ -123,9 +123,13 @@ def _disk_problem(cx, cy, r):
 
 
 # (chart, centre, radius): the sphere as an equality (m_H = 1), a disk as a
-# pinned inequality (m_H = 0) and the sphere of the octant3d problem file
+# pinned inequality (m_H = 0), both given as callables with no record, and
+# the sphere of the octant3d problem file.  sphere3d's H is behind a plain
+# wrapper: the registry declares its record, which would take the chart
+# out of the Newton iteration
 _ONE_ROW_CHARTS = {
-    "sphere": (md.ManifoldChart(md.registry_get("sphere3d"), ()), np.zeros(3), 1.0),
+    "sphere": (md.ManifoldChart(with_plain_map(md.registry_get("sphere3d"), "H"), ()),
+               np.zeros(3), 1.0),
     "disk": (md.ManifoldChart(_disk_problem(0.75, -0.5, 1.2), (1,)),
              np.array([0.75, -0.5]), 1.2),
     "octant3d": (md.ManifoldChart(md.load_problem(DATA / "octant3d.json"), ()),
@@ -383,7 +387,8 @@ def test_two_row_newton_exits(chart, y, message):
 def test_multirow_charts_take_the_numpy_path(monkeypatch, sphere3d):
     # octant3d with its cap pinned has two rows: the numpy path.  A sphere
     # given as a callable has one row and no record: the Python-float
-    # Newton iteration.  The octant3d sphere, compiled from its file, is
+    # Newton iteration (sphere3d's H behind a plain wrapper, which drops the
+    # registry's record).  The octant3d sphere, compiled from its file, is
     # projected in closed form: neither that iteration nor a chart map runs
     calls = []
     one_row = geometry._project_one_row
@@ -393,7 +398,7 @@ def test_multirow_charts_take_the_numpy_path(monkeypatch, sphere3d):
                                        ("H", "DH", "G", "DG"))
     md.project(md.ManifoldChart(octant, (1,)), (0.5, 0.5, 1.0))
     assert calls == []
-    sphere = md.ManifoldChart(sphere3d, ())
+    sphere = md.ManifoldChart(with_plain_map(sphere3d, "H"), ())
     md.project(sphere, (0.5, 0.5, 1.0))
     assert calls == [sphere]
     counts.clear()
@@ -445,8 +450,27 @@ def _isotropic_targets(draw):
     return chart, y
 
 
+# the registry's declared sphere rows: circle2d's disk as its pinned
+# inequality, and sphere3d's sphere as its equality, both of centre 0 and
+# radius 1
+_REGISTRY_SPHERES = (md.ManifoldChart(md.registry_get("circle2d"), (1,)),
+                     md.ManifoldChart(md.registry_get("sphere3d"), ()))
+
+
+@st.composite
+def _registry_sphere_targets(draw):
+    # a target 0.05 to 3 radii from the centre, as for a file's rows
+    chart = draw(st.sampled_from(_REGISTRY_SPHERES))
+    n = chart.problem.n
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    norm = float(np.linalg.norm(u))
+    if norm < 0.1:
+        u, norm = np.eye(n)[0], 1.0
+    return chart, draw(st.floats(0.05, 3.0)) * u / norm
+
+
 @settings(max_examples=300, deadline=None)
-@given(_isotropic_targets())
+@given(st.one_of(_isotropic_targets(), _registry_sphere_targets()))
 # the sphere 0.25 ||x||^2 - 0.25, where ||J|| = 0.5: from this target the
 # Newton iteration once returned with its row at 7.5e-13, 1.5e-12 from the
 # sphere, until its return test bounded |c| / ||J|| too
@@ -457,7 +481,7 @@ def test_sphere_rows_project_in_closed_form(case):
     z = chart.nearest(y)
     assert z is not None
     assert np.array_equal(md.project(chart, y), z)
-    # on the chart, through the compiled map, to the Newton iteration's
+    # on the chart, through the row's map, to the Newton iteration's
     # return tolerance, and z - y parallel to the row's gradient
     assert abs(float(chart_value(chart, z)[0])) <= 1e-12
     J = chart_jacobian(chart, z)[0]
@@ -716,8 +740,15 @@ def test_feasible_start_projects_to_boundary(circle2d):
 
 
 def test_feasible_start_center_returns_boundary_point(circle2d):
-    z = md.feasible_start(circle2d, (0.0, 0.0))
+    # the disk's centre has no closed-form nearest point: the projection
+    # fails there, and the first nudged Newton restart gives the point
+    y = np.zeros(2)
+    chart = md.ManifoldChart(circle2d, (1,))
+    assert chart.nearest is not None and chart.nearest(y) is None
+    z = md.feasible_start(circle2d, y)
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-9)
+    nudged = geometry._project_newton(chart, y, np.array([1e-3, 0.0]))
+    assert z.tobytes() == nudged.tobytes()
 
 
 def test_feasible_start_sphere(sphere3d):

@@ -16,7 +16,7 @@ import pytest
 import modescent as md
 from modescent.cli import main
 
-from conftest import with_counted_maps
+from conftest import with_counted_maps, with_plain_map
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -83,15 +83,17 @@ def test_circle2d_eta1_map_calls_are_pinned(circle2d):
     # solver's path changes these counts (F 611 and G 1,113 with an
     # F-then-G test of every trial and a bisecting landing; G 675 with the
     # Illinois landing; G 672 with the on-chart test calling G again at
-    # the base point of each of the 7 SP2 steps that pin the circle).  DG is
-    # called at the 41 of the 131 evaluations with the circle active at
-    # epsilon, and 33 times by the charts that pin it (164 with DG at every
-    # evaluation)
+    # the base point of each of the 7 SP2 steps that pin the circle).  The
+    # registry declares the circle's record, so the charts that pin it
+    # project in closed form, with no map call (G 665 and DG 74 with their
+    # 33 Newton projections reading G and DG).  DG is called at the 41 of
+    # the 131 evaluations with the circle active at epsilon (164 with DG at
+    # every evaluation)
     spec, calls = with_counted_maps(circle2d, ("F", "DF", "G", "DG"))
     _, trace = md.solve_constrained(spec, (-2.0, 0.5), md.SolverConfig(beta0=0.1, eta=1.0))
     assert trace.iterations == 130
     assert trace.branch_counts() == {"SP1-step": 106, "SP2-step": 24}
-    assert dict(calls) == {"F": 193, "DF": 131, "G": 665, "DG": 74}
+    assert dict(calls) == {"F": 193, "DF": 131, "G": 632, "DG": 41}
 
 
 def test_circle2d_eta1_scans_the_active_set_for_sp2_only(circle2d, monkeypatch):
@@ -178,16 +180,29 @@ def test_circle2d_eta1_builds_each_chart_once(circle2d, monkeypatch):
 
 
 def test_sphere3d_map_calls_are_pinned(sphere3d):
-    # the sphere3d golden solve with counted maps: every trial point is
-    # projected onto the sphere, evaluate calls H no more and the step does
-    # not re-test H at a projected point, so H counts the projections plus
-    # the feasibility check of the start, and DH the projections plus one
-    # call per evaluate
-    spec, calls = with_counted_maps(sphere3d, ("F", "DF", "H", "DH"))
+    # the sphere3d golden solve with counted maps, H behind a plain wrapper
+    # that drops the registry's record, so every trial point takes the
+    # Newton projection onto the sphere: evaluate calls H no more and the
+    # step does not re-test H at a projected point, so H counts the
+    # projections plus the feasibility check of the start, and DH the
+    # projections plus one call per evaluate
+    spec, calls = with_counted_maps(with_plain_map(sphere3d, "H"), ("F", "DF", "H", "DH"))
     _, trace = md.solve_constrained(spec, (1.0, 0.0, 0.0), md.SolverConfig())
     assert trace.iterations == 4
     assert trace.branch_counts() == {"SP1-step": 4}
     assert dict(calls) == {"F": 5, "DF": 5, "H": 20, "DH": 24}
+
+
+def test_sphere3d_closed_form_map_calls_are_pinned(sphere3d):
+    # the same solve on the registry's maps: H declares its sphere, so
+    # every trial point is projected in closed form, with no map call.  H
+    # is called once, by the feasibility check of the start, and DH once
+    # per evaluate (H 20 and DH 24 with the Newton projection)
+    spec, calls = with_counted_maps(sphere3d, ("F", "DF", "H", "DH"))
+    _, trace = md.solve_constrained(spec, (1.0, 0.0, 0.0), md.SolverConfig())
+    assert trace.iterations == 4
+    assert trace.branch_counts() == {"SP1-step": 4}
+    assert dict(calls) == {"F": 5, "DF": 5, "H": 1, "DH": 5}
 
 
 def test_octant3d_map_calls_are_pinned():

@@ -230,6 +230,32 @@ def test_fd_audit_all_registered_at_random_box_points(rng):
             assert md.fd_audit(problem, x, 1e-6) <= 1e-6
 
 
+# (problem, map name) of every registered H or G map that declares its
+# rows, hidden problems among them
+_DECLARED = [(problem, name)
+             for problem in map(md.registry_get, md.problems._REGISTRY)
+             for name in ("H", "G")
+             if getattr(getattr(problem, name), "isotropic_rows", None) is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_DECLARED), st.data())
+def test_a_declared_record_matches_its_map(declared, data):
+    # lam ||x||^2 + b.x + d equals each declared row at a point of the box,
+    # within a few ulps of its terms' scale: a stale record fails here
+    problem, name = declared
+    x = np.array([data.draw(st.floats(lo, hi)) for lo, hi in problem.box])
+    rows = getattr(problem, name)
+    assert len(rows.isotropic_rows) == len(rows(x))
+    for record, value in zip(rows.isotropic_rows, rows(x).tolist()):
+        if record is None:
+            continue
+        lam, b, d = record
+        terms = [lam * float(x @ x), *(float(v) for v in np.multiply(b, x)), d]
+        scale = sum(abs(t) for t in terms)
+        assert abs(sum(terms) - value) <= 8 * np.finfo(float).eps * scale
+
+
 CIRCLE_JSON = {
     "name": "circle2d-json",
     "n": 2,
