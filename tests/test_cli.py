@@ -406,15 +406,22 @@ def test_audit_worst_keeps_nan_wherever_it_comes():
         assert np.isnan(_worst(values))
 
 
+def test_front_of_the_steep_problem_records_every_start_failed(tmp_path):
+    out = tmp_path / "front"
+    rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2", "--out", str(out)])
+    assert rc == 1
+    entries = json.loads((out / "archive.json").read_text())["entries"]
+    assert len(entries) == 4
+    assert not any(entry["converged"] for entry in entries)
+    assert all(entry["error"] for entry in entries)
+
+
 def test_front_of_the_steep_problem_names_the_overflow(tmp_path, capsys):
-    # every start fails, and each of the 4 entries names the overflow
     out = tmp_path / "front"
     rc = main(["front", "--problem-file", str(STEEP_FILE), "--grid", "2x2", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == ""
     entries = json.loads((out / "archive.json").read_text())["entries"]
-    assert len(entries) == 4
-    assert not any(entry["converged"] for entry in entries)
     assert [entry["error"] for entry in entries] == [
         "ModescentError: direction subproblem SP1 overflowed: its value alpha is nan, "
         "not finite"] * 4
